@@ -191,9 +191,8 @@ def discrepancy_report(
     rows: list[ChainRow] = []
     for conv in conventions:
         chain = solve_chain(kmax, conv)
-        zprimes = extract_zprime_chain(kmax, conv)
         for k in range(1, kmax + 1):
-            zp_chain = zprimes[k - 1]
+            zp_chain = zprime_from_s(k + 1, chain[k])
             with ctx.workdps():
                 zp_num = zp_chain.numeric(ctx)
                 zp_oracle = zeta_prime_oracle(-k, ctx)

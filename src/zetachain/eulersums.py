@@ -18,7 +18,7 @@ from mpmath import mpf
 
 from .exact import BernoulliConvention, bernoulli, binomial, harmonic
 from .precision import PrecisionContext, const_gamma
-from .quadrature import QuadratureResult, integrate
+from .quadrature import integrate
 from .special import DomainError, gamma_fn, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention, SymbolicValue
 from .zeta import zeta_em, zeta_neg_int_exact

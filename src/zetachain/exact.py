@@ -52,7 +52,9 @@ _bernoulli_lock = threading.Lock()
 
 def _extend_bernoulli(n: int) -> None:
     # Defining recurrence from z/(e^z - 1): sum_{j=0}^{m} C(m+1, j) B_j = 0
-    # for m >= 1, solved for B_m.
+    # for m >= 1, solved for B_m.  The cache only grows, so a hit needs no lock.
+    if len(_bernoulli_cache) > n:
+        return
     with _bernoulli_lock:
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)

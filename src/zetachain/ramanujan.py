@@ -25,9 +25,8 @@ from mpmath import mpf
 from .exact import bernoulli
 from .precision import PrecisionContext
 from .quadrature import integrate
-from .special import DomainError, digamma, hsmooth_pow_derivs
-from .special import hsmooth as _hsmooth
-from .values import RegularizedSum, SumConvention, SymbolicValue
+from .special import digamma, hsmooth_pow_derivs
+from .values import RegularizedSum, SumConvention
 
 MAX_EXPONENT = 8
 
@@ -46,11 +45,6 @@ class EMScheme:
 
     def refined(self) -> "EMScheme":
         return EMScheme(2 * self.N, self.J + 1)
-
-
-def hsmooth(t, ctx: PrecisionContext) -> mpf:
-    """H(t) = gamma + psi(t+1); equals H_n at positive integers."""
-    return _hsmooth(t, ctx)
 
 
 def _ramanujan_raw(k: int, scheme: EMScheme, ctx: PrecisionContext) -> mpf:

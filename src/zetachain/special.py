@@ -1,12 +1,23 @@
 """Gamma, digamma and polygamma at arbitrary precision.
 
-All three follow the same scheme: shift the argument upward by recurrence
-until the asymptotic (Stirling-type) series converges below the context
-tolerance, then sum the series.  The series coefficients are exact Bernoulli
-rationals from the exact layer, so these routines are independent of
-mpmath's own special-function code (mpmath is used for elementary
-operations only); the test suite exploits that independence for
-cross-checks.
+All three rest on one kernel, ``_stirling(m, z, dps)``, which sums the
+Stirling series for d^(m+1)/dz^(m+1) log Gamma(z), m >= -1:
+
+    log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + sum_j B_2j/(2j(2j-1)) z^(1-2j)
+
+and its derivatives, whose j-th term is (-1)^(m+1) B_2j (2j+m-1)!/(2j)! z^(-2j-m).
+Callers shift the argument upward by ``_shift`` until the series converges
+below the context tolerance, call the kernel, and recur back down.  The
+kernel raises ArithmeticError rather than return a truncated series.  The
+coefficients are exact Bernoulli rationals from the exact layer, so these
+routines are independent of mpmath's own special-function code (mpmath is
+used for elementary operations only); the test suite exploits that
+independence for cross-checks.
+
+Accuracy: the series stops on an absolute 10^-(dps+2).  Gamma = exp(log
+Gamma) turns that into a relative error, but for psi and psi^(m) the
+guarantee is absolute: small values (psi near its zero at x ~ 1.46, psi^(m)
+of high order at large x) keep fewer relative digits.
 """
 
 from __future__ import annotations
@@ -24,27 +35,39 @@ class DomainError(ValueError):
     """Argument outside the domain of a special function (e.g. a pole)."""
 
 
-def _shift_threshold(dps: int, order: int = 0) -> int:
-    # Asymptotic tail behaves like (2j+order)! / ((2pi x)^(2j) x^order);
-    # x ~ 0.4*dps plus the derivative order keeps the optimal term below
-    # 10^-dps with margin.
-    return int(0.4 * dps) + order + 5
+def _shift(x: mpf, m: int, dps: int) -> int:
+    # The series tail behaves like (2j+m)! / ((2pi x)^(2j) x^m); x ~ 0.4*dps
+    # plus the derivative order keeps the optimal term below 10^-dps with margin.
+    return max(0, int(math.ceil(int(0.4 * dps) + max(m, 0) + 5 - x)))
 
 
-def _log_gamma_asymptotic(x: mpf, dps: int) -> mpf:
-    # Stirling series; requires x >= _shift_threshold(dps).
+def _stirling(m: int, z: mpf, dps: int) -> mpf:
+    """d^(m+1)/dz^(m+1) log Gamma(z), m >= -1, for z shifted by ``_shift``."""
+    if m == -1:
+        s = (z - mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
+    elif m == 0:
+        s = mpmath.log(z) - 1 / (2 * z)
+    else:
+        # (-1)^(m+1) [ (m-1)!/z^m + m!/(2 z^(m+1)) ]
+        zm = z**m
+        s = mpf(math.factorial(m - 1)) / zm + mpf(math.factorial(m)) / (2 * zm * z)
+        if m % 2 == 0:
+            s = -s
+    sign = (-1) ** (m + 1)
     tol = mpf(10) ** (-dps - 2)
-    s = (x - mpf(1) / 2) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
-    xpow = x
-    x2 = x * x
+    z2 = z * z
+    zpow = z ** (m + 2)
+    # B_2j (2j+m-1)!/(2j)! = B_2j perm(2j+m-1, m-1) for m >= 1, B_2j / perm(2j, 1-m) for m <= 1
+    up, down = max(m - 1, 0), max(1 - m, 0)
     for j in range(1, 4 * dps):
         b2j = bernoulli(2 * j)
-        term = mpf(b2j.numerator) / (b2j.denominator * 2 * j * (2 * j - 1)) / xpow
+        num = sign * b2j.numerator * math.perm(2 * j + m - 1, up)
+        term = mpf(num) / (b2j.denominator * math.perm(2 * j, down)) / zpow
         s += term
         if abs(term) < tol:
             return s
-        xpow *= x2
-    raise RuntimeError("Stirling series did not converge; argument shifted too little")
+        zpow *= z2
+    raise ArithmeticError("Stirling series did not converge; argument shifted too little")
 
 
 def gamma_fn(s, ctx: PrecisionContext) -> mpf:
@@ -57,75 +80,39 @@ def gamma_fn(s, ctx: PrecisionContext) -> mpf:
             # reflection keeps the asymptotic argument positive
             refl = mpmath.pi / mpmath.sin(mpmath.pi * x)
             return ctx.round(refl / gamma_fn(1 - x, ctx))
-        thresh = _shift_threshold(ctx.dps)
-        shift = max(0, int(math.ceil(thresh - x)))
-        lg = _log_gamma_asymptotic(x + shift, ctx.dps)
-        val = mpmath.exp(lg)
+        shift = _shift(x, -1, ctx.dps)
+        val = mpmath.exp(_stirling(-1, x + shift, ctx.dps))
         for i in range(shift):
             val /= x + i
         return ctx.round(val)
 
 
 def digamma(x, ctx: PrecisionContext) -> mpf:
-    """psi(x) for x > 0 via upward recurrence then the asymptotic series."""
-    with ctx.workdps():
-        t = mpf(x)
-        if t <= 0:
-            raise DomainError("digamma requires x > 0")
-        thresh = _shift_threshold(ctx.dps)
-        shift = max(0, int(math.ceil(thresh - t)))
-        z = t + shift
-        tol = mpf(10) ** (-ctx.dps - 2)
-        s = mpmath.log(z) - 1 / (2 * z)
-        z2 = z * z
-        zpow = z2
-        for j in range(1, 4 * ctx.dps):
-            b2j = bernoulli(2 * j)
-            term = mpf(b2j.numerator) / (b2j.denominator * 2 * j) / zpow
-            s -= term
-            if abs(term) < tol:
-                break
-            zpow *= z2
-        for i in range(shift):
-            s -= 1 / (t + i)
-        return ctx.round(s)
+    """psi(x) for x > 0."""
+    return _psi(0, x, ctx)
 
 
 def polygamma(m: int, x, ctx: PrecisionContext) -> mpf:
     """psi^(m)(x) for x > 0, m >= 0."""
     if m < 0:
         raise ValueError("derivative order must be non-negative")
-    if m == 0:
-        return digamma(x, ctx)
+    return _psi(m, x, ctx)
+
+
+def _psi(m: int, x, ctx: PrecisionContext) -> mpf:
+    # Shared body of digamma and polygamma.  digamma calls it directly, not
+    # through polygamma, so perfbench's per-function call counts keep them apart.
     with ctx.workdps():
         t = mpf(x)
         if t <= 0:
-            raise DomainError("polygamma requires x > 0")
-        thresh = _shift_threshold(ctx.dps, order=m)
-        shift = max(0, int(math.ceil(thresh - t)))
-        z = t + shift
-        tol = mpf(10) ** (-ctx.dps - 2)
-        # psi^(m)(z) = (-1)^(m-1) [ (m-1)!/z^m + m!/(2 z^(m+1))
-        #              + sum_j B_2j (2j+m-1)!/((2j)! z^(2j+m)) ]
-        zm = z**m
-        s = mpf(math.factorial(m - 1)) / zm + mpf(math.factorial(m)) / (2 * zm * z)
-        z2 = z * z
-        zpow = zm * z2
-        fact_ratio = mpf(math.factorial(m + 1)) / 2  # (2j+m-1)!/(2j)! at j=1
-        for j in range(1, 4 * ctx.dps):
-            b2j = bernoulli(2 * j)
-            term = mpf(b2j.numerator) / b2j.denominator * fact_ratio / zpow
-            s += term
-            if abs(term) < tol:
-                break
-            zpow *= z2
-            fact_ratio *= mpf((2 * j + m) * (2 * j + m + 1)) / ((2 * j + 1) * (2 * j + 2))
-        sign = 1 if (m % 2 == 1) else -1
-        s *= sign
+            raise DomainError(f"polygamma of order {m} requires x > 0")
+        shift = _shift(t, m, ctx.dps)
+        s = _stirling(m, t + shift, ctx.dps)
         # downward recurrence: psi^(m)(t) = psi^(m)(t+1) + (-1)^(m+1) m!/t^(m+1)
-        rec_sign = mpf(math.factorial(m)) * (1 if m % 2 == 1 else -1)
+        rec = mpf((-1) ** (m + 1) * math.factorial(m))
         for i in range(shift):
-            s += rec_sign / (t + i) ** (m + 1)
+            # psi is the hot path; (t+i)**1 would cost it a pow call per step
+            s += rec / (t + i) ** (m + 1) if m else rec / (t + i)
         return ctx.round(s)
 
 

@@ -17,7 +17,6 @@ term by term in s (log factors, no finite differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -27,10 +26,8 @@ from .exact import BernoulliConvention, bernoulli
 from .precision import PrecisionContext
 from .special import DomainError, gamma_fn
 
-_DEFAULT_N = None  # sentinel: choose from precision
 
-
-def _em_setpoint(ctx: PrecisionContext, s: float) -> int:
+def _em_setpoint(ctx: PrecisionContext) -> int:
     # partial-sum length; correction terms then shrink by ~(2pi N)^-2 per order
     return max(20, ctx.dps)
 
@@ -42,13 +39,13 @@ def _extra_dps(s: mpf, n_terms: int) -> int:
     return int((float(-s) + 2) * math.log10(n_terms)) + 10
 
 
-def zeta_em(s, ctx: PrecisionContext, N: int | None = _DEFAULT_N, J: int | None = None) -> mpf:
+def zeta_em(s, ctx: PrecisionContext, N: int | None = None, J: int | None = None) -> mpf:
     """zeta(s) for real s != 1 by Euler-Maclaurin summation."""
     with ctx.workdps():
         sv = mpf(s)
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
-    n_terms = N if N is not None else _em_setpoint(ctx, float(sv))
+    n_terms = N if N is not None else _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms)):
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 5)
@@ -70,17 +67,19 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = _DEFAULT_N, J: int | None 
             term = mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j)) * prod * npow
             total += term
             if J is None and abs(term) < tol:
-                break
+                return ctx.round(total)
+        if J is None:
+            raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
         return ctx.round(total)
 
 
-def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = _DEFAULT_N) -> mpf:
+def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
     """zeta'(s) by termwise analytic differentiation of the EM sum."""
     with ctx.workdps():
         sv = mpf(s)
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
-    n_terms = N if N is not None else _em_setpoint(ctx, float(sv))
+    n_terms = N if N is not None else _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms) + 5):
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 5)
@@ -107,8 +106,8 @@ def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = _DEFAULT_N) -> mpf:
             term = coeff * npow * (dprod - logN * prod)
             total += term
             if abs(term) < tol and abs(coeff * npow * prod) < tol:
-                break
-        return ctx.round(total)
+                return ctx.round(total)
+        raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
 
 
 def zeta_neg_int_exact(k: int) -> Fraction:
@@ -180,13 +179,3 @@ def functional_equation_residual(s, ctx: PrecisionContext) -> mpf:
     lhs, rhs = functional_equation_sides(s, ctx)
     with ctx.workdps():
         return ctx.round(abs(lhs - rhs))
-
-
-@dataclass(frozen=True)
-class ZetaValue:
-    """A zeta evaluation together with how it was produced."""
-
-    s: object
-    value: object
-    derivative_order: int
-    method: str  # euler_maclaurin | exact_rational | functional_equation

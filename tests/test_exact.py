@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zetachain.exact
 from zetachain.exact import (
     BernoulliConvention,
     bernoulli,
@@ -103,3 +106,17 @@ def test_rational_ring_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z
     assert x + 0 == x and x * 1 == x
+
+
+def test_exact_layer_imports_no_numeric_layer():
+    # the exact layer is the independent oracle: it must not import mpmath
+    # or any other zetachain module
+    tree = ast.parse(Path(zetachain.exact.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    bad = {n for n in imported if n.startswith((".", "mpmath", "zetachain"))}
+    assert not bad, bad

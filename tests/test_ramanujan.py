@@ -7,10 +7,9 @@ from zetachain.precision import PrecisionContext, const_gamma
 from zetachain.ramanujan import (
     EMScheme,
     convergent_selftest,
-    hsmooth,
     ramanujan_sum,
 )
-from zetachain.special import DomainError
+from zetachain.special import DomainError, hsmooth
 from zetachain.values import SumConvention
 
 CTX = PrecisionContext(50)

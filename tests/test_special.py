@@ -5,7 +5,7 @@ from mpmath import mpf
 from zetachain.exact import harmonic
 from zetachain.precision import PrecisionContext, const_gamma, const_log2pi, const_pi
 from zetachain.quadrature import integrate
-from zetachain.special import DomainError, digamma, gamma_fn, hsmooth, polygamma
+from zetachain.special import DomainError, _stirling, digamma, gamma_fn, hsmooth, polygamma
 
 CTX = PrecisionContext(50)
 
@@ -130,3 +130,35 @@ def test_integrate_endpoint_log_singularity():
         res = integrate(lambda x: mpmath.log(x), 0, 1, CTX)
         assert res.converged
         assert abs(res.value + 1) < tol(5)
+
+
+# Differential checks against mpmath's own psi and gamma, which share no code
+# with the Stirling kernel here.  The psi^(m) bound is absolute (scaled by
+# max(1, |ref|)): the series stops on an absolute tolerance, so small values
+# of high order keep fewer relative digits.
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_polygamma_matches_mpmath(digits):
+    ctx = PrecisionContext(digits)
+    for m in (0, 1, 2, 5, 21, 64, 133):
+        for x in ("0.3", "1.75", "56", "60.5"):
+            got = polygamma(m, x, ctx)
+            with mpmath.workdps(digits + 20):
+                ref = mpmath.psi(m, mpf(x))
+                bound = mpf(10) ** (-digits + 2) * max(1, abs(ref))
+                assert abs(got - ref) <= bound, (m, x)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_gamma_matches_mpmath(digits):
+    ctx = PrecisionContext(digits)
+    for s in ("0.3", "-2.5", "7.25", "41.5"):
+        got = gamma_fn(s, ctx)
+        with mpmath.workdps(digits + 20):
+            ref = mpmath.gamma(mpf(s))
+            assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), s
+
+
+def test_stirling_kernel_raises_on_unshifted_argument():
+    with CTX.workdps():
+        with pytest.raises(ArithmeticError):
+            _stirling(0, mpf("0.3"), CTX.dps)

@@ -66,6 +66,17 @@ def test_em_truncation_stability():
         assert abs(zeta_em(mpf("1.5"), CTX, N=CTX.dps, J=80) - base) < tol(5)
 
 
+def test_em_too_short_partial_sum_raises():
+    # with N = 2 the corrections at s = -2.5 grow instead of shrinking
+    with pytest.raises(ArithmeticError):
+        zeta_em("-2.5", CTX, N=2)
+
+
+def test_zeta_prime_em_too_short_partial_sum_raises():
+    with pytest.raises(ArithmeticError):
+        zeta_prime_em("-2.5", CTX, N=2)
+
+
 def test_zeta_prime_zero_closed_form():
     with CTX.workdps():
         closed = -mpmath.log(2 * mpmath.pi) / 2
