@@ -30,6 +30,7 @@ from .zeta import (
     functional_equation_residual,
     zeta_em,
     zeta_neg_int_exact,
+    zeta_odd_from_bprime,
     zeta_odd_from_zprime,
     zeta_prime_em,
     zeta_prime_oracle,
@@ -148,15 +149,8 @@ def _suite_lemma4(ctx: PrecisionContext) -> list[dict]:
         for k in range(1, 5):
             zp = zeta_prime_oracle(-2 * k, ctx)
             form1 = zeta_odd_from_zprime(k, zp, ctx)
-            bprime = (2 * k + 1) * zp  # B'_(2k+1) with the trivial zero built in
-            two_pi = 2 * mpmath.pi
-            form2 = (
-                (-1) ** k
-                * two_pi ** (2 * k + 1)
-                / mpf(mpmath.factorial(2 * k + 1))
-                * bprime
-                / mpmath.pi
-            )
+            # B'_(2k+1) = (2k+1) zeta'(-2k) has the trivial zero built in
+            form2 = zeta_odd_from_bprime(k, (2 * k + 1) * zp, ctx)
             checks.append(_check(f"lemma4_forms_agree_k{k}", abs(form1 - form2), tol))
     return checks
 

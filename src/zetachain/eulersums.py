@@ -293,22 +293,20 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
         if sv <= 1:
             raise DomainError("Mellin check requires s > 1")
 
-        def log_term(x):
-            return mpmath.log(-mpmath.expm1(-x))
-
-        def f1(x):
-            return x ** (sv - 1) * log_term(x) / (-mpmath.expm1(-x))
-
-        def f2(x):
-            return x ** (sv - 1) * mpmath.exp(-x) * log_term(x) / (-mpmath.expm1(-x))
-
-        def f3(x):
-            return x ** (sv - 1) * log_term(x)
+        def integrands(x):
+            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x);
+            # log1p keeps log(1 - e^-x) relatively accurate once e^-x < 10^-dps
+            ex = mpmath.exp(-x)
+            if x < 1:
+                one_minus = -mpmath.expm1(-x)
+                i3 = x ** (sv - 1) * mpmath.log(one_minus)
+            else:
+                one_minus = 1 - ex
+                i3 = x ** (sv - 1) * mpmath.log1p(-ex)
+            return i3 / one_minus, ex * i3 / one_minus, i3
 
         off = -(ctx.guard - 3)
-        i1 = integrate(f1, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
-        i2 = integrate(f2, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
-        i3 = integrate(f3, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
+        i1, i2, i3 = integrate(integrands, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
         g = gamma_fn(sv, ctx)
         r1 = abs(i1 + g * h_euler(sv, ctx))
         r2 = abs(i2 + g * h_euler_shifted(sv, ctx))

@@ -13,6 +13,19 @@ I(u) = (1/2pi i) oint z^-(u+1) e^z/(1-e^z) dz satisfies B_(u+1) =
 checked at the even integers (see tests), since the two printed forms of
 the integrand differ by elementary rewriting that does not pin the
 orientation.
+
+The two rays differ only by the branch phase e^(-+i pi e), e = -(u+1), so
+their difference is one real integral over [r, T]: with
+g(t) = e^-t/(1-e^-t),
+
+    lower - upper = -2i sin(pi e) int t^e g dt,
+
+and with the -log z factor
+
+    lower - upper = 2i int t^e g [sin(pi e) log t + pi cos(pi e)] dt.
+
+The ray integrand returns both real integrands as one tuple, and the circle
+its two complex ones, so I and I' come from one pass over the contour.
 """
 
 from __future__ import annotations
@@ -53,51 +66,48 @@ class ContourSpec:
         return max(3, int(math.ceil(math.log2(max(n, 8) / 8))))
 
 
-def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext):
-    """(1/2pi i) oint z^-(u+1) (-log z)^b e^z/(1-e^z) dz, b = 1 if with_log."""
+def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext) -> tuple:
+    """(I,) or, with the log factor, (I, I'), where
+    I = (1/2pi i) oint z^-(u+1) e^z/(1-e^z) dz and I' carries an extra -log z.
+    """
     spec.validate()
     with ctx.workdps():
         uv = mpf(u)
         r = mpf(spec.radius)
         T = spec.cutoff(ctx)
         expo = -(uv + 1)
+        sin_e, cos_e = mpmath.sinpi(expo), mpmath.cospi(expo)
         off = (ctx.digits + 1) // 2 - 3  # target ~10^(-digits/2)
 
-        def ray(t, theta_pi):
-            # z = t e^(i theta), theta = +-pi: log z = log t + i theta
-            logz = mpmath.log(t) + mpmath.mpc(0, theta_pi * mpmath.pi)
-            val = mpmath.exp(expo * logz) * mpmath.exp(-t) / (-mpmath.expm1(-t))
+        def rays(t):
+            # Im of the lower ray's integrand, which is (lower - upper)/2i
+            logt = mpmath.log(t)
+            v = mpmath.exp(expo * logt) / mpmath.expm1(t)
             if with_log:
-                val *= -logz
-            return val
+                return -sin_e * v, v * (sin_e * logt + mpmath.pi * cos_e)
+            return (-sin_e * v,)
 
         def circle(theta):
             logz = mpmath.log(r) + mpmath.mpc(0, theta)
             z = r * mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
             val = mpmath.exp(expo * logz) * mpmath.exp(z) / (1 - mpmath.exp(z))
-            if with_log:
-                val *= -logz
-            return val * mpmath.mpc(0, 1) * z  # dz = i z d(theta)
+            val *= mpmath.mpc(0, 1) * z  # dz = i z d(theta)
+            return (val, -logz * val) if with_log else (val,)
 
         lvl = spec.min_level()
-        lower = integrate(
-            lambda t: ray(t, -1), r, T, ctx, tol_offset=off, min_level=lvl
-        ).require_converged()
-        upper = integrate(
-            lambda t: ray(t, +1), r, T, ctx, tol_offset=off, min_level=lvl
-        ).require_converged()
+        ray = integrate(rays, r, T, ctx, tol_offset=off, min_level=lvl).require_converged()
         circ = integrate(
             circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off, min_level=lvl
         ).require_converged()
-        total = (lower - upper + circ) / mpmath.mpc(0, 2) / mpmath.pi
-        return total
+        two_pi_i = mpmath.mpc(0, 2) * mpmath.pi
+        return tuple((mpmath.mpc(0, 2) * j + c) / two_pi_i for j, c in zip(ray, circ))
 
 
 def bernoulli_interp(s, spec: ContourSpec, ctx: PrecisionContext) -> mpf:
     """B_(s+1) from the Hankel contour; s > -1."""
     with ctx.workdps():
         sv = mpf(s)
-        raw = _contour_integral(sv, False, spec, ctx)
+        (raw,) = _contour_integral(sv, False, spec, ctx)
         val = -gamma_fn(sv + 2, ctx) * raw
         return ctx.round(val.real)
 
@@ -111,8 +121,7 @@ def bernoulli_prime_interp(s, spec: ContourSpec, ctx: PrecisionContext) -> mpf:
     """
     with ctx.workdps():
         sv = mpf(s)
-        i0 = _contour_integral(sv - 1, False, spec, ctx)
-        i1 = _contour_integral(sv - 1, True, spec, ctx)
+        i0, i1 = _contour_integral(sv - 1, True, spec, ctx)
         g = gamma_fn(sv + 1, ctx)
         val = -g * (digamma(sv + 1, ctx) * i0 + i1)
         return ctx.round(val.real)

@@ -1,15 +1,41 @@
 """Double-exponential quadrature on finite and semi-infinite intervals.
 
 tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
-intervals; exp-sinh covers [a, inf) for integrands with at least algebraic
-decay.  Levels are refined (mesh halved) until two successive estimates
-agree below the target tolerance; the returned error estimate is the last
-inter-level difference.
+intervals, with nodes x = mid + half*tanh(pi/2 sinh t); exp-sinh covers
+[a, inf) for integrands with at least algebraic decay, with nodes
+x = a + exp(pi/2 sinh t).  Both are trapezoid sums in t at mesh
+h = 2^-level, refined by one level driver:
+
+- Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
+  comparison of three high-precision quadrature schemes", Exp. Math. 14,
+  2005).  The first level sums every node of its mesh; each later level
+  keeps the running sum and adds only the odd-k nodes of the halved mesh,
+  so no node is evaluated twice.  Levels are refined until two successive
+  estimates agree below the target tolerance; the returned error estimate
+  is the last inter-level difference.
+- tanh-sinh (u, w) tables depend only on the working precision and the
+  level.  Each is built in full, published as an immutable tuple under a
+  lock and kept in a small LRU cache keyed by (mpmath prec, level).  The
+  level-0 table holds every k >= 0 at h = 1 and the level-l table the odd
+  k at h = 2^-l, so a first level L sums the tables 0..L.
+- exp-sinh nodes are streamed per call and never stored: their walk ends
+  on the integrand's decay, and a table of them costs more peak memory
+  than recomputing them costs time.
+- The integrand may return a tuple.  Its components share nodes and
+  levels, the call converges when every component does, and the result's
+  value is then a tuple too.
+- A node walk stops on its weight (tanh-sinh: w < 10^-(dps+5)) or on the
+  integrand's decay (exp-sinh: three successive contributions below that).
+  A walk that reaches t = _NODE_CAP (20*2^level nodes) first raises
+  ArithmeticError instead of returning a truncated sum.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import mpmath
@@ -18,16 +44,23 @@ from mpmath import mpf
 from .precision import PrecisionContext
 
 _MAX_LEVEL = 12
+_NODE_CAP = 20
+_TABLE_SLOTS = 32
+
+# (mpmath prec, level) -> ((u, w), ...).  The weight cutoff depends on the
+# decimal dps, which workdps maps one-to-one onto prec.
+_tables: OrderedDict[tuple[int, int], tuple] = OrderedDict()
+_tables_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: mpf
+    value: mpf | tuple
     error: mpf
     converged: bool
     levels: int
 
-    def require_converged(self) -> mpf:
+    def require_converged(self) -> mpf | tuple:
         if not self.converged:
             raise ArithmeticError(
                 f"quadrature did not converge (estimate {self.value}, error {self.error})"
@@ -35,95 +68,139 @@ class QuadratureResult:
         return self.value
 
 
-def _tanh_sinh_sum(f, a: mpf, b: mpf, level: int, eps: mpf) -> mpf:
-    # sum over nodes x = mid + half*tanh(pi/2 sinh(kh)) at mesh h = 2^-level
+def _walk(level: int, first: bool):
+    """t = k h at h = 2^-level: every k >= 0 on a first level, else odd k."""
+    h = mpf(2) ** (-level)
+    k, step = (0, 1) if first else (1, 2)
+    while k <= _NODE_CAP * 2**level:
+        yield k * h
+        k += step
+    raise ArithmeticError(f"quadrature node walk reached t = {_NODE_CAP} at level {level}")
+
+
+def _tanh_sinh_table(level: int) -> tuple:
+    """(u, w) pairs of the level's own nodes at the current working precision."""
+    key = (mpmath.mp.prec, level)
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+            return table
+    eps = mpf(10) ** (-mpmath.mp.dps - 5)
+    piov2 = mpmath.pi / 2
+    nodes = []
+    for t in _walk(level, level == 0):
+        sh = mpmath.sinh(t)
+        w = piov2 * mpmath.cosh(t) / mpmath.cosh(piov2 * sh) ** 2
+        if w < eps:
+            break
+        nodes.append((mpmath.tanh(piov2 * sh), w))
+    table = tuple(nodes)
+    with _tables_lock:
+        _tables[key] = table
+        _tables.move_to_end(key)
+        while len(_tables) > _TABLE_SLOTS:
+            _tables.popitem(last=False)
+    return table
+
+
+def _tanh_sinh_walks(a: mpf, b: mpf, level: int, first: bool):
     half = (b - a) / 2
     mid = (a + b) / 2
-    h = mpf(2) ** (-level)
-    piov2 = mpmath.pi / 2
-    total = mpf(0)
-    k = 0
-    while True:
-        t = k * h
-        sh = mpmath.sinh(t)
-        ch = mpmath.cosh(t)
-        u = mpmath.tanh(piov2 * sh)
-        w = piov2 * ch / mpmath.cosh(piov2 * sh) ** 2
-        if w < eps and k > 0:
-            break
-        if k == 0:
-            total += w * f(mid)
-        else:
-            contrib = mpf(0)
-            for x in (mid + half * u, mid - half * u):
-                if x != a and x != b:  # clamp exactly-at-endpoint nodes away
-                    contrib += f(x)
-            total += w * contrib
-        k += 1
-        if k > 20 * 2**level:
-            break
-    return total * half * h
+
+    def nodes():
+        for lvl in range(level + 1) if first else (level,):
+            for u, w in _tanh_sinh_table(lvl):
+                if not u:
+                    yield mid, w
+                    continue
+                for x in (mid + half * u, mid - half * u):
+                    if x != a and x != b:  # clamp exactly-at-endpoint nodes away
+                        yield x, w
+
+    return (nodes(),)
 
 
-def _exp_sinh_sum(f, a: mpf, level: int, eps: mpf, decay_eps: mpf) -> mpf:
-    # nodes x = a + exp(pi/2 sinh(kh)); covers [a, inf)
-    h = mpf(2) ** (-level)
+def _exp_sinh_walks(a: mpf, level: int, first: bool):
     piov2 = mpmath.pi / 2
-    total = mpf(0)
-    # negative k side approaches a, positive k side goes to infinity
-    for direction in (1, -1):
-        k = 0 if direction == 1 else 1
-        small_count = 0
-        while True:
-            t = direction * k * h
+
+    def nodes(direction):
+        for t in _walk(level, first):
+            if direction < 0 and not t:
+                continue  # t = 0 belongs to the positive walk
+            t *= direction
             ex = mpmath.exp(piov2 * mpmath.sinh(t))
-            w = piov2 * mpmath.cosh(t) * ex
-            x = a + ex
-            contrib = w * f(x)
-            total += contrib
-            k += 1
-            if abs(contrib) < decay_eps:
-                small_count += 1
-                if small_count >= 3:
+            yield a + ex, piov2 * mpmath.cosh(t) * ex
+
+    # the positive walk goes to infinity, the negative one approaches a
+    return nodes(1), nodes(-1)
+
+
+def _add_level(f, walks, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
+    """Add w*f(x) over the walks' nodes to the running sums; (sums, tuple-valued).
+
+    With decays, a walk stops after three successive contributions below eps.
+    """
+    for nodes in walks:
+        small = 0
+        for x, w in nodes:
+            fx = f(x)
+            is_tuple = isinstance(fx, tuple)
+            terms = [w * v for v in fx] if is_tuple else [w * fx]
+            total = terms if total is None else [s + c for s, c in zip(total, terms)]
+            if decays:
+                small = small + 1 if all(abs(c) < eps for c in terms) else 0
+                if small >= 3:
                     break
-            else:
-                small_count = 0
-            if k > 20 * 2**level:
-                break
-    return total * h
+    return total, is_tuple
 
 
 def integrate(
-    f: Callable[[mpf], mpf],
+    f: Callable[[mpf], mpf | tuple],
     a,
     b,
     ctx: PrecisionContext,
     tol_offset: int = 5,
     min_level: int = 3,
 ) -> QuadratureResult:
-    """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset)."""
+    """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
+
+    f may return a tuple of values; the result's value is then the tuple of
+    their integrals.
+    """
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
         eps = mpf(10) ** (-ctx.dps - 5)
         a = mpf(a)
-        infinite = b == mpmath.inf
-        if not infinite:
+        sign, scale = 1, mpf(1)
+        decays = b == mpmath.inf
+        if decays:
+            walks = partial(_exp_sinh_walks, a)
+        else:
             b = mpf(b)
             if b < a:
-                res = integrate(f, b, a, ctx, tol_offset, min_level)
-                return QuadratureResult(-res.value, res.error, res.converged, res.levels)
-        prev = None
-        value = mpf(0)
+                a, b, sign = b, a, -1
+            scale = (b - a) / 2
+            walks = partial(_tanh_sinh_walks, a, b)
+
+        total = prev = None
+        value = [mpf(0)]
         err = mpf("inf")
+        converged = is_tuple = False
         for level in range(min_level, _MAX_LEVEL + 1):
-            if infinite:
-                value = _exp_sinh_sum(f, a, level, eps, eps)
-            else:
-                value = _tanh_sinh_sum(f, a, b, level, eps)
+            total, is_tuple = _add_level(
+                f, walks(level, total is None), decays, eps, total, is_tuple
+            )
+            h = mpf(2) ** (-level)
+            value = [sign * s * scale * h for s in total]
             if prev is not None:
-                err = abs(value - prev)
-                scale = max(mpf(1), abs(value))
-                if err < tol * scale:
-                    return QuadratureResult(ctx.round(value), err, True, level)
+                errs = [abs(v - p) for v, p in zip(value, prev)]
+                err = max(errs)
+                if all(e < tol * max(mpf(1), abs(v)) for e, v in zip(errs, value)):
+                    converged = True
+                    break
             prev = value
-        return QuadratureResult(ctx.round(value), err, False, _MAX_LEVEL)
+        rounded = tuple(ctx.round(v) for v in value)
+        return QuadratureResult(
+            rounded if is_tuple else rounded[0], err, converged, level if converged else _MAX_LEVEL
+        )

@@ -127,6 +127,20 @@ def zeta_odd_from_zprime(k: int, zprime, ctx: PrecisionContext) -> mpf:
         return ctx.round(val)
 
 
+def zeta_odd_from_bprime(k: int, bprime, ctx: PrecisionContext) -> mpf:
+    """Lemma 4, second form: zeta(2k+1) = (-1)^k (2pi)^(2k+1)/(2k+1)! * B'_(2k+1)/pi, k >= 1.
+
+    Left unrounded at ctx's working precision: the lemma-4 check compares it
+    with the rounded first form, zeta_odd_from_zprime.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1 (zeta(1) diverges)")
+    with ctx.workdps():
+        two_pi = 2 * mpmath.pi
+        val = (-1) ** k * two_pi ** (2 * k + 1) / mpf(math.factorial(2 * k + 1))
+        return val * mpf(bprime) / mpmath.pi
+
+
 def zprime_from_zeta_odd(k: int, zeta_odd, ctx: PrecisionContext) -> mpf:
     """Inverse bridge: zeta'(-2k) = (-1)^k (2k)! zeta(2k+1) / (2 (2pi)^(2k))."""
     if k < 1:

@@ -23,6 +23,7 @@ from zetachain.zeta import (
     functional_equation_residual,
     functional_equation_sides,
     zeta_em,
+    zeta_odd_from_bprime,
     zeta_odd_from_zprime,
     zeta_prime_em,
     zeta_prime_oracle,
@@ -156,20 +157,12 @@ def test_08_chain_vs_oracle_report():
 def test_09_odd_zeta_two_forms():
     with criterion(9, "two forms of the odd-zeta relation"):
         with CTX.workdps():
-            two_pi = 2 * mpmath.pi
             for k in range(1, 5):
                 zp = zeta_prime_oracle(-2 * k, CTX)
                 form1 = zeta_odd_from_zprime(k, zp, CTX)
                 # second printed form via B'_(2k+1) = (2k+1) zeta'(-2k),
                 # which already uses the trivial zero zeta(-2k) = 0
-                bprime = (2 * k + 1) * zp
-                form2 = (
-                    (-1) ** k
-                    * two_pi ** (2 * k + 1)
-                    / mpf(mpmath.factorial(2 * k + 1))
-                    * bprime
-                    / mpmath.pi
-                )
+                form2 = zeta_odd_from_bprime(k, (2 * k + 1) * zp, CTX)
                 assert abs(form1 - form2) < tol(8)
 
 

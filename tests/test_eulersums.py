@@ -188,3 +188,12 @@ def test_mellin_matches_direct_lemma_route():
         direct = fundamental_lemma_residual(2, CTX)
         via_mellin = mellin_fundamental_check(2, CTX).combined
         assert abs(direct - via_mellin) < tol(12)
+
+
+def test_mellin_converges_at_100_digits():
+    # log(1 - e^-x) must stay relatively accurate on the far exp-sinh nodes
+    ctx = PrecisionContext(100)
+    chk = mellin_fundamental_check(3, ctx)
+    bound = ctx.tolerance(12)
+    for residual in (chk.residual_h, chk.residual_shifted, chk.residual_zeta, chk.combined):
+        assert residual <= bound

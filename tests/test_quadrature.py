@@ -1,0 +1,131 @@
+"""The DE quadrature engine: differential checks, the node cap, work counters.
+
+mpmath.quad is the independent oracle: the library never calls it.
+"""
+
+import sys
+import threading
+from collections import OrderedDict
+
+import mpmath
+import pytest
+from mpmath import mpf
+
+from zetachain import eulersums, hankel, quadrature
+from zetachain.hankel import ContourSpec
+from zetachain.precision import PrecisionContext
+from zetachain.quadrature import integrate
+
+# one precision revisited after others, so a table cached at one precision
+# serving another would show
+DIGITS_ORDER = (50, 120, 15, 50)
+
+CASES = {
+    "finite": (lambda x: mpmath.cbrt(x) * mpmath.cos(x), 0, 2),
+    "finite_log_endpoint": (lambda x: mpmath.log(x) / (1 + x), 0, 1),
+    "reversed": (lambda x: mpmath.cbrt(x) * mpmath.cos(x), 2, 0),
+    "half_line": (lambda x: mpmath.sqrt(x) * mpmath.exp(-x), mpf("0.5"), mpmath.inf),
+    "half_line_algebraic": (lambda x: 1 / (1 + x**3), 0, mpmath.inf),
+    "finite_tuple": (lambda x: (mpmath.exp(x), 1 / (1 + x * x), mpmath.sqrt(x) * mpmath.log(x)), 0, 1),
+    "half_line_tuple": (
+        lambda x: (x * mpmath.sqrt(x) * mpmath.exp(-x), mpmath.exp(-x) / (1 + x)),
+        0,
+        mpmath.inf,
+    ),
+}
+
+
+def _reference(f, a, b, digits, n):
+    """mpmath.quad of component n (None: scalar) at 20 extra digits."""
+    with mpmath.workdps(digits + 20):
+        g = f if n is None else (lambda x: f(x)[n])
+        if b != mpmath.inf and b < a:
+            return -mpmath.quad(g, [b, a])
+        return mpmath.quad(g, [a, b])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_integrate_matches_mpmath_quad(case):
+    f, a, b = CASES[case]
+    for digits in DIGITS_ORDER:
+        ctx = PrecisionContext(digits)
+        res = integrate(f, a, b, ctx)
+        assert res.converged
+        values = res.value if isinstance(res.value, tuple) else (res.value,)
+        assert isinstance(res.value, tuple) == case.endswith("tuple")
+        with mpmath.workdps(digits + 20):
+            for n, got in enumerate(values):
+                ref = _reference(f, a, b, digits, n if len(values) > 1 else None)
+                assert abs(got - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref), (case, digits, n)
+
+
+@pytest.mark.parametrize("b", [mpf(1), mpmath.inf], ids=["tanh_sinh", "exp_sinh"])
+def test_node_walk_reaching_the_cap_raises(monkeypatch, b):
+    # a fresh table cache, so the tanh-sinh tables are built under the tiny cap
+    monkeypatch.setattr(quadrature, "_tables", OrderedDict())
+    monkeypatch.setattr(quadrature, "_NODE_CAP", 1)
+    with pytest.raises(ArithmeticError, match="node walk"):
+        integrate(lambda x: mpmath.exp(-x), 0, b, PrecisionContext(15))
+
+
+def test_tanh_sinh_table_cache_under_threads(monkeypatch):
+    monkeypatch.setattr(quadrature, "_tables", OrderedDict())
+    monkeypatch.setattr(quadrature, "_TABLE_SLOTS", 3)
+    levels = range(7)
+    with mpmath.workdps(20):
+        expected = {lvl: quadrature._tanh_sinh_table(lvl) for lvl in levels}
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(40):
+                    lvl = (offset + i) % len(levels)
+                    assert quadrature._tanh_sinh_table(lvl) == expected[lvl]
+                    assert len(quadrature._tables) <= 3
+            except Exception as exc:  # reported through errors, read below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def _contour_calls():
+    ctx = PrecisionContext(50)
+    return {
+        "bernoulli_interp_1.5": (1300, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
+        "bernoulli_prime_interp_2.5": (
+            1300,
+            lambda: hankel.bernoulli_prime_interp("2.5", ContourSpec(), ctx),
+        ),
+        "mellin_s2": (2100, lambda: eulersums.mellin_fundamental_check(2, ctx)),
+        "mellin_s3": (2100, lambda: eulersums.mellin_fundamental_check(3, ctx)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_contour_calls()))
+def test_integrand_evaluation_ceilings(monkeypatch, call):
+    # deterministic work counts at 50 digits; no wall time is asserted
+    ceiling, run = _contour_calls()[call]
+    evals = [0]
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            evals[0] += 1
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    for module in (hankel, eulersums):
+        monkeypatch.setattr(module, "integrate", counting)
+    run()
+    assert 0 < evals[0] <= ceiling
