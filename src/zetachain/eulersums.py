@@ -4,7 +4,8 @@ Covers the convergent side (h(s) = sum H_n/n^s, its shifted companion, the
 telescoping identity relating them to zeta(s+1), the generating-function
 and Mellin-transform routes to the same identity) and the exact closed form
 that converts a value of zeta'(1-k) into the regularized sum S_{k-1} for
-sum H_n n^(k-1), together with its inverse.
+sum H_n n^(k-1), together with its inverse.  The closed form takes
+B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .exact import BernoulliConvention, bernoulli, binomial, harmonic
-from .precision import PrecisionContext, const_gamma
+from .exact import bernoulli, binomial, harmonic
+from .precision import GUARD, PrecisionContext, const_gamma
 from .quadrature import integrate
 from .special import DomainError, gamma_fn, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention, SymbolicValue
@@ -95,9 +96,8 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
                 raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance; raise N")
 
 
-def _h_sum(s, shift: int, ctx: PrecisionContext, N: int | None = None) -> mpf:
-    if N is None:
-        N = max(30, int(0.45 * ctx.dps) + 10)
+def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
+    N = max(30, int(0.45 * ctx.dps) + 10)
     with ctx.workdps():
         sv = mpf(s)
         if sv <= 1:
@@ -111,14 +111,14 @@ def _h_sum(s, shift: int, ctx: PrecisionContext, N: int | None = None) -> mpf:
         return ctx.round(total)
 
 
-def h_euler(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
+def h_euler(s, ctx: PrecisionContext) -> mpf:
     """h(s) = sum_{n>=1} H_n / n^s for s > 1."""
-    return _h_sum(s, 0, ctx, N)
+    return _h_sum(s, 0, ctx)
 
 
-def h_euler_shifted(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
+def h_euler_shifted(s, ctx: PrecisionContext) -> mpf:
     """sum_{n>=1} H_n / (n+1)^s for s > 1."""
-    return _h_sum(s, 1, ctx, N)
+    return _h_sum(s, 1, ctx)
 
 
 def fundamental_lemma_residual(s, ctx: PrecisionContext) -> mpf:
@@ -129,11 +129,7 @@ def fundamental_lemma_residual(s, ctx: PrecisionContext) -> mpf:
         return ctx.round(abs(res))
 
 
-def sum_lm(
-    k: int,
-    conv: SumConvention,
-    bconv: BernoulliConvention = BernoulliConvention.PAPER_PLUS,
-) -> Fraction:
+def sum_lm(k: int, conv: SumConvention) -> Fraction:
     """Exact value of sum over l+m=k of C(k,l) (B_l/l) B_m under the index convention."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,7 +137,7 @@ def sum_lm(
     total = Fraction(0)
     for l in range(1, lmax + 1):
         m = k - l
-        total += binomial(k, l) * bernoulli(l, bconv) / l * bernoulli(m, bconv)
+        total += binomial(k, l) * bernoulli(l) / l * bernoulli(m)
     return total
 
 
@@ -165,14 +161,14 @@ def zprime_from_bprime(k: int, bprime):
     return (mpf(bprime) + mpf(zneg.numerator) / zneg.denominator) / k
 
 
-def _closed_form_rationals(k: int, conv: SumConvention, bconv: BernoulliConvention):
+def _closed_form_rationals(k: int, conv: SumConvention):
     # pieces of the closed form that do not involve zeta'(1-k):
     #   -zeta(1-k) + k B_(k-1) + gamma B_k - sum_lm - B_k H_k
-    bk = bernoulli(k, bconv)
+    bk = bernoulli(k)
     const = (
         -zeta_neg_int_exact(k)
-        + k * bernoulli(k - 1, bconv)
-        - sum_lm(k, conv, bconv)
+        + k * bernoulli(k - 1)
+        - sum_lm(k, conv)
         - bk * harmonic(k)
     )
     return const, bk
@@ -184,7 +180,6 @@ def s_from_zprime(
     conv: SumConvention,
     ctx: PrecisionContext | None = None,
     provenance: str = "closed_form",
-    bconv: BernoulliConvention = BernoulliConvention.PAPER_PLUS,
 ) -> RegularizedSum:
     """Closed form for S_(k-1), the regularized sum H_n n^(k-1), given zeta'(1-k).
 
@@ -194,7 +189,7 @@ def s_from_zprime(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    const, bk = _closed_form_rationals(k, conv, bconv)
+    const, bk = _closed_form_rationals(k, conv)
     sign = Fraction((-1) ** (k - 1), k)
     if isinstance(zprime, SymbolicValue):
         val = (SymbolicValue.of(a=const, b=bk) + zprime * k) * sign
@@ -211,16 +206,11 @@ def s_from_zprime(
         return RegularizedSum(k - 1, ctx.round(num), conv, provenance)
 
 
-def zprime_from_s(
-    k: int,
-    s_val: RegularizedSum,
-    ctx: PrecisionContext | None = None,
-    bconv: BernoulliConvention = BernoulliConvention.PAPER_PLUS,
-):
+def zprime_from_s(k: int, s_val: RegularizedSum, ctx: PrecisionContext | None = None):
     """Invert the closed form: recover zeta'(1-k) from S_(k-1)."""
     if s_val.k != k - 1:
         raise ValueError(f"regularized sum has exponent {s_val.k}, expected {k - 1}")
-    const, bk = _closed_form_rationals(k, s_val.convention, bconv)
+    const, bk = _closed_form_rationals(k, s_val.convention)
     sign = Fraction((-1) ** (k - 1))
     if isinstance(s_val.value, SymbolicValue):
         return (s_val.value * (sign * k) - SymbolicValue.of(a=const, b=bk)) / k
@@ -305,7 +295,7 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
                 i3 = x ** (sv - 1) * mpmath.log1p(-ex)
             return i3 / one_minus, ex * i3 / one_minus, i3
 
-        off = -(ctx.guard - 3)
+        off = -(GUARD - 3)
         i1, i2, i3 = integrate(integrands, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
         g = gamma_fn(sv, ctx)
         r1 = abs(i1 + g * h_euler(sv, ctx))

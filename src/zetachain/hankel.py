@@ -46,8 +46,6 @@ from .zeta import zeta_em, zeta_prime_oracle
 class ContourSpec:
     radius: float = 1.0
     truncation: float | None = None  # rays cut at Re z = -T; default from precision
-    nodes_circle: int = 64  # minimum node counts; refinement doubles from here
-    nodes_ray: int = 64
 
     def validate(self) -> None:
         if not 0 < self.radius < 2 * math.pi:
@@ -60,10 +58,6 @@ class ContourSpec:
         if self.truncation is not None:
             return mpf(self.truncation)
         return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
-
-    def min_level(self) -> int:
-        n = max(self.nodes_circle, self.nodes_ray)
-        return max(3, int(math.ceil(math.log2(max(n, 8) / 8))))
 
 
 def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext) -> tuple:
@@ -94,11 +88,8 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
             val *= mpmath.mpc(0, 1) * z  # dz = i z d(theta)
             return (val, -logz * val) if with_log else (val,)
 
-        lvl = spec.min_level()
-        ray = integrate(rays, r, T, ctx, tol_offset=off, min_level=lvl).require_converged()
-        circ = integrate(
-            circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off, min_level=lvl
-        ).require_converged()
+        ray = integrate(rays, r, T, ctx, tol_offset=off).require_converged()
+        circ = integrate(circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off).require_converged()
         two_pi_i = mpmath.mpc(0, 2) * mpmath.pi
         return tuple((mpmath.mpc(0, 2) * j + c) / two_pi_i for j, c in zip(ray, circ))
 

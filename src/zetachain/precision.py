@@ -1,10 +1,10 @@
 """Precision contexts and fundamental constants.
 
 Precision is always carried explicitly: every numeric operation takes a
-PrecisionContext, computes internally at digits + guard decimal digits and
-rounds its result back to digits.  There is no ambient global precision in
-the public API (mpmath's global context is only touched inside workdps
-blocks, which restore it on exit).
+PrecisionContext, computes internally at digits + GUARD decimal digits (the
+guard is a fixed 10 digits) and rounds its result back to digits.  There is
+no ambient global precision in the public API (mpmath's global context is
+only touched inside workdps blocks, which restore it on exit).
 """
 
 from __future__ import annotations
@@ -14,25 +14,24 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
+GUARD = 10  # decimal digits carried beyond the target precision
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
     digits: int = 50
-    guard: int = 10
 
     def __post_init__(self) -> None:
         if self.digits < 15:
             raise ValueError("working precision must be at least 15 digits")
-        if self.guard < 0:
-            raise ValueError("guard digits must be non-negative")
 
     @property
     def dps(self) -> int:
         """Internal working precision in decimal digits."""
-        return self.digits + self.guard
+        return self.digits + GUARD
 
     def workdps(self):
-        """Context manager setting mpmath's precision to digits + guard."""
+        """Context manager setting mpmath's precision to digits + GUARD."""
         return mpmath.workdps(self.dps)
 
     def tolerance(self, offset: int = 0) -> mpf:
@@ -46,7 +45,7 @@ class PrecisionContext:
             return +x
 
     def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(digits=2 * self.digits, guard=self.guard)
+        return PrecisionContext(2 * self.digits)
 
 
 def const_pi(ctx: PrecisionContext) -> mpf:

@@ -43,6 +43,7 @@ from mpmath import mpf
 
 from .precision import PrecisionContext
 
+_MIN_LEVEL = 3
 _MAX_LEVEL = 12
 _NODE_CAP = 20
 _TABLE_SLOTS = 32
@@ -161,7 +162,6 @@ def integrate(
     b,
     ctx: PrecisionContext,
     tol_offset: int = 5,
-    min_level: int = 3,
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
@@ -187,7 +187,7 @@ def integrate(
         value = [mpf(0)]
         err = mpf("inf")
         converged = is_tuple = False
-        for level in range(min_level, _MAX_LEVEL + 1):
+        for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
             total, is_tuple = _add_level(
                 f, walks(level, total is None), decays, eps, total, is_tuple
             )

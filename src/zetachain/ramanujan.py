@@ -35,13 +35,10 @@ MAX_EXPONENT = 8
 class EMScheme:
     N: int = 50
     J: int = 15
-    integral_lower_limit: int = 1  # fixed by convention; the constant depends on it
 
     def __post_init__(self) -> None:
         if self.N < 2 or self.J < 1:
             raise ValueError("scheme requires N >= 2 and J >= 1")
-        if self.integral_lower_limit != 1:
-            raise ValueError("only the lower-limit-1 convention is supported")
 
     def refined(self) -> "EMScheme":
         return EMScheme(2 * self.N, self.J + 1)
@@ -82,15 +79,10 @@ class RamanujanValue:
     stable: bool
 
 
-def ramanujan_sum(
-    k: int,
-    scheme: EMScheme,
-    ctx: PrecisionContext,
-    convention: SumConvention = SumConvention.A,
-) -> RamanujanValue:
+def ramanujan_sum(k: int, scheme: EMScheme, ctx: PrecisionContext) -> RamanujanValue:
     """Ramanujan-regularized value of sum H_n n^k with a stability flag.
 
-    The convention tag is carried only so the value can sit in reports next
+    The value is tagged with convention A only so it can sit in reports next
     to chain values; the Ramanujan constant itself does not depend on it.
     """
     if k < 0:
@@ -102,7 +94,7 @@ def ramanujan_sum(
     with ctx.workdps():
         spread = ctx.round(abs(value - refined))
         stable = spread < mpf(10) ** (-ctx.digits // 2)
-    reg = RegularizedSum(k, value, convention, "ramanujan")
+    reg = RegularizedSum(k, value, SumConvention.A, "ramanujan")
     return RamanujanValue(reg, scheme, refined, spread, stable)
 
 

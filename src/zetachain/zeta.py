@@ -11,7 +11,11 @@ Euler-Maclaurin form used, valid for real s != 1 once 2J + s > 1:
               + sum_{j=1}^{J} B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1)
 
 with (s)_m the rising factorial.  zeta'(s) is the same sum differentiated
-term by term in s (log factors, no finite differences).
+term by term in s (log factors, no finite differences).  Corrections are
+added until one falls below 10^-(dps+5) relative to max(1, |running sum|); a
+sum that never gets there raises ArithmeticError.  The test compares binary
+magnitudes (mpmath.mag, exact to a factor of 4): the same test in mpf
+abs/max/multiply costs about a tenth of the EM loop.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def _extra_dps(s: mpf, n_terms: int) -> int:
     return int((float(-s) + 2) * math.log10(n_terms)) + 10
 
 
-def zeta_em(s, ctx: PrecisionContext, N: int | None = None, J: int | None = None) -> mpf:
+def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
     """zeta(s) for real s != 1 by Euler-Maclaurin summation."""
     with ctx.workdps():
         sv = mpf(s)
@@ -48,7 +52,7 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = None, J: int | None = None
     n_terms = N if N is not None else _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms)):
         sv = mpf(s)
-        tol = mpf(10) ** (-ctx.dps - 5)
+        tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
         for n in range(1, n_terms):
             total += mpf(n) ** (-sv)
@@ -58,19 +62,16 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = None, J: int | None = None
         # correction terms; rising factorial built incrementally
         prod = mpf(1)
         npow = Np ** (-sv + 1)
-        jmax = J if J is not None else 4 * ctx.dps
-        for j in range(1, jmax + 1):
+        for j in range(1, 4 * ctx.dps + 1):
             for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
                 prod *= sv + i
             npow /= Np * Np
             b = bernoulli(2 * j)
             term = mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j)) * prod * npow
             total += term
-            if J is None and abs(term) < tol:
+            if mpmath.mag(term) < tol_mag + max(0, mpmath.mag(total)):
                 return ctx.round(total)
-        if J is None:
-            raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
-        return ctx.round(total)
+        raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
 
 
 def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
@@ -82,7 +83,7 @@ def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
     n_terms = N if N is not None else _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms) + 5):
         sv = mpf(s)
-        tol = mpf(10) ** (-ctx.dps - 5)
+        tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
         for n in range(2, n_terms):
             total -= mpmath.log(n) * mpf(n) ** (-sv)
@@ -105,7 +106,8 @@ def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
             coeff = mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j))
             term = coeff * npow * (dprod - logN * prod)
             total += term
-            if abs(term) < tol and abs(coeff * npow * prod) < tol:
+            lim = tol_mag + max(0, mpmath.mag(total))
+            if mpmath.mag(term) < lim and mpmath.mag(coeff * npow * prod) < lim:
                 return ctx.round(total)
         raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
 

@@ -37,8 +37,6 @@ def test_hsmooth_domain():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         EMScheme(N=1)
-    with pytest.raises(ValueError):
-        EMScheme(integral_lower_limit=0)
 
 
 def test_convergent_selftest():
