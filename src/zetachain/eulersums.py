@@ -18,28 +18,29 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli, binomial, harmonic
-from .precision import GUARD, PrecisionContext, const_gamma
+from .precision import GUARD, PrecisionContext, _coefficients, const_gamma
 from .quadrature import integrate
-from .special import DomainError, gamma_fn, hsmooth_pow_derivs
+from .special import DomainError, _stirling_coefficient, gamma_fn, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention, SymbolicValue
-from .zeta import zeta_em, zeta_neg_int_exact
+from .zeta import _em_coefficients, zeta_em, zeta_neg_int_exact
 
 
 def _power_tail_integral(s_eff, N: mpf, tol: mpf) -> mpf:
     # int_N^inf (gamma + ln t + 1/(2t) - sum_j B_2j/(2j) t^(-2j)) t^(-s_eff) dt,
     # the Stirling expansion of gamma + psi(t+1) integrated term by term.
     # Valid once N is large enough that the optimal truncation beats tol.
+    # -B_2j/(2j) are digamma's Stirling coefficients, so their table is shared.
     s = s_eff
     total = (mpmath.euler + mpmath.log(N)) * N ** (1 - s) / (s - 1)
     total += N ** (1 - s) / (s - 1) ** 2
     total += N ** (-s) / (2 * s)
     npow = N ** (1 - s)
     n2 = N * N
+    coeff = _coefficients(_stirling_coefficient, 0)
     for j in range(1, 10_000):
-        b = bernoulli(2 * j)
         npow /= n2
-        term = mpf(b.numerator) / (b.denominator * 2 * j) * npow / (s + 2 * j - 1)
-        total -= term
+        term = coeff[j] * npow / (s + 2 * j - 1)
+        total += term
         if abs(term) < tol:
             return total
     raise ArithmeticError("tail integral series did not converge; raise N")
@@ -76,15 +77,13 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
             jmax += 1
             if 2 * jmax > 6 * math.pi * N:
                 raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance; raise N")
+        em = _em_coefficients()
         while True:
             table = hsmooth_pow_derivs(N, -sv, shift, 2 * jmax + 1, ctx)
             correction = table[0] / 2
             done = False
             for j in range(1, jmax + 1):
-                b = bernoulli(2 * j)
-                term = (
-                    mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j)) * table[2 * j - 1]
-                )
+                term = em[j] * table[2 * j - 1]
                 correction -= term
                 if abs(term) < tol:
                     done = True

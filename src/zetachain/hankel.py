@@ -88,7 +88,10 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
             val *= mpmath.mpc(0, 1) * z  # dz = i z d(theta)
             return (val, -logz * val) if with_log else (val,)
 
-        ray = integrate(rays, r, T, ctx, tol_offset=off).require_converged()
+        if sin_e == 0 and not with_log:
+            ray = (mpf(0),)  # sinpi is exact at integers: the integrand vanishes
+        else:
+            ray = integrate(rays, r, T, ctx, tol_offset=off).require_converged()
         circ = integrate(circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off).require_converged()
         two_pi_i = mpmath.mpc(0, 2) * mpmath.pi
         return tuple((mpmath.mpc(0, 2) * j + c) / two_pi_i for j, c in zip(ray, circ))

@@ -16,7 +16,6 @@ still returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -27,6 +26,7 @@ from .precision import PrecisionContext
 from .quadrature import integrate
 from .special import digamma, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention
+from .zeta import _em_coefficients
 
 MAX_EXPONENT = 8
 
@@ -62,11 +62,9 @@ def _ramanujan_raw(k: int, scheme: EMScheme, ctx: PrecisionContext) -> mpf:
 
         derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
         total -= derivs[0] / 2
+        em = _em_coefficients()
         for j in range(1, scheme.J + 1):
-            b = bernoulli(2 * j)
-            total -= (
-                mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j)) * derivs[2 * j - 1]
-            )
+            total -= em[j] * derivs[2 * j - 1]
         return ctx.round(total)
 
 

@@ -9,7 +9,10 @@ and its derivatives, whose j-th term is (-1)^(m+1) B_2j (2j+m-1)!/(2j)! z^(-2j-m
 Callers shift the argument upward by ``_shift`` until the series converges
 below the context tolerance, call the kernel, and recur back down.  The
 kernel raises ArithmeticError rather than return a truncated series.  The
-coefficients are exact Bernoulli rationals from the exact layer, so these
+coefficients are exact Bernoulli rationals from the exact layer, rounded
+once per working precision: the kernel reads them from a table keyed by
+(mpmath prec, m) that grows one term at a time, and the tables of the 16
+most recently used precisions are kept (``precision._COEFF_SLOTS``).  These
 routines are independent of mpmath's own special-function code (mpmath is
 used for elementary operations only); the test suite exploits that
 independence for cross-checks.
@@ -28,7 +31,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _coefficients
 
 
 class DomainError(ValueError):
@@ -39,6 +42,13 @@ def _shift(x: mpf, m: int, dps: int) -> int:
     # The series tail behaves like (2j+m)! / ((2pi x)^(2j) x^m); x ~ 0.4*dps
     # plus the derivative order keeps the optimal term below 10^-dps with margin.
     return max(0, int(math.ceil(int(0.4 * dps) + max(m, 0) + 5 - x)))
+
+
+def _stirling_coefficient(m: int, j: int) -> mpf:
+    # (-1)^(m+1) B_2j (2j+m-1)!/(2j)! = B_2j perm(2j+m-1, m-1) for m >= 1, B_2j / perm(2j, 1-m) for m <= 1
+    b2j = bernoulli(2 * j)
+    num = (-1) ** (m + 1) * b2j.numerator * math.perm(2 * j + m - 1, max(m - 1, 0))
+    return mpf(num) / (b2j.denominator * math.perm(2 * j, max(1 - m, 0)))
 
 
 def _stirling(m: int, z: mpf, dps: int) -> mpf:
@@ -53,16 +63,12 @@ def _stirling(m: int, z: mpf, dps: int) -> mpf:
         s = mpf(math.factorial(m - 1)) / zm + mpf(math.factorial(m)) / (2 * zm * z)
         if m % 2 == 0:
             s = -s
-    sign = (-1) ** (m + 1)
     tol = mpf(10) ** (-dps - 2)
     z2 = z * z
     zpow = z ** (m + 2)
-    # B_2j (2j+m-1)!/(2j)! = B_2j perm(2j+m-1, m-1) for m >= 1, B_2j / perm(2j, 1-m) for m <= 1
-    up, down = max(m - 1, 0), max(1 - m, 0)
+    coeff = _coefficients(_stirling_coefficient, m)
     for j in range(1, 4 * dps):
-        b2j = bernoulli(2 * j)
-        num = sign * b2j.numerator * math.perm(2 * j + m - 1, up)
-        term = mpf(num) / (b2j.denominator * math.perm(2 * j, down)) / zpow
+        term = coeff[j] / zpow
         s += term
         if abs(term) < tol:
             return s

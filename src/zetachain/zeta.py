@@ -16,6 +16,14 @@ added until one falls below 10^-(dps+5) relative to max(1, |running sum|); a
 sum that never gets there raises ArithmeticError.  The test compares binary
 magnitudes (mpmath.mag, exact to a factor of 4): the same test in mpf
 abs/max/multiply costs about a tenth of the EM loop.
+
+The coefficients B_2j/(2j)! are rounded once per working precision: they
+are read from one table per mpmath prec, grown one term at a time, with
+the tables of the 16 most recently used precisions kept
+(``precision._COEFF_SLOTS``).  ``_em_coefficients`` is that table; the
+Euler-sum tails and the Ramanujan scheme read it too.
+
+At negative even integers zeta_em returns the exact trivial zero.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import BernoulliConvention, bernoulli
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _coefficients
 from .special import DomainError, gamma_fn
 
 
@@ -43,12 +51,24 @@ def _extra_dps(s: mpf, n_terms: int) -> int:
     return int((float(-s) + 2) * math.log10(n_terms)) + 10
 
 
+def _em_coefficient(j: int) -> mpf:
+    b = bernoulli(2 * j)
+    return mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j))
+
+
+def _em_coefficients():
+    """B_2j/(2j)! for j >= 1 at the current mpmath precision, indexed by j."""
+    return _coefficients(_em_coefficient)
+
+
 def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
     """zeta(s) for real s != 1 by Euler-Maclaurin summation."""
     with ctx.workdps():
         sv = mpf(s)
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
+    if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
+        return mpf(0)
     n_terms = N if N is not None else _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms)):
         sv = mpf(s)
@@ -62,12 +82,12 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
         # correction terms; rising factorial built incrementally
         prod = mpf(1)
         npow = Np ** (-sv + 1)
+        em = _em_coefficients()
         for j in range(1, 4 * ctx.dps + 1):
             for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
                 prod *= sv + i
             npow /= Np * Np
-            b = bernoulli(2 * j)
-            term = mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j)) * prod * npow
+            term = em[j] * prod * npow
             total += term
             if mpmath.mag(term) < tol_mag + max(0, mpmath.mag(total)):
                 return ctx.round(total)
@@ -96,14 +116,14 @@ def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
         prod = mpf(1)
         dprod = mpf(0)
         npow = Np ** (-sv + 1)
+        em = _em_coefficients()
         for j in range(1, 4 * ctx.dps):
             for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
                 factor = sv + i
                 dprod = dprod * factor + prod
                 prod = prod * factor
             npow /= Np * Np
-            b = bernoulli(2 * j)
-            coeff = mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j))
+            coeff = em[j]
             term = coeff * npow * (dprod - logN * prod)
             total += term
             lim = tol_mag + max(0, mpmath.mag(total))

@@ -120,3 +120,33 @@ def test_exact_layer_imports_no_numeric_layer():
             imported.add("." * node.level + (node.module or ""))
     bad = {n for n in imported if n.startswith((".", "mpmath", "zetachain"))}
     assert not bad, bad
+
+
+# mpmath names src/ may use: elementary functions and constants, the number
+# types and precision control.  mpmath's zeta, psi, gamma, bernoulli and quad
+# are the tests' independent oracles, so the library must never call them.
+ELEMENTARY_MPMATH = set(
+    "cos cosh cospi euler exp expm1 floor inf log log1p mag mp mpc mpf pi sin sinh sinpi tanh workdps".split()
+)
+
+
+def test_library_uses_only_elementary_mpmath():
+    used = set()
+    for path in Path(zetachain.exact.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {"mpmath"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "mpmath" or a.name.startswith("mpmath."):
+                        assert a.name == "mpmath", f"{path.name} imports {a.name}"
+                        aliases.add(a.asname or a.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
+                assert node.module == "mpmath", f"{path.name} imports from {node.module}"
+                used.update(a.name for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    used.add(node.attr)
+    assert used, "no mpmath use found; the scan is broken"
+    assert used <= ELEMENTARY_MPMATH, sorted(used - ELEMENTARY_MPMATH)

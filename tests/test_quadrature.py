@@ -102,6 +102,8 @@ def test_tanh_sinh_table_cache_under_threads(monkeypatch):
 def _contour_calls():
     ctx = PrecisionContext(50)
     return {
+        # an integer argument: the ray integrand is identically 0 and is not integrated
+        "bernoulli_interp_1": (600, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
         "bernoulli_interp_1.5": (1300, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
         "bernoulli_prime_interp_2.5": (
             1300,

@@ -59,6 +59,15 @@ def test_em_matches_exact_negative_values():
             assert abs(got - mpf(ex.numerator) / ex.denominator) < tol(5)
 
 
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_zeta_negative_even_is_exact_zero(digits):
+    # the trivial zeros, not EM rounding noise of about 10^-(digits+25)
+    ctx = PrecisionContext(digits)
+    for k in range(1, 7):
+        assert zeta_em(-2 * k, ctx) == 0
+        assert zeta_em(str(-2 * k), ctx) == 0
+
+
 def test_em_truncation_stability():
     with CTX.workdps():
         base = zeta_em(mpf("1.5"), CTX)
@@ -155,8 +164,8 @@ def test_odd_bridge_rejects_k0():
 
 
 # zeta(s) and zeta'(s) against mpmath's independent zeta(s, derivative=m).
-# zeta at negative even integers is left out: it is 0 there and the EM sum
-# returns noise of about 10^-(digits+25), which has no relative accuracy.
+# zeta at negative even integers is left out: it is exactly 0 there, which
+# test_zeta_negative_even_is_exact_zero checks.
 _MPMATH_POINTS = ["-120.25", "-60.5", "-41.5", "-7", "-2.5", "0", "0.5", "2.5", "10.75"]
 _MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS] + [(1, s) for s in _MPMATH_POINTS + ["-12"]]
 
