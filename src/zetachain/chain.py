@@ -14,9 +14,12 @@ heuristic that the chain does not try to repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
+import mpmath
 from mpmath import mpf
 
 from .exact import binomial
@@ -48,7 +51,7 @@ def solve_chain(kmax: int, conv: SumConvention) -> list[RegularizedSum]:
     """S_0..S_kmax, exact, seeded by zeta'(0) and solved triangularly."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    seed = s_from_zprime(1, _SEED, conv, provenance="chain")
+    seed = s_from_zprime(1, _SEED, conv)
     values: list[SymbolicValue] = [seed.value]
     for s in range(2, kmax + 2):
         rel = build_relation(s)
@@ -73,32 +76,6 @@ def extract_zprime_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
     return [zprime_from_s(k, chain[k - 1]) for k in range(2, kmax + 2)]
 
 
-def zeta_odd_chain(k: int, conv: SumConvention, ctx: PrecisionContext) -> mpf:
-    """zeta(2k+1) implied by the chain value of zeta'(-2k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    zp = extract_zprime_chain(2 * k, conv)[2 * k - 1]
-    return zeta_odd_from_zprime(k, zp.numeric(ctx), ctx)
-
-
-def oracle_seeded_residual(s: int, conv: SumConvention, ctx: PrecisionContext) -> mpf:
-    """Residual of relation s when every S_j comes from oracle zeta'(1-j-1) values.
-
-    This is the paper's unproven step measured directly: it is reported,
-    never asserted to vanish.
-    """
-    rel = build_relation(s)
-    with ctx.workdps():
-        acc = -mpf(rel.rhs.numerator) / rel.rhs.denominator
-        for j in range(s):
-            k = j + 1
-            zp = zeta_prime_oracle(1 - k, ctx)
-            sval = s_from_zprime(k, zp, conv, ctx, provenance="closed_form")
-            c = rel.coefficients[j]
-            acc += mpf(c.numerator) / c.denominator * sval.value
-        return ctx.round(acc)
-
-
 @dataclass(frozen=True)
 class ChainRow:
     k: int
@@ -112,22 +89,6 @@ class ChainRow:
     zeta_odd_oracle: mpf | None = None
     zeta_odd_delta: mpf | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "k": self.k,
-            "convention": self.convention.value,
-            "s_value": self.s_value.as_strings(),
-            "zprime_chain": self.zprime_chain.as_strings(),
-            "zprime_numeric": str(self.zprime_numeric),
-            "zprime_oracle": str(self.zprime_oracle),
-            "delta": str(self.delta),
-        }
-        if self.zeta_odd_chain is not None:
-            d["zeta_odd_chain"] = str(self.zeta_odd_chain)
-            d["zeta_odd_oracle"] = str(self.zeta_odd_oracle)
-            d["zeta_odd_delta"] = str(self.zeta_odd_delta)
-        return d
-
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -136,43 +97,41 @@ class ChainReport:
     rows: tuple[ChainRow, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        import mpmath
-
         # serialize numerics at the report's own precision
         with mpmath.workdps(self.digits):
-            return {
-                "kmax": self.kmax,
-                "digits": self.digits,
-                "rows": [r.to_dict() for r in self.rows],
-            }
+            return _encode(self)
 
 
-def _sym_from_strings(d: dict[str, str]) -> SymbolicValue:
-    return SymbolicValue(Fraction(d["a"]), Fraction(d["b"]), Fraction(d["c"]))
+def _encode(value):
+    # mpf and Fraction as strings, dataclasses field by field with None fields left out
+    if isinstance(value, (mpf, Fraction)):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, SumConvention):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: _encode(v) for f in fields(value) if (v := getattr(value, f.name)) is not None}
+    return value
+
+
+def _decode(tp, data):
+    # inverse of _encode, driven by the annotation tp
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        return tuple(_decode(args[0], d) for d in data)
+    if get_origin(tp) is UnionType:  # X | None
+        (tp,) = (a for a in args if a is not type(None))
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(tp) if f.name in data})
+    return tp(data)
 
 
 def chain_report_from_dict(d: dict) -> ChainReport:
-    import mpmath
-
-    rows = []
     # parse numerics at the precision they were serialized with
     with mpmath.workdps(d["digits"]):
-        for r in d["rows"]:
-            rows.append(
-                ChainRow(
-                    k=r["k"],
-                    convention=SumConvention(r["convention"]),
-                    s_value=_sym_from_strings(r["s_value"]),
-                    zprime_chain=_sym_from_strings(r["zprime_chain"]),
-                    zprime_numeric=mpf(r["zprime_numeric"]),
-                    zprime_oracle=mpf(r["zprime_oracle"]),
-                    delta=mpf(r["delta"]),
-                    zeta_odd_chain=mpf(r["zeta_odd_chain"]) if "zeta_odd_chain" in r else None,
-                    zeta_odd_oracle=mpf(r["zeta_odd_oracle"]) if "zeta_odd_oracle" in r else None,
-                    zeta_odd_delta=mpf(r["zeta_odd_delta"]) if "zeta_odd_delta" in r else None,
-                )
-            )
-    return ChainReport(kmax=d["kmax"], digits=d["digits"], rows=tuple(rows))
+        return _decode(ChainReport, d)
 
 
 def discrepancy_report(

@@ -20,7 +20,12 @@ from mpmath import mpf
 
 from . import __version__
 from .chain import discrepancy_report, solve_chain
-from .eulersums import fundamental_lemma_residual, h_euler_shifted, mellin_fundamental_check
+from .eulersums import (
+    bprime_from_zprime,
+    fundamental_lemma_residual,
+    h_euler_shifted,
+    mellin_fundamental_check,
+)
 from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
@@ -137,8 +142,7 @@ def _suite_lemma4(ctx: PrecisionContext) -> list[dict]:
         for k in range(1, 5):
             zp = zeta_prime_oracle(-2 * k, ctx)
             form1 = zeta_odd_from_zprime(k, zp, ctx)
-            # B'_(2k+1) = (2k+1) zeta'(-2k) has the trivial zero built in
-            form2 = zeta_odd_from_bprime(k, (2 * k + 1) * zp, ctx)
+            form2 = zeta_odd_from_bprime(k, bprime_from_zprime(2 * k + 1, zp), ctx)
             checks.append(_check(f"lemma4_forms_agree_k{k}", abs(form1 - form2), tol))
     return checks
 

@@ -2,10 +2,10 @@
 
 Covers the convergent side (h(s) = sum H_n/n^s, its shifted companion, the
 telescoping identity relating them to zeta(s+1), the generating-function
-and Mellin-transform routes to the same identity) and the exact closed form
-that converts a value of zeta'(1-k) into the regularized sum S_{k-1} for
-sum H_n n^(k-1), together with its inverse.  The closed form takes
-B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
+and Mellin-transform routes to the same identity) and the exact closed form,
+in Q + Q*gamma + Q*ln(2pi), that converts a value of zeta'(1-k) into the
+regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
+takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli, binomial, harmonic
-from .precision import GUARD, PrecisionContext, _coefficients, const_gamma
+from .precision import GUARD, PrecisionContext, _coefficients
 from .quadrature import integrate
 from .special import DomainError, _stirling_coefficient, gamma_fn, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention, SymbolicValue
@@ -150,16 +150,6 @@ def bprime_from_zprime(k: int, zprime):
     return mpf(zprime) * k - mpf(zneg.numerator) / zneg.denominator
 
 
-def zprime_from_bprime(k: int, bprime):
-    """Inverse of bprime_from_zprime."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    zneg = zeta_neg_int_exact(k)
-    if isinstance(bprime, SymbolicValue):
-        return (bprime + SymbolicValue.rational(zneg)) / k
-    return (mpf(bprime) + mpf(zneg.numerator) / zneg.denominator) / k
-
-
 def _closed_form_rationals(k: int, conv: SumConvention):
     # pieces of the closed form that do not involve zeta'(1-k):
     #   -zeta(1-k) + k B_(k-1) + gamma B_k - sum_lm - B_k H_k
@@ -173,63 +163,31 @@ def _closed_form_rationals(k: int, conv: SumConvention):
     return const, bk
 
 
-def s_from_zprime(
-    k: int,
-    zprime,
-    conv: SumConvention,
-    ctx: PrecisionContext | None = None,
-    provenance: str = "closed_form",
-) -> RegularizedSum:
+def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> RegularizedSum:
     """Closed form for S_(k-1), the regularized sum H_n n^(k-1), given zeta'(1-k).
 
     S_(k-1) = [(-1)^(k-1)/k] (-zeta(1-k) + k zeta'(1-k) + k B_(k-1)
-              + gamma B_k - sum_lm(k) - B_k H_k).
-    Exact (SymbolicValue) when zprime is symbolic, numeric otherwise.
+              + gamma B_k - sum_lm(k) - B_k H_k), exact in Q + Q*gamma + Q*ln(2pi).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     const, bk = _closed_form_rationals(k, conv)
-    sign = Fraction((-1) ** (k - 1), k)
-    if isinstance(zprime, SymbolicValue):
-        val = (SymbolicValue.of(a=const, b=bk) + zprime * k) * sign
-        return RegularizedSum(k - 1, val, conv, provenance)
-    if ctx is None:
-        raise ValueError("a PrecisionContext is required for numeric zprime")
-    with ctx.workdps():
-        num = (
-            mpf(const.numerator) / const.denominator
-            + mpf(bk.numerator) / bk.denominator * const_gamma(ctx)
-            + k * mpf(zprime)
-        )
-        num *= mpf(sign.numerator) / sign.denominator
-        return RegularizedSum(k - 1, ctx.round(num), conv, provenance)
+    val = (SymbolicValue.of(a=const, b=bk) + zprime * k) * Fraction((-1) ** (k - 1), k)
+    return RegularizedSum(k - 1, val, conv, "closed_form")
 
 
-def zprime_from_s(k: int, s_val: RegularizedSum, ctx: PrecisionContext | None = None):
-    """Invert the closed form: recover zeta'(1-k) from S_(k-1)."""
+def zprime_from_s(k: int, s_val: RegularizedSum) -> SymbolicValue:
+    """Invert the closed form: recover zeta'(1-k) from an exact S_(k-1)."""
     if s_val.k != k - 1:
         raise ValueError(f"regularized sum has exponent {s_val.k}, expected {k - 1}")
     const, bk = _closed_form_rationals(k, s_val.convention)
-    sign = Fraction((-1) ** (k - 1))
-    if isinstance(s_val.value, SymbolicValue):
-        return (s_val.value * (sign * k) - SymbolicValue.of(a=const, b=bk)) / k
-    if ctx is None:
-        raise ValueError("a PrecisionContext is required for numeric input")
-    with ctx.workdps():
-        num = mpf(s_val.value) * k * (1 if k % 2 == 1 else -1)
-        num -= mpf(const.numerator) / const.denominator
-        num -= mpf(bk.numerator) / bk.denominator * const_gamma(ctx)
-        return ctx.round(num / k)
+    return (s_val.value * ((-1) ** (k - 1) * k) - SymbolicValue.of(a=const, b=bk)) / k
 
 
 @dataclass(frozen=True)
 class GeneratingFunctionCheck:
     residual: mpf
     tail_bound: mpf
-
-    @property
-    def within_bound(self) -> bool:
-        return self.residual <= self.tail_bound
 
 
 def generating_function_residual(x, N: int, ctx: PrecisionContext) -> GeneratingFunctionCheck:

@@ -62,14 +62,6 @@ class PrecisionContext:
         with mpmath.workdps(self.digits):
             return +x
 
-    def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(2 * self.digits)
-
-
-def const_pi(ctx: PrecisionContext) -> mpf:
-    with ctx.workdps():
-        return +mpmath.pi
-
 
 def const_gamma(ctx: PrecisionContext) -> mpf:
     """Euler-Mascheroni constant."""

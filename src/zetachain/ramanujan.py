@@ -24,7 +24,7 @@ from mpmath import mpf
 from .exact import bernoulli
 from .precision import PrecisionContext
 from .quadrature import integrate
-from .special import digamma, hsmooth_pow_derivs
+from .special import _hsmooth, hsmooth_pow_derivs
 from .values import RegularizedSum, SumConvention
 from .zeta import _em_coefficients
 
@@ -54,7 +54,7 @@ def _ramanujan_raw(k: int, scheme: EMScheme, ctx: PrecisionContext) -> mpf:
             total += h * mpf(n) ** k
 
         def f(t):
-            return (mpmath.euler + digamma(t + 1, ctx)) * t**k
+            return _hsmooth(t, ctx) * t**k
 
         off = (ctx.digits + 1) // 2 - 5
         quad = integrate(f, 1, N, ctx, tol_offset=off)

@@ -1,4 +1,4 @@
-"""Gamma, digamma and polygamma at arbitrary precision.
+"""Gamma, digamma and polygamma at arbitrary precision, and H(t) = gamma + psi(t+1).
 
 All three rest on one kernel, ``_stirling(m, z, dps)``, which sums the
 Stirling series for d^(m+1)/dz^(m+1) log Gamma(z), m >= -1:
@@ -16,6 +16,11 @@ most recently used precisions are kept (``precision._COEFF_SLOTS``).  These
 routines are independent of mpmath's own special-function code (mpmath is
 used for elementary operations only); the test suite exploits that
 independence for cross-checks.
+
+H(t) = gamma + psi(t+1), the smooth extension of the harmonic numbers, is
+written once, in ``_hsmooth``; ``hsmooth_pow_derivs`` builds the
+derivatives of H(t) (t+shift)^a that the Euler-sum tails and the Ramanujan
+scheme need from it and from psi^(m).
 
 Accuracy: the series stops on an absolute 10^-(dps+2).  Gamma = exp(log
 Gamma) turns that into a relative error, but for psi and psi^(m) the
@@ -122,13 +127,10 @@ def _psi(m: int, x, ctx: PrecisionContext) -> mpf:
         return ctx.round(s)
 
 
-def hsmooth(t, ctx: PrecisionContext) -> mpf:
-    """Smooth extension of the harmonic numbers: H(t) = gamma + psi(t+1), t > 0."""
-    with ctx.workdps():
-        tv = mpf(t)
-        if tv <= 0:
-            raise DomainError("hsmooth requires t > 0")
-        return ctx.round(mpmath.euler + digamma(tv + 1, ctx))
+def _hsmooth(t: mpf, ctx: PrecisionContext) -> mpf:
+    # H(t) = gamma + psi(t+1), the smooth extension of the harmonic numbers,
+    # unrounded at the caller's working precision
+    return mpmath.euler + digamma(t + 1, ctx)
 
 
 def hsmooth_pow_derivs(t, a, shift, max_order: int, ctx: PrecisionContext) -> list[mpf]:
@@ -145,7 +147,7 @@ def hsmooth_pow_derivs(t, a, shift, max_order: int, ctx: PrecisionContext) -> li
         av = mpf(a)
         base = tv + shift
         # u-side: H(t) and psi^(i)(t+1); v-side: falling-factorial powers
-        u = [mpmath.euler + digamma(tv + 1, ctx)]
+        u = [_hsmooth(tv, ctx)]
         for i in range(1, max_order + 1):
             u.append(polygamma(i, tv + 1, ctx))
         v = []

@@ -68,9 +68,6 @@ class SymbolicValue:
     def __truediv__(self, q: RationalLike) -> "SymbolicValue":
         return self.scale(Fraction(1, 1) / Fraction(q))
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
-
     def numeric(self, ctx: PrecisionContext) -> mpf:
         with ctx.workdps():
             val = (
@@ -79,9 +76,6 @@ class SymbolicValue:
                 + mpf(self.c.numerator) / self.c.denominator * const_log2pi(ctx)
             )
             return ctx.round(val)
-
-    def as_strings(self) -> dict[str, str]:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
     def __str__(self) -> str:
         return f"{self.a} + ({self.b})*gamma + ({self.c})*log(2*pi)"
@@ -95,15 +89,11 @@ class RegularizedSum:
     """A value assigned to sum_{n>=1} H_n n^k, with its provenance.
 
     provenance is one of closed_form, chain, ramanujan; value is an exact
-    SymbolicValue whenever the provenance permits exactness, else an mpf.
+    SymbolicValue for the first two (evaluate it with SymbolicValue.numeric)
+    and an mpf for ramanujan.
     """
 
     k: int
     value: ValueKind
     convention: SumConvention
     provenance: str
-
-    def numeric(self, ctx: PrecisionContext) -> mpf:
-        if isinstance(self.value, SymbolicValue):
-            return self.value.numeric(ctx)
-        return self.value

@@ -61,7 +61,7 @@ def _em_coefficients():
     return _coefficients(_em_coefficient)
 
 
-def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
+def zeta_em(s, ctx: PrecisionContext) -> mpf:
     """zeta(s) for real s != 1 by Euler-Maclaurin summation."""
     with ctx.workdps():
         sv = mpf(s)
@@ -69,7 +69,7 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
         raise DomainError("zeta has a pole at s = 1")
     if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
         return mpf(0)
-    n_terms = N if N is not None else _em_setpoint(ctx)
+    n_terms = _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms)):
         sv = mpf(s)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
@@ -91,16 +91,16 @@ def zeta_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
             total += term
             if mpmath.mag(term) < tol_mag + max(0, mpmath.mag(total)):
                 return ctx.round(total)
-        raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
+        raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 
-def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
+def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     """zeta'(s) by termwise analytic differentiation of the EM sum."""
     with ctx.workdps():
         sv = mpf(s)
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
-    n_terms = N if N is not None else _em_setpoint(ctx)
+    n_terms = _em_setpoint(ctx)
     with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms) + 5):
         sv = mpf(s)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
@@ -129,7 +129,7 @@ def zeta_prime_em(s, ctx: PrecisionContext, N: int | None = None) -> mpf:
             lim = tol_mag + max(0, mpmath.mag(total))
             if mpmath.mag(term) < lim and mpmath.mag(coeff * npow * prod) < lim:
                 return ctx.round(total)
-        raise ArithmeticError("Euler-Maclaurin corrections did not converge; raise N")
+        raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 
 def zeta_neg_int_exact(k: int) -> Fraction:

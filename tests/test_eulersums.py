@@ -16,7 +16,6 @@ from zetachain.eulersums import (
     mellin_fundamental_check,
     s_from_zprime,
     sum_lm,
-    zprime_from_bprime,
     zprime_from_s,
 )
 from zetachain.precision import PrecisionContext
@@ -89,7 +88,6 @@ def test_sum_lm_examples():
 def test_bprime_conversion_k1():
     bp = bprime_from_zprime(1, ZPRIME0)
     assert bp == SymbolicValue.of(Fraction(1, 2), 0, Fraction(-1, 2))
-    assert zprime_from_bprime(1, bp) == ZPRIME0
 
 
 def test_bprime_odd_trivial_zero():
@@ -142,21 +140,14 @@ def test_symbolic_roundtrip_is_exact(a, b, c, k, conv):
     assert zprime_from_s(k, s_val) == zp
 
 
-def test_numeric_roundtrip():
-    with CTX.workdps():
-        zp = zeta_prime_oracle(-1, CTX)
-        s_val = s_from_zprime(2, zp, SumConvention.A, CTX)
-        assert abs(zprime_from_s(2, s_val, CTX) - zp) < tol(5)
-
-
 def test_generating_function_residual_within_bound():
     with CTX.workdps():
         chk = generating_function_residual(1, 200, CTX)
-        assert chk.within_bound
+        assert chk.residual <= chk.tail_bound
         assert chk.tail_bound < mpf(10) ** (-80)
         # smaller x: pick N so N e^(-N x) is below target precision
         chk2 = generating_function_residual(mpf("0.1"), 1500, CTX)
-        assert chk2.within_bound
+        assert chk2.residual <= chk2.tail_bound
 
 
 def test_generating_function_algebraic_identity():

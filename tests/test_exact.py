@@ -1,4 +1,5 @@
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,3 +151,48 @@ def test_library_uses_only_elementary_mpmath():
                     used.add(node.attr)
     assert used, "no mpmath use found; the scan is broken"
     assert used <= ELEMENTARY_MPMATH, sorted(used - ELEMENTARY_MPMATH)
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public function, class and method a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
+
+
+def test_every_public_name_has_a_caller_or_a_readme_line():
+    # a public function, class or method needs a reference somewhere in src/
+    # outside its own definition (the CLI counts), or an entry in the README's
+    # "Test-only functions" list; otherwise it is dead surface.  Functions and
+    # classes are referenced by bare name, methods by attribute, so a method
+    # sharing its name with a used attribute passes (a known blind spot).
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Test-only functions\n", 1)[1].split("\n## ", 1)[0]
+    test_only = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(zetachain.exact.__file__).parent.glob("*.py")}
+    names, attrs = [], []  # (module, identifier, line)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.append((mod, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.append((mod, node.attr, node.lineno))
+    defined, orphans = set(), []
+    for mod, tree in trees.items():
+        for qual, node in _public_definitions(tree):
+            key = f"{mod}.{qual}"
+            defined.add(key)
+            uses = attrs if "." in qual else names
+            ident = qual.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if key not in test_only and not any(
+                i == ident and not (m == mod and line in own) for m, i, line in uses
+            ):
+                orphans.append(key)
+    assert len(defined) > 50, "too few definitions found; the scan is broken"
+    assert not orphans, f"no caller in src/ and no README test-only line: {sorted(orphans)}"
+    assert test_only <= defined, f"README lists names src/ does not define: {sorted(test_only - defined)}"

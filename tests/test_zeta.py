@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from mpmath import mpf
 
+from zetachain import zeta
 from zetachain.precision import PrecisionContext
 from zetachain.special import DomainError
 from zetachain.zeta import (
@@ -68,21 +69,28 @@ def test_zeta_negative_even_is_exact_zero(digits):
         assert zeta_em(str(-2 * k), ctx) == 0
 
 
-def test_em_truncation_stability():
+def partial_sum_length(monkeypatch, n):
+    monkeypatch.setattr(zeta, "_em_setpoint", lambda ctx: n)
+
+
+def test_em_truncation_stability(monkeypatch):
     with CTX.workdps():
         base = zeta_em(mpf("1.5"), CTX)
-        assert abs(zeta_em(mpf("1.5"), CTX, N=2 * CTX.dps) - base) < tol(5)
+        partial_sum_length(monkeypatch, 2 * CTX.dps)
+        assert abs(zeta_em(mpf("1.5"), CTX) - base) < tol(5)
 
 
-def test_em_too_short_partial_sum_raises():
+def test_em_too_short_partial_sum_raises(monkeypatch):
     # with N = 2 the corrections at s = -2.5 grow instead of shrinking
+    partial_sum_length(monkeypatch, 2)
     with pytest.raises(ArithmeticError):
-        zeta_em("-2.5", CTX, N=2)
+        zeta_em("-2.5", CTX)
 
 
-def test_zeta_prime_em_too_short_partial_sum_raises():
+def test_zeta_prime_em_too_short_partial_sum_raises(monkeypatch):
+    partial_sum_length(monkeypatch, 2)
     with pytest.raises(ArithmeticError):
-        zeta_prime_em("-2.5", CTX, N=2)
+        zeta_prime_em("-2.5", CTX)
 
 
 def test_zeta_prime_zero_closed_form():
