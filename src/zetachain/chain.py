@@ -25,7 +25,7 @@ from mpmath import mpf
 from .exact import binomial
 from .eulersums import s_from_zprime, zprime_from_s
 from .precision import PrecisionContext
-from .values import RegularizedSum, SumConvention, SymbolicValue
+from .values import SumConvention, SymbolicValue
 from .zeta import zeta_em, zeta_neg_int_exact, zeta_odd_from_zprime, zeta_prime_oracle
 
 _SEED = SymbolicValue.of(0, 0, Fraction(-1, 2))  # zeta'(0) = -(1/2) ln(2pi), exactly
@@ -47,33 +47,32 @@ def build_relation(s: int) -> RecurrenceRelation:
     return RecurrenceRelation(s, coeffs, -zeta_neg_int_exact(s))
 
 
-def solve_chain(kmax: int, conv: SumConvention) -> list[RegularizedSum]:
+def solve_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
     """S_0..S_kmax, exact, seeded by zeta'(0) and solved triangularly."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    seed = s_from_zprime(1, _SEED, conv)
-    values: list[SymbolicValue] = [seed.value]
+    values = [s_from_zprime(1, _SEED, conv)]
     for s in range(2, kmax + 2):
         rel = build_relation(s)
         acc = SymbolicValue.rational(rel.rhs)
         for j in range(s - 1):
             acc = acc - values[j] * rel.coefficients[j]
         values.append(acc / rel.coefficients[s - 1])
-    return [RegularizedSum(j, v, conv, "chain") for j, v in enumerate(values)]
+    return values
 
 
-def relation_residual(rel: RecurrenceRelation, chain: list[RegularizedSum]) -> SymbolicValue:
+def relation_residual(rel: RecurrenceRelation, chain: list[SymbolicValue]) -> SymbolicValue:
     """sum_j C(s,j) S_j - rhs as an exact triple; the zero triple iff satisfied."""
     acc = SymbolicValue.rational(-rel.rhs)
     for j in range(rel.s):
-        acc = acc + chain[j].value * rel.coefficients[j]
+        acc = acc + chain[j] * rel.coefficients[j]
     return acc
 
 
 def extract_zprime_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
     """zeta'(1-k)_chain for k = 2..kmax+1, i.e. zeta'(-1)..zeta'(-kmax), exact."""
     chain = solve_chain(kmax, conv)
-    return [zprime_from_s(k, chain[k - 1]) for k in range(2, kmax + 2)]
+    return [zprime_from_s(k, chain[k - 1], conv) for k in range(2, kmax + 2)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def discrepancy_report(
     for conv in conventions:
         chain = solve_chain(kmax, conv)
         for k in range(1, kmax + 1):
-            zp_chain = zprime_from_s(k + 1, chain[k])
+            zp_chain = zprime_from_s(k + 1, chain[k], conv)
             with ctx.workdps():
                 zp_num = zp_chain.numeric(ctx)
                 zp_oracle = zeta_prime_oracle(-k, ctx)
@@ -166,7 +165,7 @@ def discrepancy_report(
                 ChainRow(
                     k=k,
                     convention=conv,
-                    s_value=chain[k].value,
+                    s_value=chain[k],
                     zprime_chain=zp_chain,
                     zprime_numeric=zp_num,
                     zprime_oracle=zp_oracle,

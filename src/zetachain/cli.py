@@ -217,15 +217,15 @@ def run_oracle(kmax: int, precision: int) -> dict:
         with ctx.workdps():
             row = {
                 "k": k,
-                "ramanujan": str(r.sum.value),
+                "ramanujan": str(r.value),
                 "stable": r.stable,
                 "spread": str(r.spread),
                 "scheme": {"N": scheme.N, "J": scheme.J, "lower_limit": 1},
             }
             for conv, chain in chains.items():
-                num = chain[k].value.numeric(ctx)
+                num = chain[k].numeric(ctx)
                 row[f"chain_{conv.value}"] = str(num)
-                row[f"diff_{conv.value}"] = str(ctx.round(abs(r.sum.value - num)))
+                row[f"diff_{conv.value}"] = str(ctx.round(abs(r.value - num)))
         rows.append(row)
     return {
         "tool": "zetachain",

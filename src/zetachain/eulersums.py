@@ -6,6 +6,11 @@ and Mellin-transform routes to the same identity) and the exact closed form,
 in Q + Q*gamma + Q*ln(2pi), that converts a value of zeta'(1-k) into the
 regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
 takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
+
+Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
+on H(t) = gamma + psi(t+1).  The shifted tail integral is the unshifted one
+moved by the identity H(u-1) = H(u) - 1/u (psi(u+1) = psi(u) + 1/u); each
+sum's corrections come from its own derivative table at N.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .exact import bernoulli, binomial, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients
 from .quadrature import integrate
 from .special import DomainError, _stirling_coefficient, gamma_fn, hsmooth_pow_derivs
-from .values import RegularizedSum, SumConvention, SymbolicValue
+from .values import SumConvention, SymbolicValue
 from .zeta import _em_coefficients, zeta_em, zeta_neg_int_exact
 
 
@@ -43,56 +48,35 @@ def _power_tail_integral(s_eff, N: mpf, tol: mpf) -> mpf:
         total += term
         if abs(term) < tol:
             return total
-    raise ArithmeticError("tail integral series did not converge; raise N")
-
-
-def _tail_integral(sv: mpf, N: int, shift: int, tol: mpf) -> mpf:
-    # int_N^inf (gamma + psi(t+1)) (t+shift)^(-s) dt
-    Np = mpf(N)
-    if shift == 0:
-        return _power_tail_integral(sv, Np, tol)
-    # binomial expansion of (t+shift)^(-s) in powers of t^-1
-    total = mpf(0)
-    w = mpf(1)
-    for i in range(0, 10_000):
-        if i > 0:
-            w *= -(sv + i - 1) * shift / i
-        piece = w * _power_tail_integral(sv + i, Np, tol)
-        total += piece
-        if i > 0 and abs(piece) < tol:
-            return total
-    raise ArithmeticError("binomial tail expansion did not converge; raise N")
+    raise ArithmeticError("tail integral series did not converge at this cut point")
 
 
 def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
-    """sum_{n=N}^inf H(n) (n+shift)^(-s) by Euler-Maclaurin on the smooth extension."""
+    """sum_{n=N}^inf H(n) (n+shift)^(-s), shift 0 or 1, by Euler-Maclaurin on H(t)."""
     with ctx.workdps():
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 3)
-        total = _tail_integral(sv, N, shift, tol / 10)
+        # u = t + 1 and H(u-1) = H(u) - 1/u: the unshifted integral from N+1, less (N+1)^(-s)/s
+        cut = mpf(N + shift)
+        total = _power_tail_integral(sv, cut, tol / 10)
+        if shift:
+            total -= cut ** (-sv) / sv
         # derivative order needed: terms ~ (2j)!/(2 pi N)^(2j); estimate in floats
         log_tol = float(mpmath.log(tol)) - 8
         jmax = 1
         while math.lgamma(2 * jmax + 1) - 2 * jmax * math.log(2 * math.pi * N) > log_tol:
             jmax += 1
             if 2 * jmax > 6 * math.pi * N:
-                raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance; raise N")
+                raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance at this cut point")
         em = _em_coefficients()
-        while True:
-            table = hsmooth_pow_derivs(N, -sv, shift, 2 * jmax + 1, ctx)
-            correction = table[0] / 2
-            done = False
-            for j in range(1, jmax + 1):
-                term = em[j] * table[2 * j - 1]
-                correction -= term
-                if abs(term) < tol:
-                    done = True
-                    break
-            if done:
+        table = hsmooth_pow_derivs(N, -sv, shift, 2 * jmax - 1, ctx)
+        correction = table[0] / 2
+        for j in range(1, jmax + 1):
+            term = em[j] * table[2 * j - 1]
+            correction -= term
+            if abs(term) < tol:
                 return total + correction
-            jmax *= 2
-            if 2 * jmax > 8 * math.pi * N:
-                raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance; raise N")
+        raise ArithmeticError("Euler-Maclaurin tail did not reach tolerance at the estimated order")
 
 
 def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
@@ -163,7 +147,7 @@ def _closed_form_rationals(k: int, conv: SumConvention):
     return const, bk
 
 
-def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> RegularizedSum:
+def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> SymbolicValue:
     """Closed form for S_(k-1), the regularized sum H_n n^(k-1), given zeta'(1-k).
 
     S_(k-1) = [(-1)^(k-1)/k] (-zeta(1-k) + k zeta'(1-k) + k B_(k-1)
@@ -172,16 +156,13 @@ def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> Regular
     if k < 1:
         raise ValueError("k must be >= 1")
     const, bk = _closed_form_rationals(k, conv)
-    val = (SymbolicValue.of(a=const, b=bk) + zprime * k) * Fraction((-1) ** (k - 1), k)
-    return RegularizedSum(k - 1, val, conv, "closed_form")
+    return (SymbolicValue.of(a=const, b=bk) + zprime * k) * Fraction((-1) ** (k - 1), k)
 
 
-def zprime_from_s(k: int, s_val: RegularizedSum) -> SymbolicValue:
+def zprime_from_s(k: int, s_val: SymbolicValue, conv: SumConvention) -> SymbolicValue:
     """Invert the closed form: recover zeta'(1-k) from an exact S_(k-1)."""
-    if s_val.k != k - 1:
-        raise ValueError(f"regularized sum has exponent {s_val.k}, expected {k - 1}")
-    const, bk = _closed_form_rationals(k, s_val.convention)
-    return (s_val.value * ((-1) ** (k - 1) * k) - SymbolicValue.of(a=const, b=bk)) / k
+    const, bk = _closed_form_rationals(k, conv)
+    return (s_val * ((-1) ** (k - 1) * k) - SymbolicValue.of(a=const, b=bk)) / k
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ no ambient global precision in the public API (mpmath's global context is
 only touched inside workdps blocks, which restore it on exit).
 
 Series coefficients that depend only on the working precision (the
-Stirling and Euler-Maclaurin kernels' B_2j terms) live in per-precision
-tables: ``_coefficients(build, *args)`` returns the table of the series
+Stirling and Euler-Maclaurin kernels' B_2j terms, and the tanh-sinh
+quadrature nodes of each level) live in per-precision tables:
+``_coefficients(build, *args)`` returns the table of the series
 c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own
 expression, so values are the same as building it inline; a table grows
@@ -79,6 +80,7 @@ class _Coefficients:
 
     Entries are appended under the lock, in order, so concurrent readers
     never see a gap or a duplicate; a read of an existing entry takes no lock.
+    The lock is not reentrant, so a build must not read a table itself.
     """
 
     __slots__ = ("_build", "_args", "_items")

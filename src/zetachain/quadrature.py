@@ -14,10 +14,11 @@ h = 2^-level, refined by one level driver:
   estimates agree below the target tolerance; the returned error estimate
   is the last inter-level difference.
 - tanh-sinh (u, w) tables depend only on the working precision and the
-  level.  Each is built in full, published as an immutable tuple under a
-  lock and kept in a small LRU cache keyed by (mpmath prec, level).  The
-  level-0 table holds every k >= 0 at h = 1 and the level-l table the odd
-  k at h = 2^-l, so a first level L sums the tables 0..L.
+  level, so they are one more per-precision series of
+  ``precision._coefficients``: entry j is the immutable tuple of level
+  j-1's nodes.  The level-0 table holds every k >= 0 at h = 1 and the
+  level-l table the odd k at h = 2^-l, so a first level L sums the
+  tables 0..L.
 - exp-sinh nodes are streamed per call and never stored: their walk ends
   on the integrand's decay, and a table of them costs more peak memory
   than recomputing them costs time.
@@ -32,8 +33,6 @@ h = 2^-level, refined by one level driver:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -41,17 +40,11 @@ from typing import Callable
 import mpmath
 from mpmath import mpf
 
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _coefficients
 
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 _NODE_CAP = 20
-_TABLE_SLOTS = 32
-
-# (mpmath prec, level) -> ((u, w), ...).  The weight cutoff depends on the
-# decimal dps, which workdps maps one-to-one onto prec.
-_tables: OrderedDict[tuple[int, int], tuple] = OrderedDict()
-_tables_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -79,14 +72,10 @@ def _walk(level: int, first: bool):
     raise ArithmeticError(f"quadrature node walk reached t = {_NODE_CAP} at level {level}")
 
 
-def _tanh_sinh_table(level: int) -> tuple:
-    """(u, w) pairs of the level's own nodes at the current working precision."""
-    key = (mpmath.mp.prec, level)
-    with _tables_lock:
-        table = _tables.get(key)
-        if table is not None:
-            _tables.move_to_end(key)
-            return table
+def _tanh_sinh_level(j: int) -> tuple:
+    # (u, w) pairs of level j-1's own nodes; the weight cutoff depends on the
+    # decimal dps, which workdps maps one-to-one onto the table's prec
+    level = j - 1
     eps = mpf(10) ** (-mpmath.mp.dps - 5)
     piov2 = mpmath.pi / 2
     nodes = []
@@ -96,13 +85,12 @@ def _tanh_sinh_table(level: int) -> tuple:
         if w < eps:
             break
         nodes.append((mpmath.tanh(piov2 * sh), w))
-    table = tuple(nodes)
-    with _tables_lock:
-        _tables[key] = table
-        _tables.move_to_end(key)
-        while len(_tables) > _TABLE_SLOTS:
-            _tables.popitem(last=False)
-    return table
+    return tuple(nodes)
+
+
+def _tanh_sinh_table(level: int) -> tuple:
+    """(u, w) pairs of the level's own nodes at the current working precision."""
+    return _coefficients(_tanh_sinh_level)[level + 1]
 
 
 def _tanh_sinh_walks(a: mpf, b: mpf, level: int, first: bool):

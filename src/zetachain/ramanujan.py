@@ -25,7 +25,6 @@ from .exact import bernoulli
 from .precision import PrecisionContext
 from .quadrature import integrate
 from .special import _hsmooth, hsmooth_pow_derivs
-from .values import RegularizedSum, SumConvention
 from .zeta import _em_coefficients
 
 MAX_EXPONENT = 8
@@ -70,7 +69,7 @@ def _ramanujan_raw(k: int, scheme: EMScheme, ctx: PrecisionContext) -> mpf:
 
 @dataclass(frozen=True)
 class RamanujanValue:
-    sum: RegularizedSum
+    value: mpf
     scheme: EMScheme
     refined_value: mpf
     spread: mpf
@@ -80,8 +79,7 @@ class RamanujanValue:
 def ramanujan_sum(k: int, scheme: EMScheme, ctx: PrecisionContext) -> RamanujanValue:
     """Ramanujan-regularized value of sum H_n n^k with a stability flag.
 
-    The value is tagged with convention A only so it can sit in reports next
-    to chain values; the Ramanujan constant itself does not depend on it.
+    The Ramanujan constant does not depend on the chain's sum convention.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -92,8 +90,7 @@ def ramanujan_sum(k: int, scheme: EMScheme, ctx: PrecisionContext) -> RamanujanV
     with ctx.workdps():
         spread = ctx.round(abs(value - refined))
         stable = spread < mpf(10) ** (-ctx.digits // 2)
-    reg = RegularizedSum(k, value, SumConvention.A, "ramanujan")
-    return RamanujanValue(reg, scheme, refined, spread, stable)
+    return RamanujanValue(value, scheme, refined, spread, stable)
 
 
 def convergent_selftest(scheme: EMScheme, ctx: PrecisionContext) -> mpf:

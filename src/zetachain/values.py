@@ -79,21 +79,3 @@ class SymbolicValue:
 
     def __str__(self) -> str:
         return f"{self.a} + ({self.b})*gamma + ({self.c})*log(2*pi)"
-
-
-ValueKind = Union[SymbolicValue, mpf]
-
-
-@dataclass(frozen=True)
-class RegularizedSum:
-    """A value assigned to sum_{n>=1} H_n n^k, with its provenance.
-
-    provenance is one of closed_form, chain, ramanujan; value is an exact
-    SymbolicValue for the first two (evaluate it with SymbolicValue.numeric)
-    and an mpf for ramanujan.
-    """
-
-    k: int
-    value: ValueKind
-    convention: SumConvention
-    provenance: str

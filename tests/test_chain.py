@@ -43,15 +43,14 @@ def test_build_relation_rejects_boundary_case():
 
 def test_seed_and_first_step():
     chain = solve_chain(2, A)
-    assert chain[0].value == SymbolicValue.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
-    assert chain[1].value == SymbolicValue.of(Fraction(-5, 24), Fraction(-1, 4), Fraction(1, 4))
-    assert all(v.provenance == "chain" for v in chain)
+    assert chain[0] == SymbolicValue.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    assert chain[1] == SymbolicValue.of(Fraction(-5, 24), Fraction(-1, 4), Fraction(1, 4))
 
 
 def test_exactness_witness_s2():
     # 2 S_1 + S_0 collapses to the rational triple (1/12, 0, 0)
     chain = solve_chain(2, A)
-    total = chain[1].value * 2 + chain[0].value
+    total = chain[1] * 2 + chain[0]
     assert total == SymbolicValue.of(Fraction(1, 12), 0, 0)
 
 

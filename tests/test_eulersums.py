@@ -20,7 +20,7 @@ from zetachain.eulersums import (
 )
 from zetachain.precision import PrecisionContext
 from zetachain.special import DomainError
-from zetachain.values import RegularizedSum, SumConvention, SymbolicValue
+from zetachain.values import SumConvention, SymbolicValue
 from zetachain.zeta import zeta_em, zeta_prime_oracle
 
 CTX = PrecisionContext(50)
@@ -73,6 +73,20 @@ def test_shifted_sum_s2_is_zeta3():
         assert abs(h_euler_shifted(2, CTX) - zeta_em(3, CTX)) < tol(10)
 
 
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_euler_sums_match_eulers_closed_form(digits):
+    # Euler: h(q) = (1 + q/2) zeta(q+1) - 1/2 sum_{k=1}^{q-2} zeta(k+1) zeta(q-k),
+    # and sum H_n/(n+1)^q = h(q) - zeta(q+1); mpmath's zeta is the oracle
+    ctx = PrecisionContext(digits)
+    for q in (2, 3, 4, 5):
+        with mpmath.workdps(digits + 20):
+            z = mpmath.zeta
+            h = (1 + mpf(q) / 2) * z(q + 1) - sum(z(k + 1) * z(q - k) for k in range(1, q - 1)) / 2
+            shifted = h - z(q + 1)
+            for got, ref in ((h_euler(q, ctx), h), (h_euler_shifted(q, ctx), shifted)):
+                assert abs(got - ref) <= mpf(10) ** (-digits + 2) * ref, (q, got, ref)
+
+
 @pytest.mark.parametrize("s", ["1.25", "2", "3", "4.5"])
 def test_fundamental_lemma(s):
     assert fundamental_lemma_residual(mpf(s), CTX) < tol(10)
@@ -106,27 +120,16 @@ def test_bprime_k2():
 
 def test_s0_symbolic_both_conventions():
     a = s_from_zprime(1, ZPRIME0, SumConvention.A)
-    assert a.value == SymbolicValue.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    assert a == SymbolicValue.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
     b = s_from_zprime(1, ZPRIME0, SumConvention.B)
-    assert b.value == SymbolicValue.of(1, Fraction(1, 2), Fraction(-1, 2))
+    assert b == SymbolicValue.of(1, Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_zprime_from_s_spec_triple():
-    s1 = RegularizedSum(
-        1,
-        SymbolicValue.of(Fraction(-5, 24), Fraction(-1, 4), Fraction(1, 4)),
-        SumConvention.A,
-        "chain",
-    )
-    assert zprime_from_s(2, s1) == SymbolicValue.of(
+    s1 = SymbolicValue.of(Fraction(-5, 24), Fraction(-1, 4), Fraction(1, 4))
+    assert zprime_from_s(2, s1, SumConvention.A) == SymbolicValue.of(
         Fraction(1, 12), Fraction(1, 6), Fraction(-1, 4)
     )
-
-
-def test_zprime_from_s_checks_exponent():
-    s1 = RegularizedSum(1, SymbolicValue.of(0, 0, 0), SumConvention.A, "chain")
-    with pytest.raises(ValueError):
-        zprime_from_s(3, s1)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
@@ -137,7 +140,7 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
 def test_symbolic_roundtrip_is_exact(a, b, c, k, conv):
     zp = SymbolicValue.of(a, b, c)
     s_val = s_from_zprime(k, zp, conv)
-    assert zprime_from_s(k, s_val) == zp
+    assert zprime_from_s(k, s_val, conv) == zp
 
 
 def test_generating_function_residual_within_bound():

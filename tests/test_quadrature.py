@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from zetachain import eulersums, hankel, quadrature
+from zetachain import eulersums, hankel, precision, quadrature
 from zetachain.hankel import ContourSpec
 from zetachain.precision import PrecisionContext
 from zetachain.quadrature import integrate
@@ -62,15 +62,15 @@ def test_integrate_matches_mpmath_quad(case):
 @pytest.mark.parametrize("b", [mpf(1), mpmath.inf], ids=["tanh_sinh", "exp_sinh"])
 def test_node_walk_reaching_the_cap_raises(monkeypatch, b):
     # a fresh table cache, so the tanh-sinh tables are built under the tiny cap
-    monkeypatch.setattr(quadrature, "_tables", OrderedDict())
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     monkeypatch.setattr(quadrature, "_NODE_CAP", 1)
     with pytest.raises(ArithmeticError, match="node walk"):
         integrate(lambda x: mpmath.exp(-x), 0, b, PrecisionContext(15))
 
 
 def test_tanh_sinh_table_cache_under_threads(monkeypatch):
-    monkeypatch.setattr(quadrature, "_tables", OrderedDict())
-    monkeypatch.setattr(quadrature, "_TABLE_SLOTS", 3)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    monkeypatch.setattr(precision, "_COEFF_SLOTS", 3)
     levels = range(7)
     with mpmath.workdps(20):
         expected = {lvl: quadrature._tanh_sinh_table(lvl) for lvl in levels}
@@ -81,7 +81,7 @@ def test_tanh_sinh_table_cache_under_threads(monkeypatch):
                 for i in range(40):
                     lvl = (offset + i) % len(levels)
                     assert quadrature._tanh_sinh_table(lvl) == expected[lvl]
-                    assert len(quadrature._tables) <= 3
+                    assert len(precision._coeff_tables) <= 3
             except Exception as exc:  # reported through errors, read below
                 errors.append(exc)
 

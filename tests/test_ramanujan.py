@@ -59,8 +59,8 @@ def test_stability_under_scheme_refinement(k):
 def test_k0_compared_to_chain_not_asserted_equal():
     r = ramanujan_sum(0, SCHEME, CTX)
     with CTX.workdps():
-        chain0 = solve_chain(1, SumConvention.A)[0].value.numeric(CTX)
-        diff = abs(r.sum.value - chain0)
+        chain0 = solve_chain(1, SumConvention.A)[0].numeric(CTX)
+        diff = abs(r.value - chain0)
         # a definite, reproducible difference is the documented finding;
         # empirically it sits at exactly one Euler-Mascheroni constant
         assert diff > mpf("0.5")
@@ -69,11 +69,9 @@ def test_k0_compared_to_chain_not_asserted_equal():
 
 def test_k1_reported_alongside_chain():
     r = ramanujan_sum(1, SCHEME, CTX)
-    assert r.sum.k == 1
-    assert r.sum.provenance == "ramanujan"
     with CTX.workdps():
-        chain1 = solve_chain(2, SumConvention.A)[1].value.numeric(CTX)
-        assert r.sum.value != chain1
+        chain1 = solve_chain(2, SumConvention.A)[1].numeric(CTX)
+        assert r.value != chain1
 
 
 def test_exponent_bound():
