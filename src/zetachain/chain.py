@@ -19,12 +19,11 @@ from fractions import Fraction
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import mpmath
 from mpmath import mpf
 
 from .exact import binomial
 from .eulersums import s_from_zprime, zprime_from_s
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _working
 from .values import SumConvention, SymbolicValue
 from .zeta import zeta_em, zeta_neg_int_exact, zeta_odd_from_zprime, zeta_prime_oracle
 
@@ -97,7 +96,7 @@ class ChainReport:
 
     def to_dict(self) -> dict:
         # serialize numerics at the report's own precision
-        with mpmath.workdps(self.digits):
+        with _working(self.digits):
             return _encode(self)
 
 
@@ -129,7 +128,7 @@ def _decode(tp, data):
 
 def chain_report_from_dict(d: dict) -> ChainReport:
     # parse numerics at the precision they were serialized with
-    with mpmath.workdps(d["digits"]):
+    with _working(d["digits"]):
         return _decode(ChainReport, d)
 
 
@@ -146,20 +145,22 @@ def discrepancy_report(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    # the classical side depends on k only, so it is evaluated once per k
+    zp_oracles = {k: zeta_prime_oracle(-k, ctx) for k in range(1, kmax + 1)}
+    odd_oracles = {k: zeta_em(k + 1, ctx) for k in range(2, kmax + 1, 2)}
     rows: list[ChainRow] = []
     for conv in conventions:
         chain = solve_chain(kmax, conv)
         for k in range(1, kmax + 1):
             zp_chain = zprime_from_s(k + 1, chain[k], conv)
+            zp_oracle = zp_oracles[k]
             with ctx.workdps():
                 zp_num = zp_chain.numeric(ctx)
-                zp_oracle = zeta_prime_oracle(-k, ctx)
                 delta = ctx.round(abs(zp_num - zp_oracle))
                 odd_chain = odd_oracle = odd_delta = None
                 if k % 2 == 0:
-                    kp = k // 2
-                    odd_chain = zeta_odd_from_zprime(kp, zp_num, ctx)
-                    odd_oracle = zeta_em(2 * kp + 1, ctx)
+                    odd_chain = zeta_odd_from_zprime(k // 2, zp_num, ctx)
+                    odd_oracle = odd_oracles[k]
                     odd_delta = ctx.round(abs(odd_chain - odd_oracle))
             rows.append(
                 ChainRow(

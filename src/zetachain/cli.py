@@ -29,7 +29,7 @@ from .eulersums import (
 from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
-from .ramanujan import EMScheme, convergent_selftest, ramanujan_sum
+from .ramanujan import MAX_EXPONENT, EMScheme, convergent_selftest, ramanujan_sum
 from .values import SumConvention
 from .zeta import (
     functional_equation_residual,
@@ -325,8 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit(doc, args.format, args.out)
         return 0
     if args.command == "oracle":
-        if not 0 <= args.kmax <= 8:
-            print("kmax must be in 0..8", file=sys.stderr)
+        if not 0 <= args.kmax <= MAX_EXPONENT:
+            print(f"kmax must be in 0..{MAX_EXPONENT}", file=sys.stderr)
             return 2
         doc = run_oracle(args.kmax, args.precision)
         _emit(doc, args.format, args.out)

@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli, binomial, harmonic
-from .precision import GUARD, PrecisionContext, _coefficients
+from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
 from .special import DomainError, _stirling_coefficient, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
@@ -124,13 +124,11 @@ def sum_lm(k: int, conv: SumConvention) -> Fraction:
     return total
 
 
-def bprime_from_zprime(k: int, zprime):
-    """B'_k = -zeta(1-k) + k zeta'(1-k); zprime may be symbolic or numeric."""
+def bprime_from_zprime(k: int, zprime) -> mpf:
+    """B'_k = -zeta(1-k) + k zeta'(1-k) at the current working precision."""
     if k < 1:
         raise ValueError("k must be >= 1")
     zneg = zeta_neg_int_exact(k)
-    if isinstance(zprime, SymbolicValue):
-        return SymbolicValue.rational(-zneg) + zprime * k
     return mpf(zprime) * k - mpf(zneg.numerator) / zneg.denominator
 
 
@@ -180,7 +178,7 @@ def generating_function_residual(x, N: int, ctx: PrecisionContext) -> Generating
     # precision; work with enough digits that rounding stays under it
     bound_digits = (N + 1) * float(x) / math.log(10)
     work = max(ctx.dps, int(bound_digits)) + int(math.log10(N + 1)) + 10
-    with mpmath.workdps(work):
+    with _working(work):
         xv = mpf(x)
         q = mpmath.exp(-xv)
         h = mpf(0)

@@ -1,10 +1,29 @@
-"""Precision contexts and fundamental constants.
+"""Precision contexts, fundamental constants and the one owner of mpmath's precision.
 
 Precision is always carried explicitly: every numeric operation takes a
 PrecisionContext, computes internally at digits + GUARD decimal digits (the
 guard is a fixed 10 digits) and rounds its result back to digits.  There is
-no ambient global precision in the public API (mpmath's global context is
-only touched inside workdps blocks, which restore it on exit).
+no ambient global precision in the public API.
+
+mpmath's working precision is one process-wide global, and this module is
+the only one in zetachain that sets it: ``PrecisionContext.workdps()``,
+``PrecisionContext.round()`` and the private ``_working(dps)`` blocks that
+other modules enter all hold one re-entrant process-wide lock for the whole
+block, set the precision on entry and restore it on exit.  What this
+guarantees and what it does not:
+
+- zetachain's own calls are serialized: a block of one thread never runs
+  at another thread's precision, so concurrent callers get the values a
+  serial run gives, and the tables below only ever hold entries built at
+  their own precision.  Concurrent callers wait for each other; they gain
+  no speed from threads.
+- Other code that changes mpmath's global precision concurrently (a raw
+  ``mpmath.workdps`` or ``mp.dps = ...`` in another thread) does not take
+  the lock and is not covered.
+- An mpf argument built at mpmath's ambient 15 digits caps the accuracy:
+  ``digamma(mpf("0.3"), ctx)`` is off by about 1e-16 whatever ctx is.
+  Pass str, int or Fraction arguments, which are parsed at the working
+  precision.
 
 Series coefficients that depend only on the working precision (the
 Stirling and Euler-Maclaurin kernels' B_2j terms, and the tanh-sinh
@@ -33,7 +52,35 @@ _COEFF_SLOTS = 16
 
 # mpmath prec -> {(build, args): _Coefficients}
 _coeff_tables: OrderedDict[int, dict] = OrderedDict()
-_coeff_lock = threading.Lock()
+
+# held by every _working block and by every table update
+_lock = threading.RLock()
+
+
+class _working:
+    """Hold the precision lock and set mpmath's precision to dps for a with-block.
+
+    Re-entrant: a block may enter further blocks, and each exit restores the
+    precision its entry found.
+    """
+
+    __slots__ = ("_dps", "_saved")
+
+    def __init__(self, dps: int) -> None:
+        self._dps = dps
+
+    def __enter__(self) -> None:
+        _lock.acquire()
+        try:
+            self._saved = mpmath.mp.prec
+            mpmath.mp.dps = self._dps
+        except BaseException:  # e.g. a dps that is not a number: never leave the lock held
+            _lock.release()
+            raise
+
+    def __exit__(self, *exc) -> None:
+        mpmath.mp.prec = self._saved
+        _lock.release()
 
 
 @dataclass(frozen=True)
@@ -49,9 +96,9 @@ class PrecisionContext:
         """Internal working precision in decimal digits."""
         return self.digits + GUARD
 
-    def workdps(self):
-        """Context manager setting mpmath's precision to digits + GUARD."""
-        return mpmath.workdps(self.dps)
+    def workdps(self) -> _working:
+        """Context manager holding mpmath's precision at digits + GUARD."""
+        return _working(self.dps)
 
     def tolerance(self, offset: int = 0) -> mpf:
         """10^(-digits + offset) as an mpf."""
@@ -60,7 +107,7 @@ class PrecisionContext:
 
     def round(self, x: mpf) -> mpf:
         """Round x to this context's target precision."""
-        with mpmath.workdps(self.digits):
+        with _working(self.digits):
             return +x
 
 
@@ -80,7 +127,6 @@ class _Coefficients:
 
     Entries are appended under the lock, in order, so concurrent readers
     never see a gap or a duplicate; a read of an existing entry takes no lock.
-    The lock is not reentrant, so a build must not read a table itself.
     """
 
     __slots__ = ("_build", "_args", "_items")
@@ -93,7 +139,7 @@ class _Coefficients:
     def __getitem__(self, j: int) -> mpf:
         items = self._items
         if j > len(items):
-            with _coeff_lock:
+            with _lock:
                 while len(items) < j:
                     items.append(self._build(*self._args, len(items) + 1))
         return items[j - 1]
@@ -101,9 +147,9 @@ class _Coefficients:
 
 def _coefficients(build, *args) -> _Coefficients:
     """The table of c(j) = build(*args, j) at the current mpmath precision."""
-    prec = mpmath.mp.prec
     key = (build, args)
-    with _coeff_lock:
+    with _lock:
+        prec = mpmath.mp.prec
         tables = _coeff_tables.get(prec)
         if tables is None:
             tables = _coeff_tables[prec] = {}

@@ -35,7 +35,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import BernoulliConvention, bernoulli
-from .precision import PrecisionContext, _coefficients
+from .precision import PrecisionContext, _coefficients, _working
 from .special import DomainError, gamma_fn
 
 
@@ -70,7 +70,7 @@ def zeta_em(s, ctx: PrecisionContext) -> mpf:
     if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
         return mpf(0)
     n_terms = _em_setpoint(ctx)
-    with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms)):
+    with _working(ctx.dps + _extra_dps(sv, n_terms)):
         sv = mpf(s)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
@@ -101,7 +101,7 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
     n_terms = _em_setpoint(ctx)
-    with mpmath.workdps(ctx.dps + _extra_dps(sv, n_terms) + 5):
+    with _working(ctx.dps + _extra_dps(sv, n_terms) + 5):
         sv = mpf(s)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)

@@ -127,7 +127,7 @@ def test_exact_layer_imports_no_numeric_layer():
 # types and precision control.  mpmath's zeta, psi, gamma, bernoulli and quad
 # are the tests' independent oracles, so the library must never call them.
 ELEMENTARY_MPMATH = set(
-    "cos cosh cospi euler exp expm1 floor inf log log1p mag mp mpc mpf pi sin sinh sinpi tanh workdps".split()
+    "cos cosh cospi euler exp expm1 floor inf log log1p mag mp mpc mpf pi sin sinh sinpi tanh".split()
 )
 
 
@@ -151,6 +151,49 @@ def test_library_uses_only_elementary_mpmath():
                     used.add(node.attr)
     assert used, "no mpmath use found; the scan is broken"
     assert used <= ELEMENTARY_MPMATH, sorted(used - ELEMENTARY_MPMATH)
+
+
+def _mpmath_rooted(node, roots):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in roots
+
+
+def test_only_the_precision_module_sets_mpmath_precision():
+    # mpmath's working precision is one process-wide global; precision.py
+    # sets it only while holding its one lock, so a raw precision block or
+    # assignment anywhere else would run unserialized
+    managers = {"workdps", "workprec", "extradps", "extraprec"}
+    setters, locks = {}, {}
+    for path in sorted(Path(zetachain.exact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = {"mpmath"}  # names bound to mpmath or to something in it
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots.update(a.asname or a.name for a in node.names if a.name.startswith("mpmath"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
+                roots.update(a.asname or a.name for a in node.names)
+                found += [f"import {a.name}" for a in node.names if a.name in managers]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in managers and _mpmath_rooted(node.value, roots):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr in ("prec", "dps")
+                        and _mpmath_rooted(target.value, roots)
+                    ):
+                        found.append(f"line {node.lineno}: {ast.unparse(target)} =")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("Lock", "RLock"):
+                    locks[path.name] = locks.get(path.name, 0) + 1
+        if found:
+            setters[path.name] = found
+    assert "precision.py" in setters, "precision.py sets no precision; the scan is broken"
+    assert set(setters) == {"precision.py"}, {k: v for k, v in setters.items() if k != "precision.py"}
+    assert locks.get("precision.py") == 1, locks
 
 
 def _public_definitions(tree):

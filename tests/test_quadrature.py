@@ -69,34 +69,42 @@ def test_node_walk_reaching_the_cap_raises(monkeypatch, b):
 
 
 def test_tanh_sinh_table_cache_under_threads(monkeypatch):
+    # mpmath's precision is process-global, so every thread of one round
+    # works at the precision the main thread holds; the rounds alternate
+    # between two precisions that share the cache
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    monkeypatch.setattr(precision, "_COEFF_SLOTS", 3)
     levels = range(7)
-    with mpmath.workdps(20):
-        expected = {lvl: quadrature._tanh_sinh_table(lvl) for lvl in levels}
-        errors = []
+    errors = []
 
-        def worker(offset):
-            try:
-                for i in range(40):
-                    lvl = (offset + i) % len(levels)
-                    assert quadrature._tanh_sinh_table(lvl) == expected[lvl]
-                    assert len(precision._coeff_tables) <= 3
-            except Exception as exc:  # reported through errors, read below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def worker(start, expected):
+        # all threads start at once on an empty table and ask for the
+        # deepest level first, so they race to grow it
         try:
-            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+            start.wait(timeout=60)
+            for lvl in reversed(levels):
+                assert quadrature._tanh_sinh_table(lvl) == expected[lvl]
+        except Exception as exc:  # reported through errors, read below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for digits in (20, 40, 20):
+            with mpmath.workdps(digits):
+                expected = [quadrature._tanh_sinh_level(lvl + 1) for lvl in levels]
+                start = threading.Barrier(8)
+                threads = [threading.Thread(target=worker, args=(start, expected)) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                # each level was appended once, in order
+                assert precision._coefficients(quadrature._tanh_sinh_level)._items == expected
+    finally:
+        sys.setswitchinterval(interval)
     assert errors == []
+    assert len(precision._coeff_tables) == 2
 
 
 def _contour_calls():

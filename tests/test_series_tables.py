@@ -1,7 +1,9 @@
-"""Per-precision coefficient tables of the Stirling and Euler-Maclaurin kernels.
+"""Per-precision coefficient tables and the one owner of mpmath's precision.
 
 A table must serve only the precision it was built at, hold each
 coefficient once and in order, and make a warm call do no Bernoulli work.
+Threads at different precisions must get the values a serial run gives and
+leave only entries built at their table's own precision.
 """
 
 import sys
@@ -9,10 +11,13 @@ import threading
 from collections import OrderedDict
 
 import mpmath
+import pytest
 
 from zetachain import exact, precision, special, zeta
+from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler
 from zetachain.precision import PrecisionContext, _coefficients
+from zetachain.quadrature import integrate
 from zetachain.special import _stirling_coefficient, digamma, gamma_fn, polygamma
 from zetachain.zeta import _em_coefficient, zeta_em, zeta_prime_em
 
@@ -119,3 +124,80 @@ def test_tables_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert errors == []
     assert len(precision._coeff_tables) == 2
+
+
+RACE_CALLS = {
+    "digamma": lambda ctx: digamma("0.3", ctx),
+    "polygamma_3": lambda ctx: polygamma(3, "1.75", ctx),
+    "zeta": lambda ctx: zeta_em(3, ctx),
+    "zeta_prime": lambda ctx: zeta_prime_em("-2.5", ctx),
+    "quad": lambda ctx: integrate(lambda x: mpmath.cbrt(x) * mpmath.cos(x), 0, 2, ctx).value,
+}
+
+
+def _race_values(digits):
+    ctx = PrecisionContext(digits)
+    return {name: call(ctx) for name, call in RACE_CALLS.items()}
+
+
+def _wrong_table_entries():
+    """(prec, series, j) of each cached entry that differs from a rebuild at its table's prec."""
+    wrong = []
+    for prec, tables in precision._coeff_tables.items():
+        with mpmath.workprec(prec):
+            for (build, args), table in tables.items():
+                for j, got in enumerate(table._items, 1):
+                    if got != build(*args, j):
+                        wrong.append((prec, build.__name__, args, j))
+    return wrong
+
+
+def test_threads_at_different_precisions_match_serial(monkeypatch):
+    # one thread at 120 digits and two at 15 share mpmath's one global
+    # precision and start each round on an empty table cache
+    digits = (120, 15, 15)
+    serial = {}
+    for d in set(digits):
+        monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+        serial[d] = _race_values(d)
+    results, errors, wrong = [], [], []
+
+    def worker(start, d):
+        try:
+            start.wait(timeout=60)
+            results.append((d, _race_values(d)))
+        except Exception as exc:  # reported through errors, read below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+            start = threading.Barrier(len(digits))
+            threads = [threading.Thread(target=worker, args=(start, d)) for d in digits]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            wrong += _wrong_table_entries()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == 3 * len(digits)
+    mismatched = [(d, name) for d, values in results for name in values if values[name] != serial[d][name]]
+    assert mismatched == []
+    assert wrong == []
+
+
+def test_a_rejected_precision_leaves_the_lock_free():
+    # a report's digits come from outside; mpmath rejecting them must not
+    # leave the precision lock held against every other thread
+    with pytest.raises(ValueError):
+        chain_report_from_dict({"digits": "x"})
+    done = []
+    t = threading.Thread(target=lambda: done.append(PrecisionContext(15).tolerance()), daemon=True)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive() and done
