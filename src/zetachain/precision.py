@@ -96,7 +96,7 @@ class PrecisionContext:
         """Internal working precision in decimal digits."""
         return self.digits + GUARD
 
-    def workdps(self) -> _working:
+    def workdps(self):
         """Context manager holding mpmath's precision at digits + GUARD."""
         return _working(self.dps)
 
