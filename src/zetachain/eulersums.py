@@ -25,23 +25,28 @@ from mpmath import mpf
 from .exact import bernoulli, binomial, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
-from .special import DomainError, _stirling_coefficient, gamma_fn, hsmooth_pow_derivs
+from .special import DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
 from .zeta import _em_coefficients, zeta_em, zeta_neg_int_exact
+
+
+def _tail_coefficient(j: int) -> mpf:
+    g = _stirling_term(0, j)
+    return mpf(g.numerator) / g.denominator
 
 
 def _power_tail_integral(s_eff, N: mpf, tol: mpf) -> mpf:
     # int_N^inf (gamma + ln t + 1/(2t) - sum_j B_2j/(2j) t^(-2j)) t^(-s_eff) dt,
     # the Stirling expansion of gamma + psi(t+1) integrated term by term.
     # Valid once N is large enough that the optimal truncation beats tol.
-    # -B_2j/(2j) are digamma's Stirling coefficients, so their table is shared.
+    # -B_2j/(2j) are the coefficients of digamma's Stirling series.
     s = s_eff
     total = (mpmath.euler + mpmath.log(N)) * N ** (1 - s) / (s - 1)
     total += N ** (1 - s) / (s - 1) ** 2
     total += N ** (-s) / (2 * s)
     npow = N ** (1 - s)
     n2 = N * N
-    coeff = _coefficients(_stirling_coefficient, 0)
+    coeff = _coefficients(_tail_coefficient)
     for j in range(1, 10_000):
         npow /= n2
         term = coeff[j] * npow / (s + 2 * j - 1)

@@ -26,8 +26,9 @@ guarantees and what it does not:
   precision.
 
 Series coefficients that depend only on the working precision (the
-Stirling and Euler-Maclaurin kernels' B_2j terms, and the tanh-sinh
-quadrature nodes of each level) live in per-precision tables:
+Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin B_2j terms,
+and the tanh-sinh quadrature nodes of each level) live in per-precision
+tables:
 ``_coefficients(build, *args)`` returns the table of the series
 c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own
@@ -134,9 +135,9 @@ class _Coefficients:
     def __init__(self, build, args: tuple) -> None:
         self._build = build
         self._args = args
-        self._items: list[mpf] = []
+        self._items: list = []
 
-    def __getitem__(self, j: int) -> mpf:
+    def __getitem__(self, j: int):
         items = self._items
         if j > len(items):
             with _lock:

@@ -1,36 +1,58 @@
 """Gamma, digamma and polygamma at arbitrary precision, and H(t) = gamma + psi(t+1).
 
-All three rest on one kernel, ``_stirling(m, z, dps)``, which sums the
-Stirling series for d^(m+1)/dz^(m+1) log Gamma(z), m >= -1:
+All three rest on one kernel, ``_stirling(m, zn, zd)``, which sums the
+Bernoulli terms of the Stirling series for d^(m+1)/dz^(m+1) log Gamma(z),
+m >= -1:
 
     log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + sum_j B_2j/(2j(2j-1)) z^(1-2j)
 
 and its derivatives, whose j-th term is (-1)^(m+1) B_2j (2j+m-1)!/(2j)! z^(-2j-m).
-Callers shift the argument upward by ``_shift`` until the series converges
-below the context tolerance, call the kernel, and recur back down.  The
-kernel raises ArithmeticError rather than return a truncated series.  The
-coefficients are exact Bernoulli rationals from the exact layer, rounded
-once per working precision: the kernel reads them from a table keyed by
-(mpmath prec, m) that grows one term at a time, and the tables of the 16
-most recently used precisions are kept (``precision._COEFF_SLOTS``).  These
-routines are independent of mpmath's own special-function code (mpmath is
-used for elementary operations only); the test suite exploits that
-independence for cross-checks.
+Callers shift the argument upward by ``_shift`` until the series converges,
+call the kernel, add the leading terms and recur back down.
+
+The inner loops run on Python integers in fixed point, as mpmath's own
+``mpf_psi0`` does: an integer n stands for n * 2^-wp, wp = mpmath prec +
+``_GUARD_BITS``.  The argument t is read exactly from its mantissa and
+exponent, so every t + i is an exact ratio of integers.  The kernel returns
+sum_j g(m, j) z^(-2j), with g(m, j) the j-th term above divided by its
+leading one ((-1)^(m+1) (m-1)! z^-m for m >= 1).  It builds each term from
+the one before by the exact ratio g(m, j)/g(m, j-1) and z^-2; z^-2j on its
+own would underflow the fixed point.  The ratios come from the exact
+Bernoulli rationals of the exact layer and are rounded once per working
+precision: the kernel reads them from a table keyed by (mpmath prec, m)
+that grows one term at a time, and the tables of the 16 most recently used
+precisions are kept (``precision._COEFF_SLOTS``).  The kernel raises
+ArithmeticError rather than return a truncated series: when a term stops
+shrinking before the series has converged, the argument was shifted too
+little.  These routines are independent of mpmath's own special-function
+code (mpmath is used for elementary operations only); the test suite
+exploits that independence for cross-checks.
+
+psi^(m) for m >= 1 is summed in units of (m-1)!/t^m, which never exceed
+|psi^(m)(t)| = m! sum_k (t+k)^-(m+1) >= m! int_t^inf u^-(m+1) du: the
+downward recurrence adds m/t (t/(t+i))^(m+1) per step and the shifted
+series is scaled by (t/(t+shift))^m.  Terms too small to show in that unit
+drop out instead of underflowing.
 
 H(t) = gamma + psi(t+1), the smooth extension of the harmonic numbers, is
 written once, in ``_hsmooth``; ``hsmooth_pow_derivs`` builds the
 derivatives of H(t) (t+shift)^a that the Euler-sum tails and the Ramanujan
-scheme need from it and from psi^(m).
+scheme need from it and from psi^(m), as a Cauchy product of Taylor
+coefficients in integers.
 
-Accuracy: the series stops on an absolute 10^-(dps+2).  Gamma = exp(log
-Gamma) turns that into a relative error, but for psi and psi^(m) the
-guarantee is absolute: small values (psi near its zero at x ~ 1.46, psi^(m)
-of high order at large x) keep fewer relative digits.
+Accuracy: the series stops on a relative 2^-(prec+6).  For Gamma (through
+exp of log Gamma) and for psi^(m), m >= 1, the error is relative: the tests
+hold psi^(m) within a relative 10^(-digits+2) of mpmath for m up to 140 at
+15, 50 and 120 digits.  For psi the guarantee is absolute, so near its zero
+at x ~ 1.46 psi keeps fewer relative digits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
+from operator import mul
 
 import mpmath
 from mpmath import mpf
@@ -38,9 +60,35 @@ from mpmath import mpf
 from .exact import bernoulli
 from .precision import PrecisionContext, _coefficients
 
+_GUARD_BITS = 24  # fixed-point bits carried beyond mpmath's working precision
+_TOL = 1 << (_GUARD_BITS - 6)  # 2^-(prec+6) in units of 2^-wp
+
 
 class DomainError(ValueError):
     """Argument outside the domain of a special function (e.g. a pole)."""
+
+
+def _wp() -> int:
+    return mpmath.mp.prec + _GUARD_BITS
+
+
+def _ratio(x: mpf) -> tuple[int, int]:
+    # x = n/d exactly for x > 0, d a power of two
+    if x.exp >= 0:
+        return x.man << x.exp, 1
+    return x.man, 1 << -x.exp
+
+
+def _fixed_pow(x: int, n: int, wp: int) -> int:
+    # x^n for fixed-point x in [0, 1], by binary powering
+    r = 1 << wp
+    while n:
+        if n & 1:
+            r = r * x >> wp
+        n >>= 1
+        if n:
+            x = x * x >> wp
+    return r
 
 
 def _shift(x: mpf, m: int, dps: int) -> int:
@@ -49,36 +97,37 @@ def _shift(x: mpf, m: int, dps: int) -> int:
     return max(0, int(math.ceil(int(0.4 * dps) + max(m, 0) + 5 - x)))
 
 
-def _stirling_coefficient(m: int, j: int) -> mpf:
-    # (-1)^(m+1) B_2j (2j+m-1)!/(2j)! = B_2j perm(2j+m-1, m-1) for m >= 1, B_2j / perm(2j, 1-m) for m <= 1
-    b2j = bernoulli(2 * j)
-    num = (-1) ** (m + 1) * b2j.numerator * math.perm(2 * j + m - 1, max(m - 1, 0))
-    return mpf(num) / (b2j.denominator * math.perm(2 * j, max(1 - m, 0)))
+def _stirling_term(m: int, j: int) -> Fraction:
+    """g(m, j), the exact coefficient of z^-2j in the kernel's series; g(m, 0) = 1."""
+    if j == 0:
+        return Fraction(1)
+    b = bernoulli(2 * j)
+    if m >= 1:
+        return b * math.comb(2 * j + m - 1, m - 1)
+    return -b / (2 * j) if m == 0 else b / (2 * j * (2 * j - 1))
 
 
-def _stirling(m: int, z: mpf, dps: int) -> mpf:
-    """d^(m+1)/dz^(m+1) log Gamma(z), m >= -1, for z shifted by ``_shift``."""
-    if m == -1:
-        s = (z - mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
-    elif m == 0:
-        s = mpmath.log(z) - 1 / (2 * z)
-    else:
-        # (-1)^(m+1) [ (m-1)!/z^m + m!/(2 z^(m+1)) ]
-        zm = z**m
-        s = mpf(math.factorial(m - 1)) / zm + mpf(math.factorial(m)) / (2 * zm * z)
-        if m % 2 == 0:
-            s = -s
-    tol = mpf(10) ** (-dps - 2)
-    z2 = z * z
-    zpow = z ** (m + 2)
-    coeff = _coefficients(_stirling_coefficient, m)
-    for j in range(1, 4 * dps):
-        term = coeff[j] / zpow
+def _stirling_ratio(m: int, j: int) -> int:
+    # g(m, j)/g(m, j-1) in fixed point at the current precision
+    r = _stirling_term(m, j) / _stirling_term(m, j - 1)
+    return (r.numerator << _wp()) // r.denominator
+
+
+def _stirling(m: int, zn: int, zd: int) -> int:
+    """sum_{j>=1} g(m, j) z^-2j, z = zn/zd shifted by ``_shift``, in units of 2^-wp."""
+    wp = _wp()
+    ratio = _coefficients(_stirling_ratio, m)
+    zd2, zn2 = zd * zd, zn * zn << wp
+    s = 0
+    term = size = 1 << wp
+    for j in itertools.count(1):
+        term = term * ratio[j] * zd2 // zn2
         s += term
-        if abs(term) < tol:
+        last, size = size, abs(term)
+        if size < _TOL:
             return s
-        zpow *= z2
-    raise ArithmeticError("Stirling series did not converge; argument shifted too little")
+        if size >= last:
+            raise ArithmeticError("Stirling series did not converge; argument shifted too little")
 
 
 def gamma_fn(s, ctx: PrecisionContext) -> mpf:
@@ -92,9 +141,13 @@ def gamma_fn(s, ctx: PrecisionContext) -> mpf:
             refl = mpmath.pi / mpmath.sin(mpmath.pi * x)
             return ctx.round(refl / gamma_fn(1 - x, ctx))
         shift = _shift(x, -1, ctx.dps)
-        val = mpmath.exp(_stirling(-1, x + shift, ctx.dps))
-        for i in range(shift):
-            val /= x + i
+        tn, td = _ratio(x)
+        zn = tn + shift * td
+        z = mpf(zn) / td
+        series = mpf(_stirling(-1, zn, td) * zn // td) / (1 << _wp())
+        lg = (z - mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2 + series
+        # Gamma(x) = Gamma(z) / (x (x+1) ... (x+shift-1))
+        val = mpmath.exp(lg) * td**shift / math.prod(tn + i * td for i in range(shift))
         return ctx.round(val)
 
 
@@ -118,13 +171,28 @@ def _psi(m: int, x, ctx: PrecisionContext) -> mpf:
         if t <= 0:
             raise DomainError(f"polygamma of order {m} requires x > 0")
         shift = _shift(t, m, ctx.dps)
-        s = _stirling(m, t + shift, ctx.dps)
-        # downward recurrence: psi^(m)(t) = psi^(m)(t+1) + (-1)^(m+1) m!/t^(m+1)
-        rec = mpf((-1) ** (m + 1) * math.factorial(m))
+        wp = _wp()
+        one = 1 << wp
+        tn, td = _ratio(t)
+        zn = tn + shift * td
+        series = _stirling(m, zn, td)
+        if m == 0:
+            # psi(t) = log z - 1/(2z) + series - sum_{i<shift} 1/(t+i), absolute units
+            s = int(mpmath.log(mpf(zn) / td) * one) - (td << wp) // (2 * zn) + series
+            s -= sum((td << wp) // (tn + i * td) for i in range(shift))
+            return ctx.round(mpf(s) / one)
+        # (-1)^(m+1) psi^(m)(t) in units of (m-1)!/t^m: the shifted series
+        # 1 + m/(2z) + series scaled by (t/z)^m, plus m/t (t/(t+i))^(m+1) per step down
+        s = (one + (m * td << wp) // (2 * zn) + series) * _fixed_pow((tn << wp) // zn, m, wp) >> wp
+        rec = 0
         for i in range(shift):
-            # psi is the hot path; (t+i)**1 would cost it a pow call per step
-            s += rec / (t + i) ** (m + 1) if m else rec / (t + i)
-        return ctx.round(s)
+            term = _fixed_pow((tn << wp) // (tn + i * td), m + 1, wp)
+            if term < _TOL:
+                break
+            rec += term
+        s += rec * m * td // tn
+        val = mpf(s) * math.factorial(m - 1) / (t**m * one)
+        return ctx.round(val if m % 2 else -val)
 
 
 def _hsmooth(t: mpf, ctx: PrecisionContext) -> mpf:
@@ -141,24 +209,38 @@ def hsmooth_pow_derivs(t, a, shift, max_order: int, ctx: PrecisionContext) -> li
     Used by the Euler-Maclaurin tails and the Ramanujan summation scheme,
     where the odd-order derivatives at the cut point are needed exactly
     via the product rule rather than by numeric differentiation.
+
+    The product rule is a Cauchy product of Taylor coefficients at scale
+    h = t+1: with u_i = H^(i)(t) h^i/i! and v_q = C(a, q) (h/base)^q,
+    base = t+shift, the m-th derivative is base^a m!/h^m sum_i u_i v_(m-i).
+    Every term is then O(1), so the O(max_order^2) sum runs in fixed point.
     """
     with ctx.workdps():
         tv = mpf(t)
         av = mpf(a)
+        h = tv + 1
         base = tv + shift
-        # u-side: H(t) and psi^(i)(t+1); v-side: falling-factorial powers
-        u = [_hsmooth(tv, ctx)]
+        if base <= 0:
+            raise DomainError("the power factor needs t + shift > 0")
+        wp = _wp()
+        one = 1 << wp
+        # u-side: H(t) and psi^(i)(t+1), scaled by h^i/i!
+        u = [int(_hsmooth(tv, ctx) * one)]
+        hpow = mpf(one)
         for i in range(1, max_order + 1):
-            u.append(polygamma(i, tv + 1, ctx))
-        v = []
-        coeff = mpf(1)
-        for q in range(max_order + 1):
-            v.append(coeff * base ** (av - q))
-            coeff *= av - q
+            hpow = hpow * h / i
+            u.append(int(polygamma(i, h, ctx) * hpow))
+        # v-side: C(a, q) (h/base)^q, h/base = num/den exactly
+        hn, hd = _ratio(h)
+        bn, bd = _ratio(base)
+        num, den = hn * bd, hd * bn
+        afix = int(av * one)
+        v = [one]
+        for q in range(1, max_order + 1):
+            v.append(v[-1] * (afix - (q - 1 << wp)) * num // (den * q << wp))
         out = []
+        scale = base**av / (one * one)
         for m in range(max_order + 1):
-            s = mpf(0)
-            for i in range(m + 1):
-                s += mpf(math.comb(m, i)) * u[i] * v[m - i]
-            out.append(ctx.round(s))
+            out.append(ctx.round(mpf(sum(map(mul, u[: m + 1], v[m::-1]))) * scale))
+            scale = scale * (m + 1) / h
         return out

@@ -18,7 +18,7 @@ from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler
 from zetachain.precision import PrecisionContext, _coefficients
 from zetachain.quadrature import integrate
-from zetachain.special import _stirling_coefficient, digamma, gamma_fn, polygamma
+from zetachain.special import _stirling_ratio, digamma, gamma_fn, polygamma
 from zetachain.zeta import _em_coefficient, zeta_em, zeta_prime_em
 
 # one precision revisited after others, so a table built at one precision
@@ -86,7 +86,7 @@ def test_tables_under_threads(monkeypatch):
     # works at the precision the main thread holds; the rounds alternate
     # between two precisions that share the cache
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    series = [(_em_coefficient, ())] + [(_stirling_coefficient, (m,)) for m in (-1, 0, 1, 5)]
+    series = [(_em_coefficient, ())] + [(_stirling_ratio, (m,)) for m in (-1, 0, 1, 5)]
     terms = 100
     errors = []
 

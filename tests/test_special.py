@@ -1,5 +1,9 @@
+import math
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from zetachain.exact import harmonic
@@ -132,9 +136,8 @@ def test_integrate_endpoint_log_singularity():
 
 
 # Differential checks against mpmath's own psi and gamma, which share no code
-# with the Stirling kernel here.  The psi^(m) bound is absolute (scaled by
-# max(1, |ref|)): the series stops on an absolute tolerance, so small values
-# of high order keep fewer relative digits.
+# with the Stirling kernel here.  psi^(m) is relative for every order: small
+# values of high order keep all their digits.
 @pytest.mark.parametrize("digits", [15, 50, 120])
 def test_polygamma_matches_mpmath(digits):
     ctx = PrecisionContext(digits)
@@ -143,8 +146,67 @@ def test_polygamma_matches_mpmath(digits):
             got = polygamma(m, x, ctx)
             with mpmath.workdps(digits + 20):
                 ref = mpmath.psi(m, mpf(x))
-                bound = mpf(10) ** (-digits + 2) * max(1, abs(ref))
-                assert abs(got - ref) <= bound, (m, x)
+                assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, x)
+
+
+def _unshifted(m, digits):
+    # the smallest x at which the kernel needs no downward recurrence
+    return int(0.4 * PrecisionContext(digits).dps) + m + 5
+
+
+@st.composite
+def _psi_arguments(draw, digits):
+    m = draw(st.integers(min_value=0, max_value=140))
+    x = draw(
+        st.one_of(
+            st.decimals(min_value="0.0001", max_value="199.9999", places=4).map(str),
+            st.integers(min_value=1, max_value=199),
+            st.decimals(min_value="0.000001", max_value="0.999999", places=6).map(str),
+            st.integers(min_value=_unshifted(m, digits), max_value=199),
+        )
+    )
+    return m, x
+
+
+# Scaling or underflow slips in the fixed-point kernel (a term held as
+# z^-2j on its own, a unit that is not the largest term) lose digits at
+# some order and argument; drawn points find them where fixed ones miss.
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_psi_differential_against_mpmath(digits):
+    ctx = PrecisionContext(digits)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_psi_arguments(digits))
+    def check(args):
+        m, x = args
+        got = polygamma(m, x, ctx) if m else digamma(x, ctx)
+        with mpmath.workdps(digits + 20):
+            ref = mpmath.psi(m, mpf(x))
+            assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, x)
+
+    check()
+
+
+# The derivative table at the shapes the Euler-sum tails ask for at 15, 50
+# and 100 digits, against the plain product rule on mpmath's psi at 40 more
+# digits.  Every order is held to a relative bound.
+@pytest.mark.parametrize("digits, t, max_order", [(15, 30, 25), (50, 37, 71), (100, 59, 135)])
+def test_hsmooth_pow_derivs_match_mpmath_product_rule(digits, t, max_order):
+    ctx = PrecisionContext(digits)
+    with mpmath.workdps(digits + 40):
+        u = [mpmath.euler + mpmath.psi(0, t + 1)] + [mpmath.psi(i, t + 1) for i in range(1, max_order + 1)]
+    for a in ("-1.1", "-2.5", "-4.99"):
+        for shift in (0, 1):
+            got = hsmooth_pow_derivs(t, a, shift, max_order, ctx)
+            with mpmath.workdps(digits + 40):
+                av, base = mpf(a), mpf(t + shift)
+                v, falling = [], mpf(1)
+                for q in range(max_order + 1):
+                    v.append(falling * base ** (av - q))
+                    falling *= av - q
+                for m in range(max_order + 1):
+                    ref = mpmath.fsum(math.comb(m, i) * u[i] * v[m - i] for i in range(m + 1))
+                    assert abs(got[m] - ref) <= mpf(10) ** (-digits + 3) * abs(ref), (a, shift, m)
 
 
 @pytest.mark.parametrize("digits", [15, 50, 120])
@@ -158,6 +220,16 @@ def test_gamma_matches_mpmath(digits):
 
 
 def test_stirling_kernel_raises_on_unshifted_argument():
+    # z = 3/10: the terms stop shrinking long before the series converges
     with CTX.workdps():
         with pytest.raises(ArithmeticError):
-            _stirling(0, mpf("0.3"), CTX.dps)
+            _stirling(0, 3, 10)
+
+
+@pytest.mark.parametrize("x", [0, -1, "-0.5", "-1e-30"])
+def test_psi_family_rejects_nonpositive_arguments(x):
+    for m in (0, 1, 7):
+        with pytest.raises(DomainError):
+            polygamma(m, x, CTX)
+    with pytest.raises(DomainError):
+        digamma(x, CTX)
