@@ -233,3 +233,10 @@ def test_psi_family_rejects_nonpositive_arguments(x):
             polygamma(m, x, CTX)
     with pytest.raises(DomainError):
         digamma(x, CTX)
+
+
+def test_derivative_table_rejects_nonpositive_power_base():
+    # (t+shift)^a with real a is not real below 0, and the fixed-point
+    # product rule reads the base as an unsigned integer ratio
+    with pytest.raises(DomainError):
+        hsmooth_pow_derivs("-0.5", "-2.5", 0, 3, CTX)
