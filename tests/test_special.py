@@ -9,7 +9,7 @@ from mpmath import mpf
 from zetachain.exact import harmonic
 from zetachain.precision import PrecisionContext, const_gamma, const_log2pi
 from zetachain.quadrature import integrate
-from zetachain.special import DomainError, _stirling, digamma, gamma_fn, hsmooth_pow_derivs, polygamma
+from zetachain.special import DomainError, _shift, _stirling, digamma, gamma_fn, hsmooth_pow_derivs, polygamma
 
 CTX = PrecisionContext(50)
 
@@ -149,11 +149,6 @@ def test_polygamma_matches_mpmath(digits):
                 assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, x)
 
 
-def _unshifted(m, digits):
-    # the smallest x at which the kernel needs no downward recurrence
-    return int(0.4 * PrecisionContext(digits).dps) + m + 5
-
-
 @st.composite
 def _psi_arguments(draw, digits):
     m = draw(st.integers(min_value=0, max_value=140))
@@ -162,7 +157,8 @@ def _psi_arguments(draw, digits):
             st.decimals(min_value="0.0001", max_value="199.9999", places=4).map(str),
             st.integers(min_value=1, max_value=199),
             st.decimals(min_value="0.000001", max_value="0.999999", places=6).map(str),
-            st.integers(min_value=_unshifted(m, digits), max_value=199),
+            # from here on the kernel needs no downward recurrence
+            st.integers(min_value=_shift(0, m, PrecisionContext(digits).dps), max_value=199),
         )
     )
     return m, x
