@@ -1,10 +1,29 @@
-"""Double-exponential quadrature on finite and semi-infinite intervals.
+"""Quadrature on finite and semi-infinite intervals, and over one period.
 
-tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
-intervals, with nodes x = mid + half*tanh(pi/2 sinh t); exp-sinh covers
-[a, inf) for integrands with at least algebraic decay, with nodes
-x = a + exp(pi/2 sinh t).  Both are trapezoid sums in t at mesh
-h = 2^-level, refined by one level driver:
+Three transforms share one level driver:
+
+- tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
+  intervals, with nodes x = mid + half*tanh(pi/2 sinh t).
+- exp-sinh covers [a, inf) for integrands with at least algebraic decay,
+  with nodes x = a + exp(pi/2 sinh t).
+- The periodic trapezoid rule serves only integrands that are smooth and
+  of period b - a, and only when the caller says so (``periodic=True``).
+  Its nodes are x = a + k(b-a)/n, k < n, with n = 8*2^level, all of weight
+  (b-a)/n.  For an integrand analytic in a strip |Im x| < c the error falls
+  like e^(-2 pi c n/(b-a)) (Trefethen & Weideman, "The exponentially
+  convergent trapezoidal rule", SIAM Rev. 56, 2014).  On other integrands
+  it loses that rate (a smooth nonperiodic one converges like n^-2), and a
+  call that has not converged by the last level says so in its result.
+  a and b must span one period at the working precision: with a = -pi
+  rounded at 15 digits, e^cos(x) at 50 digits stalled near 1e-25.  The
+  factor 8 gives the last level 32768 nodes, about what tanh-sinh
+  evaluates through its last level (33665 at 30 digits), so a slowly
+  converging periodic integrand (a Hankel circle close to its first pole)
+  still converges where tanh-sinh did.
+
+The two DE transforms are trapezoid sums in t at mesh h = 2^-level, and the
+periodic rule is one in x at mesh (b-a)/8 * 2^-level; all three are
+refined the same way:
 
 - Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
   comparison of three high-precision quadrature schemes", Exp. Math. 14,
@@ -25,10 +44,11 @@ h = 2^-level, refined by one level driver:
 - The integrand may return a tuple.  Its components share nodes and
   levels, the call converges when every component does, and the result's
   value is then a tuple too.
-- A node walk stops on its weight (tanh-sinh: w < 10^-(dps+5)) or on the
-  integrand's decay (exp-sinh: three successive contributions below that).
-  A walk that reaches t = _NODE_CAP (20*2^level nodes) first raises
-  ArithmeticError instead of returning a truncated sum.
+- A DE node walk stops on its weight (tanh-sinh: w < 10^-(dps+5)) or on
+  the integrand's decay (exp-sinh: three successive contributions below
+  that).  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
+  raises ArithmeticError instead of returning a truncated sum.  The
+  periodic walk has no cutoff: it visits every node of its level.
 """
 
 from __future__ import annotations
@@ -45,6 +65,7 @@ from .precision import PrecisionContext, _coefficients
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 _NODE_CAP = 20
+_PERIODIC_NODES = 8  # a periodic level-l mesh has 8*2^l nodes
 
 
 @dataclass(frozen=True)
@@ -125,6 +146,18 @@ def _exp_sinh_walks(a: mpf, level: int, first: bool):
     return nodes(1), nodes(-1)
 
 
+def _periodic_walks(a: mpf, b: mpf, level: int, first: bool):
+    n = _PERIODIC_NODES * 2**level
+    step = (b - a) / n
+
+    def nodes():
+        # x = a + k(b-a)/n for k < n: b is a again, one period on
+        for k in range(n) if first else range(1, n, 2):
+            yield a + k * step, 1
+
+    return (nodes(),)
+
+
 def _add_level(f, walks, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
     """Add w*f(x) over the walks' nodes to the running sums; (sums, tuple-valued).
 
@@ -150,11 +183,13 @@ def integrate(
     b,
     ctx: PrecisionContext,
     tol_offset: int = 5,
+    periodic: bool = False,
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
     f may return a tuple of values; the result's value is then the tuple of
-    their integrals.
+    their integrals.  With periodic, f must be smooth and of period b - a,
+    and the trapezoid rule integrates it.
     """
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
@@ -163,13 +198,19 @@ def integrate(
         sign, scale = 1, mpf(1)
         decays = b == mpmath.inf
         if decays:
+            if periodic:
+                raise ValueError("a periodic integrand needs a finite period [a, b]")
             walks = partial(_exp_sinh_walks, a)
         else:
             b = mpf(b)
             if b < a:
                 a, b, sign = b, a, -1
-            scale = (b - a) / 2
-            walks = partial(_tanh_sinh_walks, a, b)
+            if periodic:
+                scale = (b - a) / _PERIODIC_NODES
+                walks = partial(_periodic_walks, a, b)
+            else:
+                scale = (b - a) / 2
+                walks = partial(_tanh_sinh_walks, a, b)
 
         total = prev = None
         value = [mpf(0)]

@@ -43,6 +43,16 @@ def test_contour_deformation_invariance():
             assert abs(bernoulli_interp(s, alt, CTX) - base) < half_tol()
 
 
+def test_circle_near_the_first_pole_converges():
+    # at integer index the circle is on the trapezoid rule, whose error falls
+    # like (r/2pi)^N: at r = 6.2 it needs thousands of nodes, which a mesh
+    # capped at 2^12 nodes does not reach
+    ctx = PrecisionContext(30)
+    with ctx.workdps():
+        got = bernoulli_interp(1, ContourSpec(radius=6.2), ctx)
+        assert abs(got - mpf(1) / 6) < mpf(10) ** (-ctx.digits // 2)
+
+
 def test_radius_validation():
     with pytest.raises(ValueError):
         bernoulli_interp(1, ContourSpec(radius=7.0), CTX)
@@ -76,6 +86,16 @@ def test_prime_interp_k2():
     with CTX.workdps():
         expected = mpf(1) / 12 + 2 * zeta_prime_oracle(-1, CTX)
         assert abs(bernoulli_prime_interp(2, SPEC, CTX) - expected) < half_tol()
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_prime_interp_at_integers_matches_mpmath(s):
+    # integer index with the -log z factor: the circle integrand jumps at
+    # theta = +-pi, so the circle stays on tanh-sinh
+    got = bernoulli_prime_interp(s, SPEC, CTX)
+    with mpmath.workdps(CTX.digits + 20):
+        expected = -mpmath.zeta(1 - s) + s * mpmath.zeta(1 - s, derivative=1)
+        assert abs(got - expected) < mpf(10) ** (-CTX.digits // 2)
 
 
 @pytest.mark.parametrize("s", ["1.5", "2", "3"])

@@ -9,6 +9,8 @@ from collections import OrderedDict
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from zetachain import eulersums, hankel, precision, quadrature
@@ -32,6 +34,15 @@ CASES = {
         0,
         mpmath.inf,
     ),
+    # one period of smooth periodic integrands, on the trapezoid rule; -pi is
+    # a function so that it is rounded at the working precision, since a
+    # period that is off by 10^-16 would cap the rule near there
+    "periodic": (lambda x: mpmath.exp(mpmath.cos(x)), lambda: -mpmath.pi, mpmath.pi),
+    "periodic_tuple": (
+        lambda x: (mpmath.exp(mpmath.cos(x)), 1 / (mpf(5) / 4 + mpmath.cos(x))),
+        lambda: -mpmath.pi,
+        mpmath.pi,
+    ),
 }
 
 
@@ -46,10 +57,12 @@ def _reference(f, a, b, digits, n):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_integrate_matches_mpmath_quad(case):
-    f, a, b = CASES[case]
+    f, lo, b = CASES[case]
     for digits in DIGITS_ORDER:
         ctx = PrecisionContext(digits)
-        res = integrate(f, a, b, ctx)
+        with ctx.workdps():
+            a = lo() if callable(lo) else lo
+        res = integrate(f, a, b, ctx, periodic=case.startswith("periodic"))
         assert res.converged
         values = res.value if isinstance(res.value, tuple) else (res.value,)
         assert isinstance(res.value, tuple) == case.endswith("tuple")
@@ -66,6 +79,24 @@ def test_node_walk_reaching_the_cap_raises(monkeypatch, b):
     monkeypatch.setattr(quadrature, "_NODE_CAP", 1)
     with pytest.raises(ArithmeticError, match="node walk"):
         integrate(lambda x: mpmath.exp(-x), 0, b, PrecisionContext(15))
+
+
+def test_periodic_rule_that_never_converges_raises():
+    # periodic and analytic, but a pole 10^-6 off the real axis makes the
+    # trapezoid error fall like e^(-N/10^6): no mesh up to the last level
+    # settles, and no truncated sum is returned as a value
+    with mpmath.workdps(15):
+        c = mpmath.cosh(mpf(10) ** -6)
+    res = integrate(lambda x: 1 / (c - mpmath.cos(x)), -mpmath.pi, mpmath.pi, PrecisionContext(15), periodic=True)
+    assert not res.converged
+    assert res.levels == quadrature._MAX_LEVEL
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        res.require_converged()
+
+
+def test_periodic_rule_needs_a_finite_period():
+    with pytest.raises(ValueError, match="finite period"):
+        integrate(mpmath.cos, 0, mpmath.inf, PrecisionContext(15), periodic=True)
 
 
 def test_tanh_sinh_table_cache_under_threads(monkeypatch):
@@ -110,9 +141,15 @@ def test_tanh_sinh_table_cache_under_threads(monkeypatch):
 def _contour_calls():
     ctx = PrecisionContext(50)
     return {
-        # an integer argument: the ray integrand is identically 0 and is not integrated
-        "bernoulli_interp_1": (600, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
+        # an integer argument: the ray integrand is identically 0 and is not
+        # integrated, and the circle is on the periodic trapezoid rule
+        "bernoulli_interp_1": (160, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
         "bernoulli_interp_1.5": (1300, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
+        # an integer argument with the -log z factor: rays and circle on DE
+        "bernoulli_prime_interp_2": (
+            1300,
+            lambda: hankel.bernoulli_prime_interp("2", ContourSpec(), ctx),
+        ),
         "bernoulli_prime_interp_2.5": (
             1300,
             lambda: hankel.bernoulli_prime_interp("2.5", ContourSpec(), ctx),
@@ -139,3 +176,64 @@ def test_integrand_evaluation_ceilings(monkeypatch, call):
         monkeypatch.setattr(module, "integrate", counting)
     run()
     assert 0 < evals[0] <= ceiling
+
+
+# Drawn integrands for each transform, compared with mpmath.quad at 20 more
+# digits.  Every parameter is a dyadic rational, exact at any precision, and
+# every integrand is positive, so the bound is relative.
+_eighths = st.integers(min_value=-24, max_value=24).map(lambda k: mpf(k) / 8)
+_FAMILIES = {
+    # x^alpha e^(beta x) on [0, b]: an algebraic endpoint singularity of a
+    # derivative at 0 when alpha is not an integer
+    "tanh_sinh": st.tuples(
+        st.integers(min_value=0, max_value=24), _eighths, st.integers(min_value=4, max_value=32)
+    ).map(
+        lambda p: (
+            lambda x, al=mpf(p[0]) / 8, be=p[1]: x**al * mpmath.exp(be * x),
+            0,
+            mpf(p[2]) / 8,
+        )
+    ),
+    # x^alpha e^(-beta x) / (1 + x) on [a, inf)
+    "exp_sinh": st.tuples(
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=4, max_value=24),
+        st.integers(min_value=0, max_value=16),
+    ).map(
+        lambda p: (
+            lambda x, al=mpf(p[0]) / 8, be=mpf(p[1]) / 8: x**al * mpmath.exp(-be * x) / (1 + x),
+            mpf(p[2]) / 8,
+            mpmath.inf,
+        )
+    ),
+    # e^(c cos(x - phi)) + 1/(rho - cos(x - phi)) over one period: poles at
+    # Im x = +-acosh(rho) set the trapezoid rule's geometric rate
+    "periodic": st.tuples(_eighths, _eighths, st.integers(min_value=10, max_value=32)).map(
+        lambda p: (
+            lambda x, c=p[0], phi=p[1], rho=mpf(p[2]) / 8: mpmath.exp(c * mpmath.cos(x - phi))
+            + 1 / (rho - mpmath.cos(x - phi)),
+            lambda: -mpmath.pi,
+            mpmath.pi,
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_integrate_differential_against_mpmath_quad(family, digits):
+    ctx = PrecisionContext(digits)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(_FAMILIES[family])
+    def check(case):
+        f, lo, b = case
+        with ctx.workdps():
+            a = lo() if callable(lo) else lo
+        res = integrate(f, a, b, ctx, periodic=family == "periodic")
+        assert res.converged
+        with mpmath.workdps(digits + 20):
+            ref = _reference(f, a, b, digits, None)
+            assert abs(res.value - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref), (a, b)
+
+    check()
