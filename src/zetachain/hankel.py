@@ -27,14 +27,30 @@ and with the -log z factor
 The ray integrand returns both real integrands as one tuple, and the circle
 its two complex ones, so I and I' come from one pass over the contour.
 
-At integer u with no log factor, z^e is single-valued: sin(pi e) = 0, the
-rays cancel and are not integrated, and the circle integrand is periodic
-and analytic in theta.  There the circle is on the periodic trapezoid
-rule, whose error falls like (r/2pi)^N (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014): B_2 at 50
-digits takes 128 nodes, against 577 on tanh-sinh.  At other u the branch
-cut puts a jump of z^e at theta = +-pi, and with the log factor so does
--log z = -(log r + i theta) at every u, so those circles stay on tanh-sinh.
+Which quadrature rule integrates which piece:
+
+- At integer u with no log factor, z^e is single-valued: sin(pi e) = 0,
+  the rays cancel and are not integrated, and the circle integrand is
+  periodic and analytic in theta.  There the circle is on the periodic
+  trapezoid rule, whose error falls like (r/2pi)^N (Trefethen & Weideman,
+  "The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014): B_2
+  at 50 digits takes 128 nodes, against 577 on tanh-sinh.  The leading
+  error term is known in closed form, so a radius too close to 2pi for the
+  last level is rejected before any evaluation.
+- At other u the branch cut puts a jump of z^e at theta = +-pi, and with
+  the log factor so does -log z = -(log r + i theta) at every u, so those
+  circles are not periodic.  Their integrand is still analytic in theta
+  on [-pi, pi] (z^e = e^(e (log r + i theta))), with its nearest poles,
+  from z = +-2pi i, at theta = +-pi/2 + i log(2pi/r).  They run on
+  composite Gauss-Legendre with two panels split at theta = 0, each
+  centred under one of those poles.
+- The ray integrand t^e/(e^t - 1) is analytic on [r, T], with a branch
+  point at t = 0 and poles at t = +-2pi i k.  It runs on Gauss-Legendre
+  too, over panels split geometrically from r to T at a ratio as near 3 as
+  a whole number of panels allows, so that every panel is as far from the
+  branch point, relative to its length, as the first.  At 50 digits a
+  non-integer B_s takes 576 evaluations at radius 1 and 736 at radius 3,
+  against 1153 and 1729 on tanh-sinh.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ import mpmath
 from mpmath import mpf
 
 from .precision import PrecisionContext
-from .quadrature import integrate
+from .quadrature import _MAX_LEVEL, _PERIODIC_NODES, integrate
 from .special import digamma, gamma_fn
 from .zeta import zeta_em, zeta_prime_oracle
 
@@ -67,6 +83,26 @@ class ContourSpec:
         if self.truncation is not None:
             return mpf(self.truncation)
         return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
+
+
+def _reject_hopeless_circle(expo: mpf, r: mpf, off: int, ctx: PrecisionContext) -> None:
+    """Raise before any evaluation if the periodic circle cannot converge.
+
+    With N nodes the trapezoid error of the circle integral is led by the
+    aliases of the poles at z = +-2pi i, 4pi (2pi)^e |cos(pi e/2)| (r/2pi)^N:
+    the higher poles only add to it, and at odd e the two cancel and the rule
+    is exact.  The last level, of N nodes, stops only if its difference from
+    the level of N/2 is below tol max(1, |value|), and |value| <= 2pi.
+    """
+    n = _PERIODIC_NODES * 2**_MAX_LEVEL
+    lead = 4 * mpmath.pi * (2 * mpmath.pi) ** expo * abs(mpmath.cospi(expo / 2))
+    rho = r / (2 * mpmath.pi)
+    diff = lead * (rho ** (n // 2) - rho**n)
+    if diff > 2 * mpmath.pi * mpf(10) ** (off - ctx.digits):
+        raise ArithmeticError(
+            f"quadrature did not converge: the circle of radius {float(r)} needs more than "
+            f"{n} trapezoid nodes at {ctx.digits} digits (error at the last level ~{diff})"
+        )
 
 
 def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext) -> tuple:
@@ -101,11 +137,17 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         # and a periodic circle; see the module docstring
         periodic = sin_e == 0 and not with_log
         if periodic:
-            ray = (mpf(0),)
+            _reject_hopeless_circle(expo, r, off, ctx)
+            ray, cut = (mpf(0),), None
         else:
-            ray = integrate(rays, r, T, ctx, tol_offset=off).require_converged()
+            # m panels [r q^(i-1), r q^i] up to T, q as near 3 as m allows
+            m = max(1, round(mpmath.log(T / r) / math.log(3)))
+            q = (T / r) ** (mpf(1) / m)
+            breaks = tuple(r * q**i for i in range(1, m))
+            ray = integrate(rays, r, T, ctx, tol_offset=off, breaks=breaks).require_converged()
+            cut = (0,)  # two panels, each centred under one pole nearest the circle
         circ = integrate(
-            circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off, periodic=periodic
+            circle, -mpmath.pi, mpmath.pi, ctx, tol_offset=off, periodic=periodic, breaks=cut
         ).require_converged()
         two_pi_i = mpmath.mpc(0, 2) * mpmath.pi
         return tuple((mpmath.mpc(0, 2) * j + c) / two_pi_i for j, c in zip(ray, circ))

@@ -1,6 +1,6 @@
 """Quadrature on finite and semi-infinite intervals, and over one period.
 
-Three transforms share one level driver:
+Four rules share one level driver:
 
 - tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
   intervals, with nodes x = mid + half*tanh(pi/2 sinh t).
@@ -20,24 +20,43 @@ Three transforms share one level driver:
   evaluates through its last level (33665 at 30 digits), so a slowly
   converging periodic integrand (a Hankel circle close to its first pole)
   still converges where tanh-sinh did.
+- Composite Gauss-Legendre serves integrands analytic on the closed
+  interval, again only when the caller says so, by passing the panel
+  breakpoints strictly inside [a, b] (``breaks``, possibly empty).  Each
+  panel carries an n-point rule, exact for polynomials of degree < 2n, whose
+  error falls like rho^(-2n) with rho the largest Bernstein ellipse about
+  the panel free of singularities (Trefethen, "Is Gauss quadrature better
+  than Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The order n comes from the
+  working precision, about dps/2 (32 at 50 digits, 60 at 100, 108 at 200):
+  32 nodes at every precision made a Hankel contour at 100 digits cost
+  3360 evaluations against tanh-sinh's 2609.  Level l halves every panel
+  l - _MIN_LEVEL times at that order, which about doubles rho for a
+  singularity near a panel and keeps one node table per precision.
 
 The two DE transforms are trapezoid sums in t at mesh h = 2^-level, and the
-periodic rule is one in x at mesh (b-a)/8 * 2^-level; all three are
+periodic rule is one in x at mesh (b-a)/8 * 2^-level; all four are
 refined the same way:
 
 - Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
   comparison of three high-precision quadrature schemes", Exp. Math. 14,
   2005).  The first level sums every node of its mesh; each later level
   keeps the running sum and adds only the odd-k nodes of the halved mesh,
-  so no node is evaluated twice.  Levels are refined until two successive
-  estimates agree below the target tolerance; the returned error estimate
-  is the last inter-level difference.
+  so no node is evaluated twice.  Gauss-Legendre nodes do not nest, so each
+  of its levels sums all its panels afresh.  Levels are refined until two
+  successive estimates agree below the target tolerance; the returned
+  error estimate is the last inter-level difference.
 - tanh-sinh (u, w) tables depend only on the working precision and the
   level, so they are one more per-precision series of
   ``precision._coefficients``: entry j is the immutable tuple of level
   j-1's nodes.  The level-0 table holds every k >= 0 at h = 1 and the
   level-l table the odd k at h = 2^-l, so a first level L sums the
   tables 0..L.
+- Gauss-Legendre (x, w) tables are a per-precision series too: entry j is
+  the j-th largest root of P_n and its weight (the rule is symmetric, n
+  even).  Each root starts from Tricomi's estimate and two float Newton
+  steps and is refined by Newton steps on the Legendre three-term
+  recurrence in integer fixed point, with the Stirling kernel's guard bits
+  (``special._wp``); the n = 32 table at 50 digits takes about 3 ms.
 - exp-sinh nodes are streamed per call and never stored: their walk ends
   on the integrand's decay, and a table of them costs more peak memory
   than recomputing them costs time.
@@ -48,7 +67,12 @@ refined the same way:
   the integrand's decay (exp-sinh: three successive contributions below
   that).  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
   raises ArithmeticError instead of returning a truncated sum.  The
-  periodic walk has no cutoff: it visits every node of its level.
+  periodic and Gauss-Legendre walks have no cutoff: they visit every node
+  of their level.
+
+The Ramanujan integral int_1^N H(t) t^k dt is analytic too, but stays on
+tanh-sinh: on Gauss-Legendre panels of ratio about 3 the oracle at kmax = 4
+and 50 digits took 3840 evaluations and 0.78 s against 3744 and 0.66 s.
 """
 
 from __future__ import annotations
@@ -57,10 +81,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import math
+
 import mpmath
 from mpmath import mpf
 
 from .precision import PrecisionContext, _coefficients
+from .special import _wp
 
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
@@ -112,6 +139,71 @@ def _tanh_sinh_level(j: int) -> tuple:
 def _tanh_sinh_table(level: int) -> tuple:
     """(u, w) pairs of the level's own nodes at the current working precision."""
     return _coefficients(_tanh_sinh_level)[level + 1]
+
+
+def _gauss_legendre_order() -> int:
+    # about dps/2 nodes, a multiple of 4: 32 at 50 digits, 60 at 100, 108 at 200
+    return (mpmath.mp.dps + 11) // 8 * 4
+
+
+def _legendre(n: int, x, shift=None) -> tuple:
+    """(P_n(x), P_(n-1)(x)) by the three-term recurrence.
+
+    x is a float, or with shift an integer standing for x * 2^-shift.
+    """
+    p0, p1 = 1 if shift is None else 1 << shift, x
+    for k in range(1, n):
+        if shift is None:
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        else:
+            p0, p1 = p1, ((2 * k + 1) * (x * p1 >> shift) - k * p0) // (k + 1)
+    return p1, p0
+
+
+def _gauss_legendre_node(n: int, j: int) -> tuple:
+    """(x, w): the j-th largest root x of P_n and its weight w."""
+    # Tricomi's estimate, then Newton steps with
+    # P_n' = n (x P_n - P_(n-1)) / (x^2 - 1): two in floats, the rest in
+    # fixed point, until the error left after a step, at most about
+    # n^2 dx^2, is below the last bit
+    x = math.cos(math.pi * (4 * j - 1) / (4 * n + 2)) * (1 - (n - 1) / (8 * n**3))
+    for _ in range(2):
+        p, q = _legendre(n, x)
+        x -= p * (x * x - 1) / (n * (x * p - q))
+    wp = _wp()
+    one = 1 << wp
+    x = int(math.ldexp(x, 53)) << (wp - 53)
+    for _ in range(wp.bit_length()):
+        p, q = _legendre(n, x, wp)
+        dx = p * ((x * x >> wp) - one) // (n * ((x * p >> wp) - q))
+        x -= dx
+        if (n * dx) ** 2 < one:
+            break
+    else:
+        raise ArithmeticError(f"Newton's method did not converge to root {j} of P_{n}")
+    # at a root, w = 2 / ((1 - x^2) P_n'^2) = 2 (1 - x^2) / (n P_(n-1))^2
+    _, q = _legendre(n, x, wp)
+    w = (2 * (one - (x * x >> wp)) << 2 * wp) // (n * q) ** 2
+    return mpf(x) / one, mpf(w) / one
+
+
+def _gauss_legendre_walks(edges: tuple, level: int, first: bool):
+    n = _gauss_legendre_order()
+    table = _coefficients(_gauss_legendre_node, n)
+    rule = [table[j] for j in range(1, n // 2 + 1)]
+    split = 2 ** (level - _MIN_LEVEL)
+
+    def nodes():
+        for lo, hi in zip(edges, edges[1:]):
+            half = (hi - lo) / (2 * split)
+            weights = [half * w for _, w in rule]
+            for i in range(split):
+                mid = lo + (2 * i + 1) * half
+                for (x, _), w in zip(rule, weights):
+                    yield mid + half * x, w
+                    yield mid - half * x, w
+
+    return (nodes(),)
 
 
 def _tanh_sinh_walks(a: mpf, b: mpf, level: int, first: bool):
@@ -184,22 +276,28 @@ def integrate(
     ctx: PrecisionContext,
     tol_offset: int = 5,
     periodic: bool = False,
+    breaks: tuple | None = None,
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
     f may return a tuple of values; the result's value is then the tuple of
     their integrals.  With periodic, f must be smooth and of period b - a,
-    and the trapezoid rule integrates it.
+    and the trapezoid rule integrates it.  With breaks, the points strictly
+    between a and b that cut [a, b] into panels (possibly none), f must be
+    analytic on [a, b], and composite Gauss-Legendre integrates it.
     """
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
         eps = mpf(10) ** (-ctx.dps - 5)
         a = mpf(a)
         sign, scale = 1, mpf(1)
+        nested = True
         decays = b == mpmath.inf
         if decays:
             if periodic:
                 raise ValueError("a periodic integrand needs a finite period [a, b]")
+            if breaks is not None:
+                raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
             walks = partial(_exp_sinh_walks, a)
         else:
             b = mpf(b)
@@ -208,6 +306,13 @@ def integrate(
             if periodic:
                 scale = (b - a) / _PERIODIC_NODES
                 walks = partial(_periodic_walks, a, b)
+            elif breaks is not None:
+                inner = sorted(mpf(x) for x in breaks)
+                if not all(a < x < b for x in inner):
+                    raise ValueError("breaks must lie strictly between a and b")
+                edges = (a, *inner, b)
+                nested = False
+                walks = partial(_gauss_legendre_walks, edges)
             else:
                 scale = (b - a) / 2
                 walks = partial(_tanh_sinh_walks, a, b)
@@ -217,10 +322,12 @@ def integrate(
         err = mpf("inf")
         converged = is_tuple = False
         for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
+            if not nested:
+                total = None
             total, is_tuple = _add_level(
                 f, walks(level, total is None), decays, eps, total, is_tuple
             )
-            h = mpf(2) ** (-level)
+            h = mpf(2) ** (-level) if nested else 1
             value = [sign * s * scale * h for s in total]
             if prev is not None:
                 errs = [abs(v - p) for v, p in zip(value, prev)]

@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import pytest
 from mpmath import mpf
@@ -53,6 +55,29 @@ def test_circle_near_the_first_pole_converges():
         assert abs(got - mpf(1) / 6) < mpf(10) ** (-ctx.digits // 2)
 
 
+def test_hopeless_periodic_circle_raises_before_evaluating():
+    # at 200 digits radius 6.2 needs about 36,000 trapezoid nodes, more than
+    # the last level's 32,768: rejected up front instead of after ~23 s
+    ctx = PrecisionContext(200)
+    start = time.process_time()
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        bernoulli_interp(1, ContourSpec(radius=6.2), ctx)
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("u, radius", [("1.5", 6.0), ("2.7", 0.5)])
+def test_gauss_legendre_contour_near_and_far_from_the_pole(u, radius):
+    # B_(u+1) = -(u+1) zeta(-u); radius 6 puts the circle's nearest poles
+    # 0.046 off its panels, and radius 0.5 starts the rays close to the
+    # branch point at 0
+    ctx = PrecisionContext(30)
+    got = bernoulli_interp(u, ContourSpec(radius=radius), ctx)
+    with mpmath.workdps(ctx.digits + 20):
+        uv = mpf(u)
+        expected = -(uv + 1) * mpmath.zeta(-uv)
+        assert abs(got - expected) < mpf(10) ** (-ctx.digits // 2)
+
+
 def test_radius_validation():
     with pytest.raises(ValueError):
         bernoulli_interp(1, ContourSpec(radius=7.0), CTX)
@@ -91,7 +116,7 @@ def test_prime_interp_k2():
 @pytest.mark.parametrize("s", [2, 3])
 def test_prime_interp_at_integers_matches_mpmath(s):
     # integer index with the -log z factor: the circle integrand jumps at
-    # theta = +-pi, so the circle stays on tanh-sinh
+    # theta = +-pi, so the circle is not periodic and runs on Gauss-Legendre
     got = bernoulli_prime_interp(s, SPEC, CTX)
     with mpmath.workdps(CTX.digits + 20):
         expected = -mpmath.zeta(1 - s) + s * mpmath.zeta(1 - s, derivative=1)

@@ -1,8 +1,10 @@
-"""The DE quadrature engine: differential checks, the node cap, work counters.
+"""The quadrature engine: differential checks, node tables, the node cap, work counters.
 
 mpmath.quad is the independent oracle: the library never calls it.
 """
 
+import os
+import subprocess
 import sys
 import threading
 from collections import OrderedDict
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+import zetachain
 from zetachain import eulersums, hankel, precision, quadrature
 from zetachain.hankel import ContourSpec
 from zetachain.precision import PrecisionContext
@@ -140,20 +143,110 @@ def test_tanh_sinh_table_cache_under_threads(monkeypatch):
     assert len(precision._coeff_tables) == 2
 
 
+def _gauss_legendre_rule() -> list:
+    # the (x, w) pairs, x > 0, of the rule at the current working precision
+    n = quadrature._gauss_legendre_order()
+    table = precision._coefficients(quadrature._gauss_legendre_node, n)
+    return [table[j] for j in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("digits", [15, 50, 200])
+def test_gauss_legendre_table_integrates_even_powers(digits):
+    # the n-point rule is exact for every polynomial of degree < 2n; by
+    # symmetry the odd powers integrate to 0 and the even ones to 2/(2j+1)
+    ctx = PrecisionContext(digits)
+    with ctx.workdps():
+        rule = _gauss_legendre_rule()
+        n = 2 * len(rule)
+        assert n == quadrature._gauss_legendre_order()
+        assert all(0 < x < 1 and w > 0 for x, w in rule)
+        for j in range(n):
+            got = 2 * sum(w * x ** (2 * j) for x, w in rule)
+            assert abs(got - mpf(2) / (2 * j + 1)) < mpf(10) ** (-ctx.dps + 2), j
+
+
+def test_gauss_legendre_table_cache_under_threads(monkeypatch):
+    # as for the tanh-sinh tables: all threads grow one empty table at once
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    errors = []
+
+    def worker(start, expected):
+        try:
+            start.wait(timeout=60)
+            assert _gauss_legendre_rule() == expected
+        except Exception as exc:  # reported through errors, read below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for digits in (20, 40, 20):
+            with mpmath.workdps(digits):
+                n = quadrature._gauss_legendre_order()
+                expected = [quadrature._gauss_legendre_node(n, j) for j in range(1, n // 2 + 1)]
+                start = threading.Barrier(8)
+                threads = [threading.Thread(target=worker, args=(start, expected)) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                # each node was appended once, in order
+                assert precision._coefficients(quadrature._gauss_legendre_node, n)._items == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(precision._coeff_tables) == 2
+
+
+def test_import_builds_no_table():
+    # perfbench's setup_s times the import: every table is built on first use
+    code = "import zetachain.cli\nfrom zetachain import precision\nprint(len(precision._coeff_tables))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(zetachain.__path__[0])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"]
+
+
+def test_gauss_legendre_that_never_converges_raises():
+    # analytic on [-1, 1], but poles 10^-6 off the real axis: the panels of
+    # the last level, 2^-8 wide, are still far too wide
+    ctx = PrecisionContext(15)
+    res = integrate(lambda x: 1 / (x * x + mpf(10) ** -12), -1, 1, ctx, breaks=())
+    assert not res.converged
+    assert res.levels == quadrature._MAX_LEVEL
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        res.require_converged()
+
+
+def test_gauss_legendre_rejects_bad_breaks():
+    ctx = PrecisionContext(15)
+    with pytest.raises(ValueError, match="finite interval"):
+        integrate(mpmath.exp, 0, mpmath.inf, ctx, breaks=(1,))
+    with pytest.raises(ValueError, match="strictly between"):
+        integrate(mpmath.exp, 0, 1, ctx, breaks=(1,))
+
+
 def _contour_calls():
     ctx = PrecisionContext(50)
     return {
         # an integer argument: the ray integrand is identically 0 and is not
         # integrated, and the circle is on the periodic trapezoid rule
         "bernoulli_interp_1": (160, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
-        "bernoulli_interp_1.5": (1300, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
-        # an integer argument with the -log z factor: rays and circle on DE
+        # rays and circle on composite Gauss-Legendre: 576 at radius 1, 736 at 3
+        "bernoulli_interp_1.5": (650, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
+        "bernoulli_interp_1.5_r3": (
+            800,
+            lambda: hankel.bernoulli_interp("1.5", ContourSpec(radius=3.0), ctx),
+        ),
+        # an integer argument with the -log z factor: the circle integrand
+        # jumps at theta = +-pi, so it is not periodic; rays and circle on
+        # Gauss-Legendre, as at any non-integer argument
         "bernoulli_prime_interp_2": (
-            1300,
+            650,
             lambda: hankel.bernoulli_prime_interp("2", ContourSpec(), ctx),
         ),
         "bernoulli_prime_interp_2.5": (
-            1300,
+            650,
             lambda: hankel.bernoulli_prime_interp("2.5", ContourSpec(), ctx),
         ),
         "mellin_s2": (2100, lambda: eulersums.mellin_fundamental_check(2, ctx)),
@@ -182,7 +275,8 @@ def test_integrand_evaluation_ceilings(monkeypatch, call):
 
 # Drawn integrands for each transform, compared with mpmath.quad at 20 more
 # digits.  Every parameter is a dyadic rational, exact at any precision, and
-# every integrand is positive, so the bound is relative.
+# every integrand is positive, so the bound is relative.  A case is (f, a,
+# b, the keywords that select the transform).
 _eighths = st.integers(min_value=-24, max_value=24).map(lambda k: mpf(k) / 8)
 _FAMILIES = {
     # x^alpha e^(beta x) on [0, b]: an algebraic endpoint singularity of a
@@ -194,6 +288,7 @@ _FAMILIES = {
             lambda x, al=mpf(p[0]) / 8, be=p[1]: x**al * mpmath.exp(be * x),
             0,
             mpf(p[2]) / 8,
+            {},
         )
     ),
     # x^alpha e^(-beta x) / (1 + x) on [a, inf)
@@ -206,6 +301,7 @@ _FAMILIES = {
             lambda x, al=mpf(p[0]) / 8, be=mpf(p[1]) / 8: x**al * mpmath.exp(-be * x) / (1 + x),
             mpf(p[2]) / 8,
             mpmath.inf,
+            {},
         )
     ),
     # e^(c cos(x - phi)) + 1/(rho - cos(x - phi)) over one period: poles at
@@ -216,6 +312,24 @@ _FAMILIES = {
             + 1 / (rho - mpmath.cos(x - phi)),
             lambda: -mpmath.pi,
             mpmath.pi,
+            {"periodic": True},
+        )
+    ),
+    # e^(beta x) + 1/(c + (x - phi)^2) on [0, b], analytic there with poles
+    # at phi +- i sqrt(c), cut into panels at up to four drawn points
+    "gauss_legendre": st.tuples(
+        _eighths,
+        st.integers(min_value=1, max_value=16),
+        _eighths,
+        st.integers(min_value=4, max_value=32),
+        st.lists(st.integers(min_value=1, max_value=63), max_size=4, unique=True),
+    ).map(
+        lambda p: (
+            lambda x, be=p[0], c=mpf(p[1]) / 8, phi=p[2]: mpmath.exp(be * x)
+            + 1 / (c + (x - phi) ** 2),
+            0,
+            mpf(p[3]) / 8,
+            {"breaks": tuple(mpf(k * p[3]) / 512 for k in p[4])},
         )
     ),
 }
@@ -229,13 +343,13 @@ def test_integrate_differential_against_mpmath_quad(family, digits):
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(_FAMILIES[family])
     def check(case):
-        f, lo, b = case
+        f, lo, b, kwargs = case
         with ctx.workdps():
             a = lo() if callable(lo) else lo
-        res = integrate(f, a, b, ctx, periodic=family == "periodic")
+        res = integrate(f, a, b, ctx, **kwargs)
         assert res.converged
         with mpmath.workdps(digits + 20):
             ref = _reference(f, a, b, digits, None)
-            assert abs(res.value - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref), (a, b)
+            assert abs(res.value - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref), (a, b, kwargs)
 
     check()
