@@ -101,7 +101,8 @@ def _reject_hopeless_circle(expo: mpf, r: mpf, off: int, ctx: PrecisionContext) 
     if diff > 2 * mpmath.pi * mpf(10) ** (off - ctx.digits):
         raise ArithmeticError(
             f"quadrature did not converge: the circle of radius {float(r)} needs more than "
-            f"{n} trapezoid nodes at {ctx.digits} digits (error at the last level ~{diff})"
+            f"{n} trapezoid nodes at {ctx.digits} digits "
+            f"(error at the last level ~{mpmath.nstr(diff, 3)})"
         )
 
 
