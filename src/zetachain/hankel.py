@@ -102,7 +102,7 @@ def _reject_hopeless_circle(expo: mpf, r: mpf, off: int, ctx: PrecisionContext) 
         raise ArithmeticError(
             f"quadrature did not converge: the circle of radius {float(r)} needs more than "
             f"{n} trapezoid nodes at {ctx.digits} digits "
-            f"(error at the last level ~{mpmath.nstr(diff, 3)})"
+            f"(error at the last level ~{float(diff):.3g})"
         )
 
 
