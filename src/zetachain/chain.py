@@ -25,7 +25,7 @@ from .exact import binomial
 from .eulersums import s_from_zprime, zprime_from_s
 from .precision import PrecisionContext, _working
 from .values import SumConvention, SymbolicValue
-from .zeta import zeta_em, zeta_neg_int_exact, zeta_odd_from_zprime, zeta_prime_oracle
+from .zeta import _zeta_prime_routed, zeta_neg_int_exact, zeta_odd_from_zprime
 
 _SEED = SymbolicValue.of(0, 0, Fraction(-1, 2))  # zeta'(0) = -(1/2) ln(2pi), exactly
 
@@ -145,22 +145,21 @@ def discrepancy_report(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    # the classical side depends on k only, so it is evaluated once per k
-    zp_oracles = {k: zeta_prime_oracle(-k, ctx) for k in range(1, kmax + 1)}
-    odd_oracles = {k: zeta_em(k + 1, ctx) for k in range(2, kmax + 1, 2)}
+    # the classical side depends on k only, so it is evaluated once per k; at
+    # even k the oracle's odd-zeta bridge hands back the zeta(k+1) it computed
+    oracles = {k: _zeta_prime_routed(-k, ctx) for k in range(1, kmax + 1)}
     rows: list[ChainRow] = []
     for conv in conventions:
         chain = solve_chain(kmax, conv)
         for k in range(1, kmax + 1):
             zp_chain = zprime_from_s(k + 1, chain[k], conv)
-            zp_oracle = zp_oracles[k]
+            zp_oracle, odd_oracle = oracles[k]
             with ctx.workdps():
                 zp_num = zp_chain.numeric(ctx)
                 delta = ctx.round(abs(zp_num - zp_oracle))
-                odd_chain = odd_oracle = odd_delta = None
+                odd_chain = odd_delta = None
                 if k % 2 == 0:
                     odd_chain = zeta_odd_from_zprime(k // 2, zp_num, ctx)
-                    odd_oracle = odd_oracles[k]
                     odd_delta = ctx.round(abs(odd_chain - odd_oracle))
             rows.append(
                 ChainRow(

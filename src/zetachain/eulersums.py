@@ -8,9 +8,15 @@ regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
 takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
-on H(t) = gamma + psi(t+1).  The shifted tail integral is the unshifted one
-moved by the identity H(u-1) = H(u) - 1/u (psi(u+1) = psi(u) + 1/u); each
-sum's corrections come from its own derivative table at N.
+on H(t) = gamma + psi(t+1).  N is ``zeta._em_setpoint``, max(20, dps), the
+cut of zeta_em and zeta_prime_em.  The tail needs psi^(m)(N+1) up to the
+order where (2j)!/(2 pi N)^(2j) meets the tolerance, and the Stirling kernel
+first shifts psi^(m)(x) up to x ~ 0.4 dps + m.  At N ~ dps the orders stop
+near dps (89 at 100 digits) and most need no shift; a cut near 0.45 dps
+needed orders to 135 at 100 digits, shifted by up to 124 steps each.  The
+shifted tail integral is the unshifted one moved by the identity
+H(u-1) = H(u) - 1/u (psi(u+1) = psi(u) + 1/u); each sum's corrections come
+from its own derivative table at N.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
 from .special import DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
-from .zeta import _em_coefficients, zeta_em, zeta_neg_int_exact
+from .zeta import _em_coefficients, _em_setpoint, zeta_em, zeta_neg_int_exact
 
 
 def _tail_coefficient(j: int) -> mpf:
@@ -61,18 +67,19 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 3)
-        # u = t + 1 and H(u-1) = H(u) - 1/u: the unshifted integral from N+1, less (N+1)^(-s)/s
-        cut = mpf(N + shift)
-        total = _power_tail_integral(sv, cut, tol / 10)
-        if shift:
-            total -= cut ** (-sv) / sv
-        # derivative order needed: terms ~ (2j)!/(2 pi N)^(2j); estimate in floats
+        # derivative order needed: terms ~ (2j)!/(2 pi N)^(2j); estimated in floats
+        # first, since at a hopeless cut the tail integral's series would stall
         log_tol = float(mpmath.log(tol)) - 8
         jmax = 1
         while math.lgamma(2 * jmax + 1) - 2 * jmax * math.log(2 * math.pi * N) > log_tol:
             jmax += 1
             if 2 * jmax > 6 * math.pi * N:
                 raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance at this cut point")
+        # u = t + 1 and H(u-1) = H(u) - 1/u: the unshifted integral from N+1, less (N+1)^(-s)/s
+        cut = mpf(N + shift)
+        total = _power_tail_integral(sv, cut, tol / 10)
+        if shift:
+            total -= cut ** (-sv) / sv
         em = _em_coefficients()
         table = hsmooth_pow_derivs(N, -sv, shift, 2 * jmax - 1, ctx)
         correction = table[0] / 2
@@ -85,7 +92,7 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
 
 
 def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
-    N = max(30, int(0.45 * ctx.dps) + 10)
+    N = _em_setpoint(ctx)
     with ctx.workdps():
         sv = mpf(s)
         if sv <= 1:

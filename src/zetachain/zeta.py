@@ -175,16 +175,22 @@ def zprime_from_zeta_odd(k: int, zeta_odd, ctx: PrecisionContext) -> mpf:
 
 def zeta_prime_oracle(a, ctx: PrecisionContext) -> mpf:
     """zeta'(a) with closed-form fast paths at a = 0 and negative even integers."""
+    return _zeta_prime_routed(a, ctx)[0]
+
+
+def _zeta_prime_routed(a, ctx: PrecisionContext) -> tuple[mpf, mpf | None]:
+    # (zeta'(a), zeta(1-a)) where the odd-zeta bridge computed zeta(1-a), else (zeta'(a), None)
     with ctx.workdps():
         av = mpf(a)
         if av == 1:
             raise DomainError("zeta has a pole at s = 1")
         if av == 0:
-            return ctx.round(-mpmath.log(2 * mpmath.pi) / 2)
+            return ctx.round(-mpmath.log(2 * mpmath.pi) / 2), None
         if av < 0 and av == mpmath.floor(av) and int(av) % 2 == 0:
             k = -int(av) // 2
-            return zprime_from_zeta_odd(k, zeta_em(2 * k + 1, ctx), ctx)
-    return zeta_prime_em(a, ctx)
+            odd = zeta_em(2 * k + 1, ctx)
+            return zprime_from_zeta_odd(k, odd, ctx), odd
+    return zeta_prime_em(a, ctx), None
 
 
 def _cos_half_pi(s, ctx: PrecisionContext) -> mpf:
