@@ -11,9 +11,9 @@ Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
 on H(t) = gamma + psi(t+1).  N is ``zeta._em_setpoint``, max(20, dps), the
 cut of zeta_em and zeta_prime_em.  The tail needs psi^(m)(N+1) up to the
 order where (2j)!/(2 pi N)^(2j) meets the tolerance, and the Stirling kernel
-first shifts psi^(m)(x) up to x ~ 0.4 dps + m.  At N ~ dps the orders stop
-near dps (89 at 100 digits) and most need no shift; a cut near 0.45 dps
-needed orders to 135 at 100 digits, shifted by up to 124 steps each.  The
+first shifts psi^(m)(x) up to x ~ 0.4 dps + m.  At N = dps the orders stop
+near 0.8 dps (89 at 100 digits, dps 110) and most need no shift; a cut near
+0.45 dps needed orders to 135 there, shifted by up to 124 steps each.  The
 shifted tail integral is the unshifted one moved by the identity
 H(u-1) = H(u) - 1/u (psi(u+1) = psi(u) + 1/u); each sum's corrections come
 from its own derivative table at N.

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from zetachain import eulersums, special
 from zetachain.eulersums import (
     bprime_from_zprime,
     fundamental_lemma_residual,
@@ -90,6 +91,48 @@ def test_euler_sums_match_eulers_closed_form(digits):
 @pytest.mark.parametrize("s", ["1.25", "2", "3", "4.5"])
 def test_fundamental_lemma(s):
     assert fundamental_lemma_residual(mpf(s), CTX) < tol(10)
+
+
+def euler_sum_cut(monkeypatch, n):
+    monkeypatch.setattr(eulersums, "_em_setpoint", lambda ctx: n)
+
+
+@pytest.mark.parametrize("s", ["1.1", "2.5", "7"])
+def test_euler_sum_truncation_stability(monkeypatch, s):
+    with CTX.workdps():
+        base = h_euler(s, CTX), h_euler_shifted(s, CTX)
+        euler_sum_cut(monkeypatch, 2 * CTX.dps)
+        assert abs(h_euler(s, CTX) - base[0]) < tol(5)
+        assert abs(h_euler_shifted(s, CTX) - base[1]) < tol(5)
+
+
+def test_euler_sum_too_short_cut_raises(monkeypatch):
+    # at N = 2 the tail's corrections cannot reach 10^-(dps+3)
+    euler_sum_cut(monkeypatch, 2)
+    for fn in (h_euler, h_euler_shifted):
+        with pytest.raises(ArithmeticError):
+            fn("2.5", CTX)
+
+
+def test_fundamental_lemma_at_200_digits():
+    ctx = PrecisionContext(200)
+    assert fundamental_lemma_residual("3.5", ctx) <= ctx.tolerance(10)
+
+
+def test_euler_sum_tail_polygamma_budget(monkeypatch):
+    # Each tail asks hsmooth_pow_derivs for psi^(i)(N+1), i = 1..2J-1.  At
+    # 100 digits the cut N = dps makes that 89 orders per tail, most of
+    # them needing no Stirling shift; a cut of 0.45 dps made it 135, each
+    # shifted by up to 124 steps.
+    calls, polygamma = [], special.polygamma
+
+    def counting(m, x, ctx):
+        calls.append(m)
+        return polygamma(m, x, ctx)
+
+    monkeypatch.setattr(special, "polygamma", counting)
+    fundamental_lemma_residual("2.345", PrecisionContext(100))
+    assert 0 < len(calls) <= 178
 
 
 def test_sum_lm_examples():

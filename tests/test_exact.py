@@ -207,35 +207,135 @@ def _public_definitions(tree):
                         yield f"{node.name}.{member.name}", member
 
 
+def _annotated_class(annotation, classes):
+    # the class an annotation names outright (C or "C"), else None
+    if isinstance(annotation, ast.Name) and annotation.id in classes:
+        return annotation.id
+    if isinstance(annotation, ast.Constant) and annotation.value in classes:
+        return annotation.value
+    return None
+
+
+def _call_class(expr, classes, returns):
+    # the class a call C(...) or f(...) evidently makes: C itself, or the class f's return annotation names
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        return expr.func.id if expr.func.id in classes else returns.get(expr.func.id)
+    return None
+
+
+def _own_scope(node):
+    # the nodes of one scope: nested function and class bodies left out
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _own_scope(child)
+
+
+def _scope_bindings(scope, owner, classes, returns):
+    """{name: class or None} for the names one scope binds.
+
+    A name gets a class where the AST makes it evident: self or cls of a
+    method, a parameter annotated with the class, or a name whose every
+    binding is a call of the class or of a function annotated to return it.
+    Any other binding leaves the name unresolved (None).
+    """
+    env, stores, typed = {}, {}, {}
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        for p in params:
+            env[p.arg] = _annotated_class(p.annotation, classes)
+        decorators = {d.id for d in getattr(scope, "decorator_list", []) if isinstance(d, ast.Name)}
+        if owner and params and "staticmethod" not in decorators:
+            env[params[0].arg] = owner
+    for node in _own_scope(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = stores.get(node.id, 0) + 1
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            typed.setdefault(node.targets[0].id, []).append(_call_class(node.value, classes, returns))
+    for name, count in stores.items():
+        made = typed.get(name, [])
+        env[name] = made[0] if len(made) == count and len(set(made)) == 1 and name not in env else None
+    return env
+
+
+def _attribute_receivers(tree, classes, returns):
+    """(attribute name, line, receiver class or None) for every attribute load in a module."""
+    found = []
+
+    def receiver(expr, env):
+        if isinstance(expr, ast.Name):
+            return env[expr.id] if expr.id in env else (expr.id if expr.id in classes else None)
+        return _call_class(expr, classes, returns)
+
+    def visit(scope, outer, owner):
+        # a class body's names are not visible in its methods
+        env = {**outer, **_scope_bindings(scope, owner, classes, returns)}
+        inner = outer if isinstance(scope, ast.ClassDef) else env
+        for node in _own_scope(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.append((node.attr, node.lineno, receiver(node.value, env)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(node, inner, owner if isinstance(scope, ast.ClassDef) else None)
+            elif isinstance(node, ast.ClassDef):
+                visit(node, inner, node.name)
+
+    visit(tree, {}, None)
+    return found
+
+
 def test_every_public_name_has_a_caller_or_a_readme_line():
     # a public function, class or method needs a reference somewhere in src/
     # outside its own definition (the CLI counts), or an entry in the README's
     # "Test-only functions" list; otherwise it is dead surface.  Functions and
-    # classes are referenced by bare name, methods by attribute, so a method
-    # sharing its name with a used attribute passes (a known blind spot).
+    # classes are referenced by bare name, methods by attribute.  Where the
+    # AST makes the receiver's class evident (self, an annotated parameter, a
+    # constructor call), an attribute counts only for that class, its
+    # subclasses and its bases, so a dead method sharing its name with a used
+    # one on an unrelated class is caught.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Test-only functions\n", 1)[1].split("\n## ", 1)[0]
     test_only = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
     trees = {p.stem: ast.parse(p.read_text()) for p in Path(zetachain.exact.__file__).parent.glob("*.py")}
-    names, attrs = [], []  # (module, identifier, line)
+    bases = {}  # class name -> names of its bases
+    returns = {}  # function name -> class its return annotation names
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                made = _annotated_class(node.returns, bases)
+                returns[node.name] = made if returns.get(node.name, made) == made else None
+
+    def is_a(cls, base):
+        return cls == base or any(is_a(b, base) for b in bases.get(cls, ()))
+
+    names, attrs = [], []  # (module, identifier, line[, receiver class])
     for mod, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.append((mod, node.id, node.lineno))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.append((mod, node.attr, node.lineno))
+        attrs += [(mod, *found) for found in _attribute_receivers(tree, bases, returns)]
     defined, orphans = set(), []
     for mod, tree in trees.items():
         for qual, node in _public_definitions(tree):
             key = f"{mod}.{qual}"
             defined.add(key)
-            uses = attrs if "." in qual else names
-            ident = qual.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)
-            if key not in test_only and not any(
-                i == ident and not (m == mod and line in own) for m, i, line in uses
-            ):
+            if "." in qual:
+                cls, ident = qual.split(".")
+                # a receiver typed as a base class may dispatch to this override
+                used = any(
+                    i == ident and (r is None or is_a(r, cls) or is_a(cls, r)) and not (m == mod and line in own)
+                    for m, i, line, r in attrs
+                )
+            else:
+                used = any(i == qual and not (m == mod and line in own) for m, i, line in names)
+            if key not in test_only and not used:
                 orphans.append(key)
     assert len(defined) > 50, "too few definitions found; the scan is broken"
+    assert sum(r is not None for *_, r in attrs) > 50, "too few receivers resolved; the scan is broken"
     assert not orphans, f"no caller in src/ and no README test-only line: {sorted(orphans)}"
     assert test_only <= defined, f"README lists names src/ does not define: {sorted(test_only - defined)}"

@@ -215,6 +215,31 @@ def test_gamma_matches_mpmath(digits):
             assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), s
 
 
+# Points drawn on a four-decimal grid over [-40, 60).  The poles at 0, -1,
+# -2, ... are left out; near them Gamma is large, not small, so points may
+# come as close to them as the grid allows.
+_GAMMA_POINTS = (
+    st.tuples(st.integers(-40, 59), st.integers(0, 9999))
+    .filter(lambda p: p[0] > 0 or p[1] > 0)
+    .map(lambda p: f"{p[0] + p[1] / 10_000:.4f}")
+)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_gamma_differential_against_mpmath(digits):
+    ctx = PrecisionContext(digits)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_GAMMA_POINTS)
+    def check(s):
+        got = gamma_fn(s, ctx)
+        with mpmath.workdps(digits + 20):
+            ref = mpmath.gamma(mpf(s))
+            assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), s
+
+    check()
+
+
 def test_stirling_kernel_raises_on_unshifted_argument():
     # z = 3/10: the terms stop shrinking long before the series converges
     with CTX.workdps():
