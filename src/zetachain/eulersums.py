@@ -67,8 +67,7 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 3)
-        # derivative order needed: terms ~ (2j)!/(2 pi N)^(2j); estimated in floats
-        # first, since at a hopeless cut the tail integral's series would stall
+        # order needed, terms ~ (2j)!/(2 pi N)^(2j); checked first: a hopeless cut stalls the integral
         log_tol = float(mpmath.log(tol)) - 8
         jmax = 1
         while math.lgamma(2 * jmax + 1) - 2 * jmax * math.log(2 * math.pi * N) > log_tol:
