@@ -211,9 +211,8 @@ def run_oracle(kmax: int, precision: int) -> dict:
     scheme = EMScheme()
     t0 = time.perf_counter()
     rows = []
-    chains = {c: solve_chain(max(kmax + 1, 1), c) for c in (SumConvention.A, SumConvention.B)}
-    for k in range(0, kmax + 1):
-        r = ramanujan_sum(k, scheme, ctx)
+    chains = {c: solve_chain(max(kmax, 1), c) for c in (SumConvention.A, SumConvention.B)}
+    for k, r in enumerate(ramanujan_sum(kmax, scheme, ctx)):
         with ctx.workdps():
             row = {
                 "k": k,

@@ -43,28 +43,48 @@ class EMScheme:
         return EMScheme(2 * self.N, self.J + 1)
 
 
-def _ramanujan_raw(k: int, scheme: EMScheme, ctx: PrecisionContext) -> mpf:
+def _ramanujan_raw(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[mpf]:
+    """sum^R H_n n^k for k = 0..kmax under one scheme.
+
+    Every k integrates over [1, N] to the same tolerance, so all of them
+    visit the same nodes: H(t) is evaluated on first use and read from a
+    table that lives only as long as this call.
+    """
     with ctx.workdps():
         N = scheme.N
-        total = mpf(0)
+        harmonic = []
         h = mpf(0)
         for n in range(1, N + 1):
             h += mpf(1) / n
-            total += h * mpf(n) ** k
+            harmonic.append(h)
+        hs = {}
 
-        def f(t):
-            return _hsmooth(t, ctx) * t**k
+        def hsmooth(t):
+            v = hs.get(t)
+            if v is None:
+                v = hs[t] = _hsmooth(t, ctx)
+            return v
 
         off = (ctx.digits + 1) // 2 - 5
-        quad = integrate(f, 1, N, ctx, tol_offset=off)
-        total -= quad.require_converged()
-
-        derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
-        total -= derivs[0] / 2
         em = _em_coefficients()
-        for j in range(1, scheme.J + 1):
-            total -= em[j] * derivs[2 * j - 1]
-        return ctx.round(total)
+        values = []
+        for k in range(kmax + 1):
+            total = mpf(0)
+            for n, h in enumerate(harmonic, 1):
+                total += h * mpf(n) ** k
+
+            def f(t):
+                return hsmooth(t) * t**k
+
+            quad = integrate(f, 1, N, ctx, tol_offset=off)
+            total -= quad.require_converged()
+
+            derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
+            total -= derivs[0] / 2
+            for j in range(1, scheme.J + 1):
+                total -= em[j] * derivs[2 * j - 1]
+            values.append(ctx.round(total))
+        return values
 
 
 @dataclass(frozen=True)
@@ -76,21 +96,25 @@ class RamanujanValue:
     stable: bool
 
 
-def ramanujan_sum(k: int, scheme: EMScheme, ctx: PrecisionContext) -> RamanujanValue:
-    """Ramanujan-regularized value of sum H_n n^k with a stability flag.
+def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[RamanujanValue]:
+    """Ramanujan-regularized values of sum H_n n^k, k = 0..kmax, with stability flags.
 
-    The Ramanujan constant does not depend on the chain's sum convention.
+    Row k depends only on k, not on kmax.  The Ramanujan constant does not
+    depend on the chain's sum convention.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > MAX_EXPONENT:
+    if kmax < 0:
+        raise ValueError("kmax must be non-negative")
+    if kmax > MAX_EXPONENT:
         raise ValueError(f"derivative bookkeeping supports k <= {MAX_EXPONENT}")
-    value = _ramanujan_raw(k, scheme, ctx)
-    refined = _ramanujan_raw(k, scheme.refined(), ctx)
+    values = _ramanujan_raw(kmax, scheme, ctx)
+    refined = _ramanujan_raw(kmax, scheme.refined(), ctx)
+    rows = []
     with ctx.workdps():
-        spread = ctx.round(abs(value - refined))
-        stable = spread < mpf(10) ** (-ctx.digits // 2)
-    return RamanujanValue(value, scheme, refined, spread, stable)
+        for value, ref in zip(values, refined):
+            spread = ctx.round(abs(value - ref))
+            stable = spread < mpf(10) ** (-ctx.digits // 2)
+            rows.append(RamanujanValue(value, scheme, ref, spread, stable))
+    return rows
 
 
 def convergent_selftest(scheme: EMScheme, ctx: PrecisionContext) -> mpf:

@@ -1,6 +1,7 @@
 import copy
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -81,6 +82,16 @@ def test_oracle_document(capsys):
     row = doc["rows"][0]
     assert row["scheme"] == {"N": 50, "J": 15, "lower_limit": 1}
     assert "chain_A" in row and "chain_B" in row
+
+
+def test_oracle_documents_pinned():
+    # Documents recorded with timing removed; a change that moves an oracle
+    # value on purpose records them again and says so.
+    pins = json.loads((Path(__file__).parent / "oracle_documents.json").read_text())
+    for pin in pins:
+        doc = cli.run_oracle(pin["kmax"], pin["precision"])
+        del doc["timing"]
+        assert doc == pin["document"]
 
 
 def test_oracle_kmax_bound(capsys):

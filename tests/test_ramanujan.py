@@ -2,6 +2,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from zetachain import special
 from zetachain.chain import solve_chain
 from zetachain.precision import PrecisionContext, const_gamma
 from zetachain.ramanujan import (
@@ -51,13 +52,13 @@ def test_convergent_selftest_scheme_independent():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_stability_under_scheme_refinement(k):
-    r = ramanujan_sum(k, SCHEME, CTX)
+    r = ramanujan_sum(k, SCHEME, CTX)[k]
     assert r.stable
     assert r.spread < half_tol()
 
 
 def test_k0_compared_to_chain_not_asserted_equal():
-    r = ramanujan_sum(0, SCHEME, CTX)
+    r = ramanujan_sum(0, SCHEME, CTX)[0]
     with CTX.workdps():
         chain0 = solve_chain(1, SumConvention.A)[0].numeric(CTX)
         diff = abs(r.value - chain0)
@@ -68,7 +69,7 @@ def test_k0_compared_to_chain_not_asserted_equal():
 
 
 def test_k1_reported_alongside_chain():
-    r = ramanujan_sum(1, SCHEME, CTX)
+    r = ramanujan_sum(1, SCHEME, CTX)[1]
     with CTX.workdps():
         chain1 = solve_chain(2, SumConvention.A)[1].numeric(CTX)
         assert r.value != chain1
@@ -79,3 +80,32 @@ def test_exponent_bound():
         ramanujan_sum(9, SCHEME, CTX)
     with pytest.raises(ValueError):
         ramanujan_sum(-1, SCHEME, CTX)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_rows_do_not_depend_on_kmax(digits):
+    ctx = PrecisionContext(digits)
+    assert len(ramanujan_sum(0, SCHEME, ctx)) == 1
+    short, long = ramanujan_sum(4, SCHEME, ctx), ramanujan_sum(8, SCHEME, ctx)
+    assert len(long) == 9
+    for a, b in zip(short, long[:5], strict=True):
+        assert a.value == b.value
+        assert a.refined_value == b.refined_value
+        assert a.spread == b.spread
+        assert a.stable == b.stable
+
+
+def test_ramanujan_digamma_budget(monkeypatch):
+    # The k = 0..4 integrals of one scheme share their nodes, so H(t) is
+    # evaluated once per node: 576 nodes per scheme plus one H(N) per k
+    # and scheme in hsmooth_pow_derivs make 1,162 calls.  Evaluating H(t)
+    # again for every k made 3,754.
+    calls, digamma = [], special.digamma
+
+    def counting(x, ctx):
+        calls.append(x)
+        return digamma(x, ctx)
+
+    monkeypatch.setattr(special, "digamma", counting)
+    ramanujan_sum(4, EMScheme(), PrecisionContext(50))
+    assert 0 < len(calls) <= 1200
