@@ -70,9 +70,14 @@ refined the same way:
   periodic and Gauss-Legendre walks have no cutoff: they visit every node
   of their level.
 
-The Ramanujan integral int_1^N H(t) t^k dt is analytic too, but stays on
-tanh-sinh: on Gauss-Legendre panels of ratio about 3 the oracle at kmax = 4
-and 50 digits took 3840 evaluations and 0.78 s against 3744 and 0.66 s.
+The Ramanujan integral int_1^N H(t) t^k dt is analytic too, and stays on
+tanh-sinh.  Its caller evaluates H(t) once per node for all k, so its cost
+follows the number of distinct nodes.  At kmax = 4 and 50 digits,
+Gauss-Legendre on panels cut at the powers of 3 below N took 4320
+evaluations at 864 distinct nodes and 0.106 s of CPU, against tanh-sinh's
+3744 at 1152 and 0.117 s; at 100 digits, 8100 at 1620 and 0.33 s against
+7834 at 1958 and 0.35 s (thread CPU on a 2-vCPU KVM host, Python 3.11.7,
+pure-Python mpmath 1.3.0).
 """
 
 from __future__ import annotations

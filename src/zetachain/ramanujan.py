@@ -12,11 +12,19 @@ Odd-order derivatives come from polygamma values and the product rule,
 never from numeric differentiation.  Stability is checked by recomputing
 at (2N, J+1); a result whose spread exceeds the tolerance is flagged but
 still returned.
+
+One request covers k = 0..kmax.  Under one scheme every k integrates over
+[1, N] to the same tolerance, so all of them visit the same quadrature
+nodes, and H(t) is evaluated once per node for all k: 1152 nodes instead
+of 3744 integrand evaluations at kmax = 4 and 50 digits.  Each k keeps its
+own integral, levels and convergence test, so no value depends on kmax.
+The table lives for one scheme's pass only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath
 from mpmath import mpf
@@ -44,33 +52,22 @@ class EMScheme:
 
 
 def _ramanujan_raw(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[mpf]:
-    """sum^R H_n n^k for k = 0..kmax under one scheme.
-
-    Every k integrates over [1, N] to the same tolerance, so all of them
-    visit the same nodes: H(t) is evaluated on first use and read from a
-    table that lives only as long as this call.
-    """
+    """sum^R H_n n^k for k = 0..kmax under one scheme, H(t) once per node."""
     with ctx.workdps():
         N = scheme.N
-        harmonic = []
-        h = mpf(0)
-        for n in range(1, N + 1):
-            h += mpf(1) / n
-            harmonic.append(h)
-        hs = {}
 
+        @cache
         def hsmooth(t):
-            v = hs.get(t)
-            if v is None:
-                v = hs[t] = _hsmooth(t, ctx)
-            return v
+            return _hsmooth(t, ctx)
 
         off = (ctx.digits + 1) // 2 - 5
         em = _em_coefficients()
         values = []
         for k in range(kmax + 1):
             total = mpf(0)
-            for n, h in enumerate(harmonic, 1):
+            h = mpf(0)
+            for n in range(1, N + 1):
+                h += mpf(1) / n
                 total += h * mpf(n) ** k
 
             def f(t):
