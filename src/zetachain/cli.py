@@ -210,22 +210,25 @@ def run_oracle(kmax: int, precision: int) -> dict:
     ctx = PrecisionContext(precision)
     scheme = EMScheme()
     t0 = time.perf_counter()
-    rows = []
-    chains = {c: solve_chain(max(kmax, 1), c) for c in (SumConvention.A, SumConvention.B)}
-    for k, r in enumerate(ramanujan_sum(kmax, scheme, ctx)):
-        with ctx.workdps():
-            row = {
+    values = ramanujan_sum(kmax, scheme, ctx)
+    with ctx.workdps():
+        rows = [
+            {
                 "k": k,
                 "ramanujan": str(r.value),
                 "stable": r.stable,
                 "spread": str(r.spread),
                 "scheme": {"N": scheme.N, "J": scheme.J, "lower_limit": 1},
             }
-            for conv, chain in chains.items():
+            for k, r in enumerate(values)
+        ]
+    for conv in (SumConvention.A, SumConvention.B):
+        chain = solve_chain(max(kmax, 1), conv)
+        for k, (row, r) in enumerate(zip(rows, values)):
+            with ctx.workdps():
                 num = chain[k].numeric(ctx)
                 row[f"chain_{conv.value}"] = str(num)
                 row[f"diff_{conv.value}"] = str(ctx.round(abs(r.value - num)))
-        rows.append(row)
     return {
         "tool": "zetachain",
         "version": __version__,

@@ -17,11 +17,24 @@ sum that never gets there raises ArithmeticError.  The test compares binary
 magnitudes (mpmath.mag, exact to a factor of 4): the same test in mpf
 abs/max/multiply costs about a tenth of the EM loop.
 
-The coefficients B_2j/(2j)! are rounded once per working precision: they
-are read from one table per mpmath prec, grown one term at a time, with
-the tables of the 16 most recently used precisions kept
-(``precision._COEFF_SLOTS``).  ``_em_coefficients`` is that table; the
-Euler-sum tails and the Ramanujan scheme read it too.
+At integer s (every s on the chain path) both functions run one private
+routine, ``_em_integer``, on Python integers in units of 2^-wp, wp = the
+working prec + ``special._GUARD_BITS``, and convert to mpf once at the end.
+There n^-s is an integer or one floor division, (s)_(2j-1) and its
+s-derivative are integers, B_2j/(2j)! is the exact rational of
+``exact.bernoulli``, so every EM term is one floor division.  zeta' takes
+its logarithms grouped by prime, sum_{n<N} log n n^-s = sum_{p<N} log p
+sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1 calls of mpmath.log instead of
+N - 2.  The stop rule is the one above with int.bit_length in place of
+mag, and the cap on corrections (``_max_corrections``) is shared.
+
+Elsewhere the coefficients B_2j/(2j)! are rounded once per working
+precision: they are read from one table per mpmath prec, grown one term
+at a time, with the tables of the 16 most recently used precisions kept
+(``precision._COEFF_SLOTS``).  ``_em_coefficients`` is that table; zeta_em
+and zeta_prime_em read it at non-integer s, and so do the Euler-sum tails
+(``eulersums._smooth_tail``) and the Ramanujan scheme
+(``ramanujan._ramanujan_raw``).
 
 At negative even integers zeta_em returns the exact trivial zero.
 """
@@ -36,7 +49,7 @@ from mpmath import mpf
 
 from .exact import BernoulliConvention, bernoulli
 from .precision import PrecisionContext, _coefficients, _working
-from .special import DomainError, gamma_fn
+from .special import _GUARD_BITS, DomainError, gamma_fn
 
 
 def _em_setpoint(ctx: PrecisionContext) -> int:
@@ -49,6 +62,11 @@ def _extra_dps(s: mpf, n_terms: int) -> int:
     if s >= 0:
         return 5
     return int((float(-s) + 2) * math.log10(n_terms)) + 10
+
+
+def _max_corrections(ctx: PrecisionContext) -> int:
+    # the one cap on EM correction terms; a sum still short of the stop rule raises
+    return 4 * ctx.dps
 
 
 def _em_coefficient(j: int) -> mpf:
@@ -70,8 +88,11 @@ def zeta_em(s, ctx: PrecisionContext) -> mpf:
     if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
         return mpf(0)
     n_terms = _em_setpoint(ctx)
-    with _working(ctx.dps + _extra_dps(sv, n_terms)):
+    dps = ctx.dps + _extra_dps(sv, n_terms)
+    with _working(dps):
         sv = mpf(s)
+        if sv == mpmath.floor(sv):
+            return _em_integer(int(sv), n_terms, dps, ctx, derivative=False)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
         for n in range(1, n_terms):
@@ -83,7 +104,7 @@ def zeta_em(s, ctx: PrecisionContext) -> mpf:
         prod = mpf(1)
         npow = Np ** (-sv + 1)
         em = _em_coefficients()
-        for j in range(1, 4 * ctx.dps + 1):
+        for j in range(1, _max_corrections(ctx) + 1):
             for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
                 prod *= sv + i
             npow /= Np * Np
@@ -101,8 +122,11 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
     n_terms = _em_setpoint(ctx)
-    with _working(ctx.dps + _extra_dps(sv, n_terms) + 5):
+    dps = ctx.dps + _extra_dps(sv, n_terms) + 5
+    with _working(dps):
         sv = mpf(s)
+        if sv == mpmath.floor(sv):
+            return _em_integer(int(sv), n_terms, dps, ctx, derivative=True)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
         for n in range(2, n_terms):
@@ -117,7 +141,7 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
         dprod = mpf(0)
         npow = Np ** (-sv + 1)
         em = _em_coefficients()
-        for j in range(1, 4 * ctx.dps):
+        for j in range(1, _max_corrections(ctx) + 1):
             for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
                 factor = sv + i
                 dprod = dprod * factor + prod
@@ -130,6 +154,58 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
             if mpmath.mag(term) < lim and mpmath.mag(coeff * npow * prod) < lim:
                 return ctx.round(total)
         raise ArithmeticError("Euler-Maclaurin corrections did not converge")
+
+
+def _em_integer(s: int, n_terms: int, dps: int, ctx: PrecisionContext, derivative: bool) -> mpf:
+    """zeta(s), or zeta'(s) if derivative, at integer s != 1, inside the caller's dps block.
+
+    Every quantity is an integer in units of 2^-wp, wp = mpmath prec +
+    _GUARD_BITS.  Each N-dependent piece is A + B log N with A, B rational:
+    zeta keeps B, zeta' = A - B log N, so one loop serves both.
+    """
+    wp = mpmath.mp.prec + _GUARD_BITS
+    N, one = n_terms, 1 << wp
+    pw = [0] + [n**-s << wp if s <= 0 else one // n**s for n in range(1, N)]
+    if derivative:
+        # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
+        primes = [p for p in range(2, N) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        with _working(dps + 8):  # log at no fewer than wp bits
+            logs = [int(mpmath.log(p) * one) for p in primes + [N]]
+        total = 0
+        for p, log_p in zip(primes, logs):
+            q, c = p, 0
+            while q < N:
+                c += sum(pw[q::q])
+                q *= p
+            total -= c * log_p >> wp
+        log_n = logs[-1]
+    else:
+        total = sum(pw)
+
+    def rational(num: int, den: int, e: int) -> int:
+        # num/den N^e in fixed point, one floor division
+        return (num * N**e << wp) // den if e >= 0 else (num << wp) // (den * N**-e)
+
+    lead = rational(1, s - 1, 1 - s) + rational(1, 2, -s)  # N^(1-s)/(s-1) + N^-s/2
+    total += rational(-1, (s - 1) ** 2, 1 - s) - (lead * log_n >> wp) if derivative else lead
+    tol_mag = 1 - (10 ** (ctx.dps + 5)).bit_length()  # mpmath.mag(10^-(dps+5))
+    prod, dprod, fact = 1, 0, 1  # (s)_(2j-1), its s-derivative, (2j)!
+    for j in range(1, _max_corrections(ctx) + 1):
+        for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
+            dprod = dprod * (s + i) + prod
+            prod *= s + i
+        fact *= (2 * j - 1) * 2 * j
+        b = bernoulli(2 * j)
+        term = rational(b.numerator * prod, b.denominator * fact, 1 - s - 2 * j)
+        if derivative:
+            term_d = rational(b.numerator * dprod, b.denominator * fact, 1 - s - 2 * j) - (term * log_n >> wp)
+        else:
+            term_d = term
+        total += term_d
+        lim = tol_mag + max(0, total.bit_length() - wp)
+        if max(term_d.bit_length(), term.bit_length()) - wp < lim:
+            return ctx.round(mpf((total, -wp)))
+    raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 
 def zeta_neg_int_exact(k: int) -> Fraction:

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from zetachain import cli
+from zetachain.values import SumConvention
 
 
 def _schema():
@@ -90,6 +91,16 @@ def test_oracle_documents_pinned():
     pins = json.loads((Path(__file__).parent / "oracle_documents.json").read_text())
     for pin in pins:
         doc = cli.run_oracle(pin["kmax"], pin["precision"])
+        del doc["timing"]
+        assert doc == pin["document"]
+
+
+def test_chain_documents_pinned():
+    # run_chain(8, A+B) at four precisions, recorded with timing removed; the
+    # EM kernels must reproduce every reported digit.
+    pins = json.loads((Path(__file__).parent / "chain_documents.json").read_text())
+    for pin in pins:
+        doc = cli.run_chain(pin["kmax"], (SumConvention.A, SumConvention.B), pin["precision"])
         del doc["timing"]
         assert doc == pin["document"]
 

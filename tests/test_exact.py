@@ -216,9 +216,27 @@ def _annotated_class(annotation, classes):
     return None
 
 
-def _call_class(expr, classes, returns):
-    # the class a call C(...) or f(...) evidently makes: C itself, or the class f's return annotation names
+def _held_class(annotation, classes):
+    # C for an annotation tuple[C, ...], list[C] or dict[K, C], else None
+    if not (isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name)):
+        return None
+    kind, args = annotation.value.id, annotation.slice
+    args = args.elts if isinstance(args, ast.Tuple) else [args]
+    if kind == "list" and len(args) == 1:
+        return _annotated_class(args[0], classes)
+    if kind == "tuple" and len(args) == 2 and isinstance(args[1], ast.Constant) and args[1].value is ...:
+        return _annotated_class(args[0], classes)
+    if kind == "dict" and len(args) == 2:
+        return _annotated_class(args[1], classes)
+    return None
+
+
+def _call_class(expr, classes, returns, held=False):
+    # the class a call C(...) or f(...) evidently makes: C itself, or the class f's return annotation
+    # names; with held, the class of the items of the container f(...) makes (returns["f[]"])
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        if held:
+            return returns.get(expr.func.id + "[]")
         return expr.func.id if expr.func.id in classes else returns.get(expr.func.id)
     return None
 
@@ -237,9 +255,12 @@ def _scope_bindings(scope, owner, classes, returns):
     A name gets a class where the AST makes it evident: self or cls of a
     method, a parameter annotated with the class, or a name whose every
     binding is a call of the class or of a function annotated to return it.
-    Any other binding leaves the name unresolved (None).
+    Under the key "name[]", a name whose every binding is a call of a
+    function annotated to return tuple[C, ...], list[C] or dict[K, C] gets
+    C, the class of name[i].  Any other binding leaves the name unresolved
+    (None).
     """
-    env, stores, typed = {}, {}, {}
+    env, stores, typed, held = {}, {}, {}, {}
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         a = scope.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
@@ -253,9 +274,11 @@ def _scope_bindings(scope, owner, classes, returns):
             stores[node.id] = stores.get(node.id, 0) + 1
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             typed.setdefault(node.targets[0].id, []).append(_call_class(node.value, classes, returns))
+            held.setdefault(node.targets[0].id, []).append(_call_class(node.value, classes, returns, held=True))
+    params = set(env)
     for name, count in stores.items():
-        made = typed.get(name, [])
-        env[name] = made[0] if len(made) == count and len(set(made)) == 1 and name not in env else None
+        for key, made in ((name, typed.get(name, [])), (name + "[]", held.get(name, []))):
+            env[key] = made[0] if len(made) == count and len(set(made)) == 1 and name not in params else None
     return env
 
 
@@ -266,6 +289,8 @@ def _attribute_receivers(tree, classes, returns):
     def receiver(expr, env):
         if isinstance(expr, ast.Name):
             return env[expr.id] if expr.id in env else (expr.id if expr.id in classes else None)
+        if isinstance(expr, ast.Subscript) and isinstance(expr.value, ast.Name):
+            return env.get(expr.value.id + "[]")
         return _call_class(expr, classes, returns)
 
     def visit(scope, outer, owner):
@@ -290,7 +315,8 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     # "Test-only functions" list; otherwise it is dead surface.  Functions and
     # classes are referenced by bare name, methods by attribute.  Where the
     # AST makes the receiver's class evident (self, an annotated parameter, a
-    # constructor call), an attribute counts only for that class, its
+    # constructor call, an item of a container an annotated function returns),
+    # an attribute counts only for that class, its
     # subclasses and its bases, so a dead method sharing its name with a used
     # one on an unrelated class is caught.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -306,8 +332,9 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                made = _annotated_class(node.returns, bases)
-                returns[node.name] = made if returns.get(node.name, made) == made else None
+                made = {node.name: _annotated_class(node.returns, bases), node.name + "[]": _held_class(node.returns, bases)}
+                for key, cls in made.items():
+                    returns[key] = cls if returns.get(key, cls) == cls else None
 
     def is_a(cls, base):
         return cls == base or any(is_a(b, base) for b in bases.get(cls, ()))

@@ -95,6 +95,23 @@ def test_zeta_prime_em_too_short_partial_sum_raises(monkeypatch):
         zeta_prime_em("-2.5", CTX)
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_em_series_ends_at_nonpositive_integers(monkeypatch, k):
+    # at s = 1-k the factor (s)_(2j-1) hits 0, so even N = 2 gives -B_k/k exactly
+    partial_sum_length(monkeypatch, 2)
+    ex = zeta_neg_int_exact(k)
+    with CTX.workdps():
+        assert zeta_em(1 - k, CTX) == CTX.round(mpf(ex.numerator) / ex.denominator)
+
+
+@pytest.mark.parametrize("fn, s", [(zeta_prime_em, -3), (zeta_em, 3)])
+def test_em_integer_too_short_partial_sum_raises(monkeypatch, fn, s):
+    # zeta' keeps the derivative of (s)_(2j-1), which never vanishes; at s = 3 the terms grow
+    partial_sum_length(monkeypatch, 2)
+    with pytest.raises(ArithmeticError):
+        fn(s, CTX)
+
+
 def test_zeta_prime_zero_closed_form():
     with CTX.workdps():
         closed = -mpmath.log(2 * mpmath.pi) / 2
@@ -176,8 +193,10 @@ def test_odd_bridge_rejects_k0():
 # zeta(s) and zeta'(s) against mpmath's independent zeta(s, derivative=m).
 # zeta at negative even integers is left out: it is exactly 0 there, which
 # test_zeta_negative_even_is_exact_zero checks.
+# The integer points run on the fixed-point route, the others on the mpf one.
 _MPMATH_POINTS = ["-120.25", "-60.5", "-41.5", "-7", "-2.5", "0", "0.5", "2.5", "10.75"]
-_MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS] + [(1, s) for s in _MPMATH_POINTS + ["-12"]]
+_MPMATH_POINTS += ["-41", "-1", "2", "3", "9", "39"]
+_MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS] + [(1, s) for s in _MPMATH_POINTS + ["-12", "-61"]]
 
 
 @pytest.mark.parametrize("digits", [15, 50, 120])
@@ -207,15 +226,19 @@ def _clear_of_zeros(m, s):
 def test_em_differential_against_mpmath(m, digits):
     ctx = PrecisionContext(digits)
     fn = (zeta_em, zeta_prime_em)[m]
-    # integer part and four decimals drawn apart, so draws spread over [-60, 40)
-    drawn = st.tuples(st.integers(-60, 39), st.integers(0, 9999)).map(lambda p: f"{p[0] + p[1] / 10_000:.4f}")
+    # integer part and four decimals drawn apart, so draws spread over [-60, 40);
+    # the four-decimal grid almost never hits an integer, so integers get their own draw
+    decimal = st.tuples(st.integers(-60, 39), st.integers(0, 9999)).map(lambda p: f"{p[0] + p[1] / 10_000:.4f}")
+    integer = st.integers(-60, 39).map(str)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(drawn.filter(lambda s: _clear_of_zeros(m, s)))
-    def check(s):
-        got = fn(s, ctx)
-        with mpmath.workdps(digits + 20):
-            ref = mpmath.zeta(mpf(s), derivative=m)
-            assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, s)
+    for drawn in (decimal, integer):
 
-    check()
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        @given(drawn.filter(lambda s: _clear_of_zeros(m, s)))
+        def check(s):
+            got = fn(s, ctx)
+            with mpmath.workdps(digits + 20):
+                ref = mpmath.zeta(mpf(s), derivative=m)
+                assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, s)
+
+        check()
