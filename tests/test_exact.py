@@ -316,9 +316,9 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     # classes are referenced by bare name, methods by attribute.  Where the
     # AST makes the receiver's class evident (self, an annotated parameter, a
     # constructor call, an item of a container an annotated function returns),
-    # an attribute counts only for that class, its
-    # subclasses and its bases, so a dead method sharing its name with a used
-    # one on an unrelated class is caught.
+    # an attribute counts only for that class, its subclasses and its bases,
+    # so a dead method sharing its name with a used one on an unrelated class
+    # is caught.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Test-only functions\n", 1)[1].split("\n## ", 1)[0]
     test_only = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
@@ -332,9 +332,11 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                made = {node.name: _annotated_class(node.returns, bases), node.name + "[]": _held_class(node.returns, bases)}
-                for key, cls in made.items():
-                    returns[key] = cls if returns.get(key, cls) == cls else None
+                for key, made in (
+                    (node.name, _annotated_class(node.returns, bases)),
+                    (node.name + "[]", _held_class(node.returns, bases)),
+                ):
+                    returns[key] = made if returns.get(key, made) == made else None
 
     def is_a(cls, base):
         return cls == base or any(is_a(b, base) for b in bases.get(cls, ()))
