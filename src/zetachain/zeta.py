@@ -17,16 +17,16 @@ sum that never gets there raises ArithmeticError.  The test compares binary
 magnitudes (mpmath.mag, exact to a factor of 4): the same test in mpf
 abs/max/multiply costs about a tenth of the EM loop.
 
-At integer s (every s on the chain path) both functions run one private
-routine, ``_em_integer``, on Python integers in units of 2^-wp, wp = the
-working prec + ``special._GUARD_BITS``, and convert to mpf once at the end.
-There n^-s is an integer or one floor division, (s)_(2j-1) and its
-s-derivative are integers, B_2j/(2j)! is the exact rational of
-``exact.bernoulli``, so every EM term is one floor division.  zeta' takes
-its logarithms grouped by prime, sum_{n<N} log n n^-s = sum_{p<N} log p
-sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1 calls of mpmath.log instead of
-N - 2.  The stop rule is the one above with int.bit_length in place of
-mag, and the cap on corrections (``_max_corrections``) is shared.
+At integer s below the working prec (every s on the chain path) both
+functions run one private routine, ``_em_integer``, on Python integers in
+units of 2^-wp, wp = the working prec + ``special._GUARD_BITS`` (+ s for
+zeta' at s > 0), and convert to mpf once.  n^-s is an integer or one floor
+division, (s)_(2j-1) and its s-derivative are integers and B_2j/(2j)! is
+the exact rational of ``exact.bernoulli``: every EM term is one floor
+division.  zeta' groups its logs by prime, sum_{n<N} log n n^-s =
+sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1 calls of
+mpmath.log, not N - 2.  The stop rule is the one above in int.bit_length,
+and the cap on corrections (``_max_corrections``) is shared.
 
 Elsewhere the coefficients B_2j/(2j)! are rounded once per working
 precision: they are read from one table per mpmath prec, grown one term
@@ -91,7 +91,7 @@ def zeta_em(s, ctx: PrecisionContext) -> mpf:
     dps = ctx.dps + _extra_dps(sv, n_terms)
     with _working(dps):
         sv = mpf(s)
-        if sv == mpmath.floor(sv):
+        if sv == mpmath.floor(sv) and sv < mpmath.mp.prec:
             return _em_integer(int(sv), n_terms, dps, ctx, derivative=False)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
@@ -125,7 +125,7 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     dps = ctx.dps + _extra_dps(sv, n_terms) + 5
     with _working(dps):
         sv = mpf(s)
-        if sv == mpmath.floor(sv):
+        if sv == mpmath.floor(sv) and sv < mpmath.mp.prec:
             return _em_integer(int(sv), n_terms, dps, ctx, derivative=True)
         tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
         total = mpf(0)
@@ -159,17 +159,17 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
 def _em_integer(s: int, n_terms: int, dps: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     """zeta(s), or zeta'(s) if derivative, at integer s != 1, inside the caller's dps block.
 
-    Every quantity is an integer in units of 2^-wp, wp = mpmath prec +
-    _GUARD_BITS.  Each N-dependent piece is A + B log N with A, B rational:
-    zeta keeps B, zeta' = A - B log N, so one loop serves both.
+    Integers in units of 2^-wp, wp = mpmath prec + _GUARD_BITS, + s for zeta'
+    at s > 0 (|zeta'(s)| > 2^-s log 2).  Each N-dependent piece is A + B log N
+    with A, B rational: zeta keeps B, zeta' = A - B log N: one loop for both.
     """
-    wp = mpmath.mp.prec + _GUARD_BITS
+    wp = mpmath.mp.prec + _GUARD_BITS + (max(0, s) if derivative else 0)
     N, one = n_terms, 1 << wp
     pw = [0] + [n**-s << wp if s <= 0 else one // n**s for n in range(1, N)]
     if derivative:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
         primes = [p for p in range(2, N) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-        with _working(dps + 8):  # log at no fewer than wp bits
+        with _working(dps + 8 + max(0, s)):  # log at no fewer than wp bits
             logs = [int(mpmath.log(p) * one) for p in primes + [N]]
         total = 0
         for p, log_p in zip(primes, logs):

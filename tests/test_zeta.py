@@ -196,7 +196,10 @@ def test_odd_bridge_rejects_k0():
 # The integer points run on the fixed-point route, the others on the mpf one.
 _MPMATH_POINTS = ["-120.25", "-60.5", "-41.5", "-7", "-2.5", "0", "0.5", "2.5", "10.75"]
 _MPMATH_POINTS += ["-41", "-1", "2", "3", "9", "39"]
-_MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS] + [(1, s) for s in _MPMATH_POINTS + ["-12", "-61"]]
+# zeta' at 100 and 150 is near 2^-s log 2, far below the fixed-point unit
+# unless that unit scales with 2^-s.
+_MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS]
+_MPMATH_CASES += [(1, s) for s in _MPMATH_POINTS + ["-12", "-61", "100", "150"]]
 
 
 @pytest.mark.parametrize("digits", [15, 50, 120])
@@ -206,6 +209,20 @@ def test_em_matches_mpmath(m, s, digits):
     got = (zeta_em, zeta_prime_em)[m](s, ctx)
     with mpmath.workdps(digits + 20):
         ref = mpmath.zeta(mpf(s), derivative=m)
+        assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref)
+
+
+# An integer s past the working precision: n**s would not fit in memory, and
+# there zeta(s) = 1 and zeta'(s) = -2^-s log 2 to every digit kept.  2^400
+# is exact at every precision, so the oracle sees the s given.
+@pytest.mark.parametrize("digits", [15, 120])
+def test_em_at_huge_integer_s(digits):
+    ctx = PrecisionContext(digits)
+    s = 2**400
+    assert zeta_em(s, ctx) == 1
+    got = zeta_prime_em(s, ctx)
+    with mpmath.workdps(digits + 20):
+        ref = -mpmath.log(2) * mpf(2) ** -s
         assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref)
 
 
