@@ -51,20 +51,27 @@ _bernoulli_lock = threading.Lock()
 
 
 def _extend_bernoulli(n: int) -> None:
-    # Defining recurrence from z/(e^z - 1): sum_{j=0}^{m} C(m+1, j) B_j = 0
-    # for m >= 1, solved for B_m.  The cache only grows, so a hit needs no lock.
+    # Brent-Harvey: the tangent numbers T_1..T_K by integer additions and small
+    # multiplications, then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  A growth
+    # rebuilds to at least twice the old length; the cache only grows, so a hit
+    # needs no lock.
     if len(_bernoulli_cache) > n:
         return
     with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            if m % 2 == 1:
-                _bernoulli_cache.append(Fraction(0))
-                continue
-            s = Fraction(0)
-            for j in range(m):
-                s += Fraction(math.comb(m + 1, j)) * _bernoulli_cache[j]
-            _bernoulli_cache.append(-s / (m + 1))
+        old = len(_bernoulli_cache)
+        if old > n:
+            return
+        K = max(n, 2 * old) // 2
+        t = [0, 1] + [0] * (K - 1)
+        for k in range(2, K + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, K + 1):
+            for j in range(k, K + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        for m in range(old, 2 * K + 1):
+            k = m // 2  # B_m at even m = 2k as above; 0 at odd m >= 3
+            b = Fraction((-1) ** (k - 1) * m * t[k], 4**k * (4**k - 1)) if m % 2 == 0 else Fraction(0)
+            _bernoulli_cache.append(b)
 
 
 def bernoulli(n: int, conv: BernoulliConvention = BernoulliConvention.PAPER_PLUS) -> Fraction:

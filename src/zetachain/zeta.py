@@ -11,30 +11,27 @@ Euler-Maclaurin form used, valid for real s != 1 once 2J + s > 1:
               + sum_{j=1}^{J} B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1)
 
 with (s)_m the rising factorial.  zeta'(s) is the same sum differentiated
-term by term in s (log factors, no finite differences).  Corrections are
-added until one falls below 10^-(dps+5) relative to max(1, |running sum|); a
-sum that never gets there raises ArithmeticError.  The test compares binary
-magnitudes (mpmath.mag, exact to a factor of 4): the same test in mpf
-abs/max/multiply costs about a tenth of the EM loop.
+term by term in s (log factors, no finite differences).
 
-At integer s below the working prec (every s on the chain path) both
-functions run one private routine, ``_em_integer``, on Python integers in
-units of 2^-wp, wp = the working prec + ``special._GUARD_BITS`` (+ s for
-zeta' at s > 0), and convert to mpf once.  n^-s is an integer or one floor
-division, (s)_(2j-1) and its s-derivative are integers and B_2j/(2j)! is
-the exact rational of ``exact.bernoulli``: every EM term is one floor
-division.  zeta' groups its logs by prime, sum_{n<N} log n n^-s =
-sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1 calls of
-mpmath.log, not N - 2.  The stop rule is the one above in int.bit_length,
-and the cap on corrections (``_max_corrections``) is shared.
+Both functions run one private routine, ``_em``, on Python integers in
+units of 2^-up, up = wp = the working prec + ``special._GUARD_BITS``
+(+ floor(s) for zeta' at s > 0, since |zeta'(s)| > 2^-s log 2), and convert
+to mpf once.  n^-s is one mpf power taken to that unit, or at integer s
+below the working prec (every s on the chain path) an integer or one
+floor division.  s and (s)_(2j-1) are fixed point in units of 2^-wp, or
+exact integers at those integer s, and B_2j/(2j)! is the exact rational
+of ``exact.bernoulli``: every EM term is one floor division.  zeta' groups
+its logs by prime, sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1}
+sum_{p^a | n} n^-s: pi(N) + 1 logarithms at wp bits, not N - 2.
+Corrections are added until one falls below 10^-(dps+5) relative to
+max(1, |running sum|), compared as binary magnitudes (int.bit_length); a
+sum still short of that after 4 dps terms raises ArithmeticError.
 
-Elsewhere the coefficients B_2j/(2j)! are rounded once per working
-precision: they are read from one table per mpmath prec, grown one term
-at a time, with the tables of the 16 most recently used precisions kept
-(``precision._COEFF_SLOTS``).  ``_em_coefficients`` is that table; zeta_em
-and zeta_prime_em read it at non-integer s, and so do the Euler-sum tails
-(``eulersums._smooth_tail``) and the Ramanujan scheme
-(``ramanujan._ramanujan_raw``).
+``_em_coefficients`` holds B_2j/(2j)! rounded once per working precision,
+in one table per mpmath prec, grown one term at a time, with the tables of
+the 16 most recently used precisions kept (``precision._COEFF_SLOTS``).
+Its readers are the Euler-sum tails (``eulersums._smooth_tail``) and the
+Ramanujan scheme (``ramanujan._ramanujan_raw``).
 
 At negative even integers zeta_em returns the exact trivial zero.
 """
@@ -64,11 +61,6 @@ def _extra_dps(s: mpf, n_terms: int) -> int:
     return int((float(-s) + 2) * math.log10(n_terms)) + 10
 
 
-def _max_corrections(ctx: PrecisionContext) -> int:
-    # the one cap on EM correction terms; a sum still short of the stop rule raises
-    return 4 * ctx.dps
-
-
 def _em_coefficient(j: int) -> mpf:
     b = bernoulli(2 * j)
     return mpf(b.numerator) / b.denominator / mpf(math.factorial(2 * j))
@@ -88,31 +80,8 @@ def zeta_em(s, ctx: PrecisionContext) -> mpf:
     if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
         return mpf(0)
     n_terms = _em_setpoint(ctx)
-    dps = ctx.dps + _extra_dps(sv, n_terms)
-    with _working(dps):
-        sv = mpf(s)
-        if sv == mpmath.floor(sv) and sv < mpmath.mp.prec:
-            return _em_integer(int(sv), n_terms, dps, ctx, derivative=False)
-        tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
-        total = mpf(0)
-        for n in range(1, n_terms):
-            total += mpf(n) ** (-sv)
-        Np = mpf(n_terms)
-        total += Np ** (1 - sv) / (sv - 1)
-        total += Np ** (-sv) / 2
-        # correction terms; rising factorial built incrementally
-        prod = mpf(1)
-        npow = Np ** (-sv + 1)
-        em = _em_coefficients()
-        for j in range(1, _max_corrections(ctx) + 1):
-            for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
-                prod *= sv + i
-            npow /= Np * Np
-            term = em[j] * prod * npow
-            total += term
-            if mpmath.mag(term) < tol_mag + max(0, mpmath.mag(total)):
-                return ctx.round(total)
-        raise ArithmeticError("Euler-Maclaurin corrections did not converge")
+    with _working(ctx.dps + _extra_dps(sv, n_terms)):
+        return _em(mpf(s), n_terms, ctx, derivative=False)
 
 
 def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
@@ -122,55 +91,35 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
     n_terms = _em_setpoint(ctx)
-    dps = ctx.dps + _extra_dps(sv, n_terms) + 5
-    with _working(dps):
-        sv = mpf(s)
-        if sv == mpmath.floor(sv) and sv < mpmath.mp.prec:
-            return _em_integer(int(sv), n_terms, dps, ctx, derivative=True)
-        tol_mag = mpmath.mag(mpf(10) ** (-ctx.dps - 5))
-        total = mpf(0)
-        for n in range(2, n_terms):
-            total -= mpmath.log(n) * mpf(n) ** (-sv)
-        Np = mpf(n_terms)
-        logN = mpmath.log(Np)
-        # d/ds [N^(1-s)/(s-1)] and d/ds [N^-s/2]
-        total += Np ** (1 - sv) * (-logN / (sv - 1) - 1 / (sv - 1) ** 2)
-        total -= logN * Np ** (-sv) / 2
-        # correction terms with product-rule derivative of the rising factorial
-        prod = mpf(1)
-        dprod = mpf(0)
-        npow = Np ** (-sv + 1)
-        em = _em_coefficients()
-        for j in range(1, _max_corrections(ctx) + 1):
-            for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
-                factor = sv + i
-                dprod = dprod * factor + prod
-                prod = prod * factor
-            npow /= Np * Np
-            coeff = em[j]
-            term = coeff * npow * (dprod - logN * prod)
-            total += term
-            lim = tol_mag + max(0, mpmath.mag(total))
-            if mpmath.mag(term) < lim and mpmath.mag(coeff * npow * prod) < lim:
-                return ctx.round(total)
-        raise ArithmeticError("Euler-Maclaurin corrections did not converge")
+    with _working(ctx.dps + _extra_dps(sv, n_terms) + 5):
+        return _em(mpf(s), n_terms, ctx, derivative=True)
 
 
-def _em_integer(s: int, n_terms: int, dps: int, ctx: PrecisionContext, derivative: bool) -> mpf:
-    """zeta(s), or zeta'(s) if derivative, at integer s != 1, inside the caller's dps block.
+def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
+    """zeta(sv), or zeta'(sv) if derivative, for real sv != 1, inside the caller's working block.
 
-    Integers in units of 2^-wp, wp = mpmath prec + _GUARD_BITS, + s for zeta'
-    at s > 0 (|zeta'(s)| > 2^-s log 2).  Each N-dependent piece is A + B log N
-    with A, B rational: zeta keeps B, zeta' = A - B log N: one loop for both.
+    Integers in units of 2^-up, up = wp = mpmath prec + _GUARD_BITS, + floor(s)
+    for zeta' at s > 0 (|zeta'(s)| > 2^-s log 2).  s and (s)_(2j-1) are in
+    units of 2^-k: k = 0 at integer s, where n^-s is exact too, else k = wp.
+    Each N-dependent piece is A + B log N: zeta keeps B, zeta' = A - B log N.
     """
-    wp = mpmath.mp.prec + _GUARD_BITS + (max(0, s) if derivative else 0)
-    N, one = n_terms, 1 << wp
-    pw = [0] + [n**-s << wp if s <= 0 else one // n**s for n in range(1, N)]
+    wp = mpmath.mp.prec + _GUARD_BITS
+    s = int(mpmath.floor(sv))
+    up = wp + max(0, s) if derivative else wp
+    k = 0 if sv == s and abs(s) < mpmath.mp.prec else wp
+    if k:
+        sn = int(sv * mpf((1, k)))
+        unit = mpf((1, up))
+        pw = [0, 0] + [int(mpf(n) ** -sv * unit) for n in range(2, N + 1)]
+    else:
+        sn = s
+        pw = [0, 0] + [n**-s << up if s <= 0 else (1 << up) // n**s for n in range(2, N + 1)]
+    pw_N = pw.pop()  # N^-s; pw[n] = n^-s for 2 <= n < N, and the n = 1 term is never built
     if derivative:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
         primes = [p for p in range(2, N) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-        with _working(dps + 8 + max(0, s)):  # log at no fewer than wp bits
-            logs = [int(mpmath.log(p) * one) for p in primes + [N]]
+        with _working(mpmath.mp.dps + 8):  # log at no fewer than wp bits
+            logs = [int(mpmath.log(p) * (1 << wp)) for p in primes + [N]]
         total = 0
         for p, log_p in zip(primes, logs):
             q, c = p, 0
@@ -180,31 +129,37 @@ def _em_integer(s: int, n_terms: int, dps: int, ctx: PrecisionContext, derivativ
             total -= c * log_p >> wp
         log_n = logs[-1]
     else:
-        total = sum(pw)
+        total = (1 << up) + sum(pw)
 
     def rational(num: int, den: int, e: int) -> int:
-        # num/den N^e in fixed point, one floor division
-        return (num * N**e << wp) // den if e >= 0 else (num << wp) // (den * N**-e)
+        # num/den N^(e-s) in units of 2^-up, one floor division
+        if k:
+            num *= pw_N
+        else:
+            num, e = num << up, e - s
+        return num * N**e // den if e >= 0 else num // (den * N**-e)
 
-    lead = rational(1, s - 1, 1 - s) + rational(1, 2, -s)  # N^(1-s)/(s-1) + N^-s/2
-    total += rational(-1, (s - 1) ** 2, 1 - s) - (lead * log_n >> wp) if derivative else lead
+    one = 1 << k
+    lead = rational(one, sn - one, 1) + rational(1, 2, 0)  # N^(1-s)/(s-1) + N^-s/2
+    total += rational(-one * one, (sn - one) ** 2, 1) - (lead * log_n >> wp) if derivative else lead
     tol_mag = 1 - (10 ** (ctx.dps + 5)).bit_length()  # mpmath.mag(10^-(dps+5))
-    prod, dprod, fact = 1, 0, 1  # (s)_(2j-1), its s-derivative, (2j)!
-    for j in range(1, _max_corrections(ctx) + 1):
+    prod, dprod, fact = one, 0, 1  # (s)_(2j-1), its s-derivative, (2j)!
+    for j in range(1, 4 * ctx.dps + 1):
         for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
-            dprod = dprod * (s + i) + prod
-            prod *= s + i
+            f = sn + (i << k)
+            dprod = (dprod * f >> k) + prod
+            prod = prod * f >> k
         fact *= (2 * j - 1) * 2 * j
         b = bernoulli(2 * j)
-        term = rational(b.numerator * prod, b.denominator * fact, 1 - s - 2 * j)
+        term = rational(b.numerator * prod, b.denominator * fact << k, 1 - 2 * j)
         if derivative:
-            term_d = rational(b.numerator * dprod, b.denominator * fact, 1 - s - 2 * j) - (term * log_n >> wp)
+            term_d = rational(b.numerator * dprod, b.denominator * fact << k, 1 - 2 * j) - (term * log_n >> wp)
         else:
             term_d = term
         total += term_d
-        lim = tol_mag + max(0, total.bit_length() - wp)
-        if max(term_d.bit_length(), term.bit_length()) - wp < lim:
-            return ctx.round(mpf((total, -wp)))
+        lim = tol_mag + max(0, total.bit_length() - up)
+        if max(term_d.bit_length(), term.bit_length()) - up < lim:
+            return ctx.round(mpf((total, -up)))
     raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 

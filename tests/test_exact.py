@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +78,15 @@ def test_bernoulli_akiyama_tanigawa_cross_check():
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
         assert row[0] == bernoulli(m, PLUS)
+
+
+def test_bernoulli_matches_defining_recurrence():
+    # B_m from z/(e^z - 1): sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, solved
+    # for B_m in Fractions: the independent reference for the tangent numbers
+    ref = [Fraction(1)]
+    for m in range(1, 301):
+        ref.append(-sum(math.comb(m + 1, j) * ref[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(n, MINUS) for n in range(301)] == ref
 
 
 def test_self_identity_residuals():

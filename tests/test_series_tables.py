@@ -46,7 +46,7 @@ def test_warm_tables_make_no_bernoulli_calls(monkeypatch):
     runs = (
         lambda: digamma("0.3", ctx),
         lambda: polygamma(5, "1.75", ctx),
-        lambda: zeta_em("2.5", ctx),
+        lambda: h_euler("2.5", ctx),
     )
     calls = [0]
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import mpmath
 import pytest
 from fractions import Fraction
@@ -193,11 +196,14 @@ def test_odd_bridge_rejects_k0():
 # zeta(s) and zeta'(s) against mpmath's independent zeta(s, derivative=m).
 # zeta at negative even integers is left out: it is exactly 0 there, which
 # test_zeta_negative_even_is_exact_zero checks.
-# The integer points run on the fixed-point route, the others on the mpf one.
+# Integer points take n^-s and (s)_(2j-1) exactly, the others in fixed point.
 _MPMATH_POINTS = ["-120.25", "-60.5", "-41.5", "-7", "-2.5", "0", "0.5", "2.5", "10.75"]
 _MPMATH_POINTS += ["-41", "-1", "2", "3", "9", "39"]
-# zeta' at 100 and 150 is near 2^-s log 2, far below the fixed-point unit
-# unless that unit scales with 2^-s.
+# next to 0 and to the pole, where s and s - 1 must keep their digits
+_MPMATH_POINTS += ["1e-30", "-1e-30", "0.999999", "1.000001"]
+# zeta' at 100 to 333.25 is near 2^-s log 2, far below the fixed-point unit
+# unless that unit scales with 2^-floor(s).
+_MPMATH_POINTS += ["100.5", "150.5", "333.25"]
 _MPMATH_CASES = [(0, s) for s in _MPMATH_POINTS]
 _MPMATH_CASES += [(1, s) for s in _MPMATH_POINTS + ["-12", "-61", "100", "150"]]
 
@@ -259,3 +265,14 @@ def test_em_differential_against_mpmath(m, digits):
                 assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), (m, s)
 
         check()
+
+
+def test_zeta_documents_pinned():
+    # zeta and zeta' at the mpmath points above and at edge points (near 0
+    # and 1, large s, 2^400), at 15, 50 and 120 digits, recorded to digits + 3
+    # significant digits, which fix every bit; the EM routine must reproduce them.
+    pins = json.loads((Path(__file__).parent / "zeta_documents.json").read_text())
+    for pin in pins:
+        ctx = PrecisionContext(pin["digits"])
+        got = {name: mpmath.nstr(fn(pin["s"], ctx), pin["digits"] + 3) for name, fn in (("zeta", zeta_em), ("zeta_prime", zeta_prime_em))}
+        assert got == {"zeta": pin["zeta"], "zeta_prime": pin["zeta_prime"]}, (pin["s"], pin["digits"])
