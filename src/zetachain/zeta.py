@@ -112,8 +112,8 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
         unit = mpf((1, up))
         pw = [0, 0] + [int(mpf(n) ** -sv * unit) for n in range(2, N + 1)]
     else:
-        sn = s
-        pw = [0, 0] + [n**-s << up if s <= 0 else (1 << up) // n**s for n in range(2, N + 1)]
+        sn, unit = s, 1 << up
+        pw = [0, 0] + [n**-s << up if s <= 0 else unit // n**s for n in range(2, N + 1)]
     pw_N = pw.pop()  # N^-s; pw[n] = n^-s for 2 <= n < N, and the n = 1 term is never built
     if derivative:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
@@ -147,7 +147,8 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     for j in range(1, 4 * ctx.dps + 1):
         for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
             f = sn + (i << k)
-            dprod = (dprod * f >> k) + prod
+            if derivative:
+                dprod = (dprod * f >> k) + prod
             prod = prod * f >> k
         fact *= (2 * j - 1) * 2 * j
         b = bernoulli(2 * j)
