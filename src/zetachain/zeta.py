@@ -114,7 +114,7 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     else:
         sn, unit = s, 1 << up
         pw = [0, 0] + [n**-s << up if s <= 0 else unit // n**s for n in range(2, N + 1)]
-    pw_N = pw.pop()  # N^-s; pw[n] = n^-s for 2 <= n < N, and the n = 1 term is never built
+    pw_N = pw.pop()  # N^-s; pw[n] = n^-s for 2 <= n < N, and n = 1 stays out: zeta' never builds 1 << up
     if derivative:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
         primes = [p for p in range(2, N) if all(p % q for q in range(2, math.isqrt(p) + 1))]
