@@ -61,7 +61,7 @@ def _extend_bernoulli(n: int) -> None:
         old = len(_bernoulli_cache)
         if old > n:
             return
-        K = max(n, 2 * old) // 2
+        K = (max(n, 2 * old) + 1) // 2
         t = [0, 1] + [0] * (K - 1)
         for k in range(2, K + 1):
             t[k] = (k - 1) * t[k - 1]

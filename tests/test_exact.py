@@ -1,5 +1,4 @@
 import ast
-import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -69,24 +68,21 @@ def test_bernoulli_odd_vanish():
         assert bernoulli(n, PLUS) == 0
 
 
-def test_bernoulli_akiyama_tanigawa_cross_check():
-    # independent algorithm for the same numbers
-    n = 40
+def test_bernoulli_akiyama_tanigawa_cross_check(monkeypatch):
+    # independent algorithm for the same numbers, against a cold cache that
+    # grows by jumps to odd and even n as well as by doubling
+    n = 300
+    ref = []
     row = [Fraction(0)] * (n + 1)
     for m in range(n + 1):
         row[m] = Fraction(1, m + 1)
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-        assert row[0] == bernoulli(m, PLUS)
-
-
-def test_bernoulli_matches_defining_recurrence():
-    # B_m from z/(e^z - 1): sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, solved
-    # for B_m in Fractions: the independent reference for the tangent numbers
-    ref = [Fraction(1)]
-    for m in range(1, 301):
-        ref.append(-sum(math.comb(m + 1, j) * ref[j] for j in range(m)) / (m + 1))
-    assert [bernoulli(n, MINUS) for n in range(301)] == ref
+        ref.append(row[0])
+    monkeypatch.setattr(zetachain.exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+    for m in (5, 20, 63, 65, 300):
+        assert bernoulli(m, PLUS) == ref[m]
+    assert [bernoulli(m, PLUS) for m in range(n + 1)] == ref
 
 
 def test_self_identity_residuals():
