@@ -4,8 +4,16 @@ Four rules share one level driver:
 
 - tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
   intervals, with nodes x = mid + half*tanh(pi/2 sinh t).
-- exp-sinh covers [a, inf) for integrands with at least algebraic decay,
-  with nodes x = a + exp(pi/2 sinh t).
+- exp-exp covers [a, inf) for integrands that decay at least
+  exponentially, with nodes x = a + exp(t - e^-t) and weights
+  (x - a)(1 + e^-t) (Takahasi & Mori 1974; Mori & Sugihara, "The
+  double-exponential transformation in numerical analysis", J. Comput.
+  Appl. Math. 127, 2001).  The nodes grow like e^t, so an e^-x integrand
+  falls double exponentially in t.  The Mellin integrands of
+  ``eulersums`` took 342 evaluations at s = 2 and 50 digits, against
+  1881 on exp-sinh (x = a + exp(pi/2 sinh t)).  An integrand with
+  algebraic decay, such as 1/(1 + x^3), reaches the node cap (below) and
+  raises.
 - The periodic trapezoid rule serves only integrands that are smooth and
   of period b - a, and only when the caller says so (``periodic=True``).
   Its nodes are x = a + k(b-a)/n, k < n, with n = 8*2^level, all of weight
@@ -57,18 +65,20 @@ refined the same way:
   steps and is refined by Newton steps on the Legendre three-term
   recurrence in integer fixed point, with the Stirling kernel's guard bits
   (``special._wp``); the n = 32 table at 50 digits takes about 3 ms.
-- exp-sinh nodes are streamed per call and never stored: their walk ends
+- exp-exp nodes are streamed per call and never stored: their walk ends
   on the integrand's decay, and a table of them costs more peak memory
   than recomputing them costs time.
 - The integrand may return a tuple.  Its components share nodes and
   levels, the call converges when every component does, and the result's
   value is then a tuple too.
 - A DE node walk stops on its weight (tanh-sinh: w < 10^-(dps+5)) or on
-  the integrand's decay (exp-sinh: three successive contributions below
-  that).  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
-  raises ArithmeticError instead of returning a truncated sum.  The
-  periodic and Gauss-Legendre walks have no cutoff: they visit every node
-  of their level.
+  the integrand's decay (exp-exp: three successive contributions below
+  that, on the walk to infinity and on the walk to a).  A walk that
+  reaches t = _NODE_CAP (20*2^level nodes) first raises ArithmeticError
+  instead of returning a truncated sum.  On [a, inf) that is x = a + e^20,
+  about a + 4.9e8, where an integrand with algebraic decay is not yet
+  negligible.  The periodic and Gauss-Legendre walks have no cutoff: they
+  visit every node of their level.
 
 The Ramanujan integral int_1^N H(t) t^k dt is analytic too, and stays on
 tanh-sinh.  Its caller evaluates H(t) once per node for all k, so its cost
@@ -115,14 +125,17 @@ class QuadratureResult:
         return self.value
 
 
-def _walk(level: int, first: bool):
-    """t = k h at h = 2^-level: every k >= 0 on a first level, else odd k."""
+def _walk(level: int, first: bool, why: str = ""):
+    """t = k h at h = 2^-level: every k >= 0 on a first level, else odd k.
+
+    Reaching t = _NODE_CAP raises ArithmeticError, with why appended.
+    """
     h = mpf(2) ** (-level)
     k, step = (0, 1) if first else (1, 2)
     while k <= _NODE_CAP * 2**level:
         yield k * h
         k += step
-    raise ArithmeticError(f"quadrature node walk reached t = {_NODE_CAP} at level {level}")
+    raise ArithmeticError(f"quadrature node walk reached t = {_NODE_CAP} at level {level}{why}")
 
 
 def _tanh_sinh_level(j: int) -> tuple:
@@ -228,16 +241,15 @@ def _tanh_sinh_walks(a: mpf, b: mpf, level: int, first: bool):
     return (nodes(),)
 
 
-def _exp_sinh_walks(a: mpf, level: int, first: bool):
-    piov2 = mpmath.pi / 2
-
+def _exp_exp_walks(a: mpf, level: int, first: bool):
     def nodes(direction):
-        for t in _walk(level, first):
+        for t in _walk(level, first, "; an integrand on [a, inf) must decay at least exponentially"):
             if direction < 0 and not t:
                 continue  # t = 0 belongs to the positive walk
             t *= direction
-            ex = mpmath.exp(piov2 * mpmath.sinh(t))
-            yield a + ex, piov2 * mpmath.cosh(t) * ex
+            et = mpmath.exp(-t)
+            ex = mpmath.exp(t - et)
+            yield a + ex, ex * (1 + et)
 
     # the positive walk goes to infinity, the negative one approaches a
     return nodes(1), nodes(-1)
@@ -285,8 +297,10 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
-    f may return a tuple of values; the result's value is then the tuple of
-    their integrals.  With periodic, f must be smooth and of period b - a,
+    On [a, inf) f must decay at least exponentially: one with algebraic
+    decay, such as 1/(1 + x^3), raises ArithmeticError.  f may return a
+    tuple of values; the result's value is then the tuple of their
+    integrals.  With periodic, f must be smooth and of period b - a,
     and the trapezoid rule integrates it.  With breaks, the points strictly
     between a and b that cut [a, b] into panels (possibly none), f must be
     analytic on [a, b], and composite Gauss-Legendre integrates it.
@@ -303,7 +317,7 @@ def integrate(
                 raise ValueError("a periodic integrand needs a finite period [a, b]")
             if breaks is not None:
                 raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
-            walks = partial(_exp_sinh_walks, a)
+            walks = partial(_exp_exp_walks, a)
         else:
             b = mpf(b)
             if b < a:

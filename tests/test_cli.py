@@ -105,6 +105,16 @@ def test_chain_documents_pinned():
         assert doc == pin["document"]
 
 
+def test_verify_documents_pinned():
+    # run_verify(30, every suite) and run_verify(50, mellin), recorded with
+    # timing removed; a quadrature rule must reproduce every reported residual.
+    pins = json.loads((Path(__file__).parent / "verify_documents.json").read_text())
+    for pin in pins:
+        doc = cli.run_verify(pin["precision"], pin["suites"])
+        del doc["timing"]
+        assert doc == pin["document"]
+
+
 def test_oracle_kmax_bound(capsys):
     code, _ = run(["oracle", "--kmax", "9"], capsys)
     assert code == 2

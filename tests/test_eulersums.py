@@ -230,7 +230,7 @@ def test_mellin_matches_direct_lemma_route():
 
 
 def test_mellin_converges_at_100_digits():
-    # log(1 - e^-x) must stay relatively accurate on the far exp-sinh nodes
+    # log(1 - e^-x) must stay relatively accurate on the far exp-exp nodes
     ctx = PrecisionContext(100)
     chk = mellin_fundamental_check(3, ctx)
     bound = ctx.tolerance(12)
