@@ -15,19 +15,23 @@ Four rules share one level driver:
   algebraic decay, such as 1/(1 + x^3), reaches the node cap (below) and
   raises.
 - The periodic trapezoid rule serves only integrands that are smooth and
-  of period b - a, and only when the caller says so (``periodic=True``).
-  Its nodes are x = a + k(b-a)/n, k < n, with n = 8*2^level, all of weight
-  (b-a)/n.  For an integrand analytic in a strip |Im x| < c the error falls
-  like e^(-2 pi c n/(b-a)) (Trefethen & Weideman, "The exponentially
-  convergent trapezoidal rule", SIAM Rev. 56, 2014).  On other integrands
-  it loses that rate (a smooth nonperiodic one converges like n^-2), and a
-  call that has not converged by the last level says so in its result.
-  a and b must span one period at the working precision: with a = -pi
-  rounded at 15 digits, e^cos(x) at 50 digits stalled near 1e-25.  The
-  factor 8 gives the last level 32768 nodes, about what tanh-sinh
-  evaluates through its last level (33665 at 30 digits), so a slowly
-  converging periodic integrand (a Hankel circle close to its first pole)
-  still converges where tanh-sinh did.
+  periodic, and only when the caller says so (``periodic=True``).  Its
+  nodes are x = a + k(b-a)/n, k <= n, with n = 4*2^level intervals, of
+  weight (b-a)/n, halved at a and b.  [a, b] is either one full period, where
+  f(a) = f(b) makes this the usual rule on n nodes, or half a period of an
+  even integrand, whose sum on [a, b] is half the full period's on the same
+  spacing.  For an integrand analytic in a strip |Im x| < c the error
+  falls like e^(-2 pi c N/P) with N nodes on the period P (Trefethen &
+  Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
+  2014).  On other integrands it loses that rate (a smooth nonperiodic one
+  converges like n^-2), and a call that has not converged by the last
+  level says so in its result.  a and b must span the period, or half of
+  it, at the working precision: with a = -pi rounded at 15 digits,
+  e^cos(x) at 50 digits stalled near 1e-25.  The factor 4 gives a Hankel half circle, its one
+  caller, the spacing of 32768 nodes on the full circle at the last level
+  (16385 evaluations), about what tanh-sinh evaluates through its last
+  level (33665 at 30 digits), so a slowly converging circle close to its
+  first pole still converges where tanh-sinh did.
 - Composite Gauss-Legendre serves integrands analytic on the closed
   interval, again only when the caller says so, by passing the panel
   breakpoints strictly inside [a, b] (``breaks``, possibly empty).  Each
@@ -42,7 +46,7 @@ Four rules share one level driver:
   singularity near a panel and keeps one node table per precision.
 
 The two DE transforms are trapezoid sums in t at mesh h = 2^-level, and the
-periodic rule is one in x at mesh (b-a)/8 * 2^-level; all four are
+periodic rule is one in x at mesh (b-a)/4 * 2^-level; all four are
 refined the same way:
 
 - Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
@@ -107,7 +111,7 @@ from .special import _wp
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 _NODE_CAP = 20
-_PERIODIC_NODES = 8  # a periodic level-l mesh has 8*2^l nodes
+_PERIODIC_INTERVALS = 4  # a periodic level-l mesh has 4*2^l intervals
 
 
 @dataclass(frozen=True)
@@ -256,13 +260,14 @@ def _exp_exp_walks(a: mpf, level: int, first: bool):
 
 
 def _periodic_walks(a: mpf, b: mpf, level: int, first: bool):
-    n = _PERIODIC_NODES * 2**level
+    n = _PERIODIC_INTERVALS * 2**level
     step = (b - a) / n
+    half = mpf(1) / 2
 
     def nodes():
-        # x = a + k(b-a)/n for k < n: b is a again, one period on
-        for k in range(n) if first else range(1, n, 2):
-            yield a + k * step, 1
+        # x = a + k(b-a)/n for k <= n, a and b at half weight
+        for k in range(n + 1) if first else range(1, n, 2):
+            yield a + k * step, 1 if 0 < k < n else half
 
     return (nodes(),)
 
@@ -300,11 +305,15 @@ def integrate(
     On [a, inf) f must decay at least exponentially: one with algebraic
     decay, such as 1/(1 + x^3), raises ArithmeticError.  f may return a
     tuple of values; the result's value is then the tuple of their
-    integrals.  With periodic, f must be smooth and of period b - a,
-    and the trapezoid rule integrates it.  With breaks, the points strictly
-    between a and b that cut [a, b] into panels (possibly none), f must be
-    analytic on [a, b], and composite Gauss-Legendre integrates it.
+    integrals.  With periodic, f must be smooth and periodic, [a, b] one
+    period of it or half a period of an even f, and the trapezoid rule
+    integrates it.  With breaks, the points strictly between a and b that
+    cut [a, b] into panels (possibly none), f must be analytic on [a, b],
+    and composite Gauss-Legendre integrates it; periodic and breaks
+    together raise ValueError.
     """
+    if periodic and breaks is not None:
+        raise ValueError("a periodic integrand takes no Gauss-Legendre breaks")
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
         eps = mpf(10) ** (-ctx.dps - 5)
@@ -323,7 +332,7 @@ def integrate(
             if b < a:
                 a, b, sign = b, a, -1
             if periodic:
-                scale = (b - a) / _PERIODIC_NODES
+                scale = (b - a) / _PERIODIC_INTERVALS
                 walks = partial(_periodic_walks, a, b)
             elif breaks is not None:
                 inner = sorted(mpf(x) for x in breaks)

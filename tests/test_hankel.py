@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -56,11 +58,12 @@ def test_circle_near_the_first_pole_converges():
 
 
 def test_hopeless_periodic_circle_raises_before_evaluating():
-    # at 200 digits radius 6.2 needs about 36,000 trapezoid nodes, more than
-    # the last level's 32,768: rejected up front instead of after ~23 s
+    # at 200 digits radius 6.2 needs about 36,000 trapezoid nodes on the full
+    # circle, more than the 32,768 that the half circle's last level stands
+    # for: rejected up front instead of after ~23 s
     ctx = PrecisionContext(200)
     start = time.process_time()
-    with pytest.raises(ArithmeticError, match="did not converge"):
+    with pytest.raises(ArithmeticError, match="did not converge.* more than 32768 trapezoid nodes"):
         bernoulli_interp(1, ContourSpec(radius=6.2), ctx)
     assert time.process_time() - start < 1
 
@@ -137,3 +140,15 @@ def test_derivative_consistent_with_finite_difference():
         ) / (2 * h)
         # centered difference of B_s (via the zeta identity) vs the contour derivative
         assert abs(bernoulli_prime_interp(s, SPEC, CTX) - fd) < max(h * h * 100, half_tol() * 100)
+
+
+def test_hankel_documents_pinned():
+    # B_(u+1) at seven u and B'_s at four s, at radii 0.5, 1 and 3 and at
+    # radius 6 near the first poles, at 30 and 50 digits, recorded to
+    # digits + 3 significant digits, which fix every bit; the contour must
+    # reproduce them.
+    pins = json.loads((Path(__file__).parent / "hankel_documents.json").read_text())
+    fns = {"bernoulli_interp": bernoulli_interp, "bernoulli_prime_interp": bernoulli_prime_interp}
+    for pin in pins:
+        got = fns[pin["fn"]](pin["arg"], ContourSpec(radius=pin["radius"]), PrecisionContext(pin["digits"]))
+        assert mpmath.nstr(got, pin["digits"] + 3) == pin["value"], pin

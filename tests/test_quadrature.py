@@ -125,6 +125,60 @@ def test_periodic_rule_needs_a_finite_period():
         integrate(mpmath.cos, 0, mpmath.inf, PrecisionContext(15), periodic=True)
 
 
+def test_periodic_rule_takes_no_breaks():
+    # the trapezoid rule has no panels: breaks with periodic is a caller's
+    # mistake, not a request that one of the two silently wins
+    with pytest.raises(ValueError, match="no Gauss-Legendre breaks"):
+        integrate(mpmath.cos, 0, 1, PrecisionContext(15), periodic=True, breaks=())
+
+
+# even integrands of period 2pi over half a period, [0, pi], against their
+# closed forms: f(-x) = f(x) makes the half-weighted trapezoid sum on [0, pi]
+# half the full period's sum on the same spacing
+_HALF_PERIODS = {
+    "exp_cos": (lambda x: mpmath.exp(mpmath.cos(x)), lambda: mpmath.pi * mpmath.besseli(0, 1)),
+    "pole_pair": (lambda x: 1 / (mpf(5) / 4 + mpmath.cos(x)), lambda: 4 * mpmath.pi / 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HALF_PERIODS))
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_periodic_rule_over_half_a_period(case, digits):
+    f, closed = _HALF_PERIODS[case]
+    ctx = PrecisionContext(digits)
+    with ctx.workdps():
+        res = integrate(f, 0, mpmath.pi, ctx, periodic=True)
+    assert res.converged
+    with mpmath.workdps(digits + 20):
+        ref = closed()
+        assert abs(res.value - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 120])
+def test_half_period_takes_half_the_evaluations(digits):
+    # a half period at level l has the spacing of the full period at level
+    # l + 1, so it stops after at most half the full period's nodes plus one;
+    # the poles at Im x = +-acosh(5/4) keep both past the first level that
+    # can stop, where e^cos(x) at 15 digits stops on either mesh (65 nodes)
+    f, _ = _HALF_PERIODS["pole_pair"]
+    ctx = PrecisionContext(digits)
+    counts = []
+
+    def counted(x):
+        counts[-1] += 1
+        return f(x)
+
+    with ctx.workdps():
+        counts.append(0)
+        full = integrate(counted, -mpmath.pi, mpmath.pi, ctx, periodic=True)
+        counts.append(0)
+        half = integrate(counted, 0, mpmath.pi, ctx, periodic=True)
+    assert full.converged and half.converged
+    assert counts[1] <= counts[0] / 2 + 1, counts
+    with ctx.workdps():
+        assert abs(2 * half.value - full.value) <= mpf(10) ** (-ctx.digits + 5) * abs(full.value)
+
+
 def test_tanh_sinh_table_cache_under_threads(monkeypatch):
     # mpmath's precision is process-global, so every thread of one round
     # works at the precision the main thread holds; the rounds alternate
@@ -251,23 +305,25 @@ def _contour_calls():
     ctx = PrecisionContext(50)
     return {
         # an integer argument: the ray integrand is identically 0 and is not
-        # integrated, and the circle is on the periodic trapezoid rule
-        "bernoulli_interp_1": (160, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
-        # rays and circle on composite Gauss-Legendre: 576 at radius 1, 736 at 3
-        "bernoulli_interp_1.5": (650, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
+        # integrated, and the half circle is on the periodic trapezoid rule
+        # (65 evaluations)
+        "bernoulli_interp_1": (80, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
+        # rays and half circle on composite Gauss-Legendre: 480 at radius 1,
+        # 512 at 3
+        "bernoulli_interp_1.5": (500, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
         "bernoulli_interp_1.5_r3": (
-            800,
+            540,
             lambda: hankel.bernoulli_interp("1.5", ContourSpec(radius=3.0), ctx),
         ),
         # an integer argument with the -log z factor: the circle integrand
-        # jumps at theta = +-pi, so it is not periodic; rays and circle on
-        # Gauss-Legendre, as at any non-integer argument
+        # jumps at theta = +-pi, so it is not periodic; rays and half circle
+        # on Gauss-Legendre, as at any non-integer argument (480 each)
         "bernoulli_prime_interp_2": (
-            650,
+            500,
             lambda: hankel.bernoulli_prime_interp("2", ContourSpec(), ctx),
         ),
         "bernoulli_prime_interp_2.5": (
-            650,
+            500,
             lambda: hankel.bernoulli_prime_interp("2.5", ContourSpec(), ctx),
         ),
         # exp-exp on [0, inf): 342 at s = 2, 320 at s = 3, and 491 at
