@@ -47,9 +47,8 @@ Which quadrature rule integrates which piece:
   (r/2pi)^N for N nodes on the full circle (Trefethen & Weideman, "The
   exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014): B_2 at
   50 digits takes 65 nodes on [0, pi], the spacing of 128 on the full
-  circle, against 577 on tanh-sinh.  The leading error term is known in
-  closed form, so a radius too close to 2pi for the last level is rejected
-  before any evaluation.
+  circle.  The leading error term is known in closed form, so a radius
+  too close to 2pi for the last level is rejected before any evaluation.
 - At other u the branch cut puts a jump of z^e at theta = +-pi, and with
   the log factor so does -log z = -(log r + i theta) at every u, so those
   circles are not periodic.  Their integrand is still analytic in theta
@@ -63,8 +62,7 @@ Which quadrature rule integrates which piece:
   a whole number of panels allows, so that every panel is as far from the
   branch point, relative to its length, as the first.  At 50 digits a
   non-integer B_s takes 480 evaluations at radius 1 (384 on the rays, 96
-  on the half circle) and 512 at radius 3 (288 and 224), against 1153 and
-  1729 over the full contour on tanh-sinh.
+  on the half circle) and 512 at radius 3 (288 and 224).
 """
 
 from __future__ import annotations
@@ -157,16 +155,17 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         periodic = sin_e == 0 and not with_log
         if periodic:
             _reject_hopeless_circle(expo, r, off, ctx)
-            ray, cut = (mpf(0),), None
+            ray = (mpf(0),)
         else:
             # m panels [r q^(i-1), r q^i] up to T, q as near 3 as m allows
             m = max(1, round(mpmath.log(T / r) / math.log(3)))
             q = (T / r) ** (mpf(1) / m)
             breaks = tuple(r * q**i for i in range(1, m))
             ray = integrate(rays, r, T, ctx, tol_offset=off, breaks=breaks).require_converged()
-            cut = ()  # one panel, centred under the pole nearest the half circle
+        # not periodic: one Gauss-Legendre panel, centred under the pole
+        # nearest the half circle
         circ = integrate(
-            circle, 0, mpmath.pi, ctx, tol_offset=off, periodic=periodic, breaks=cut
+            circle, 0, mpmath.pi, ctx, tol_offset=off, periodic=periodic
         ).require_converged()
         # rays 2i ray plus circle i circ, over 2pi i
         return tuple((2 * j + c) / (2 * mpmath.pi) for j, c in zip(ray, circ))

@@ -26,9 +26,8 @@ guarantees and what it does not:
   precision.
 
 Series coefficients that depend only on the working precision (the
-Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin B_2j terms,
-the tanh-sinh quadrature nodes of each level and the Gauss-Legendre nodes)
-live in per-precision tables:
+Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin B_2j terms
+and the Gauss-Legendre quadrature nodes) live in per-precision tables:
 ``_coefficients(build, *args)`` returns the table of the series
 c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own

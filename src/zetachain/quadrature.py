@@ -1,9 +1,7 @@
 """Quadrature on finite and semi-infinite intervals, and over one period.
 
-Four rules share one level driver:
+Three rules share one level driver:
 
-- tanh-sinh handles algebraic/logarithmic endpoint singularities on finite
-  intervals, with nodes x = mid + half*tanh(pi/2 sinh t).
 - exp-exp covers [a, inf) for integrands that decay at least
   exponentially, with nodes x = a + exp(t - e^-t) and weights
   (x - a)(1 + e^-t) (Takahasi & Mori 1974; Mori & Sugihara, "The
@@ -27,26 +25,29 @@ Four rules share one level driver:
   converges like n^-2), and a call that has not converged by the last
   level says so in its result.  a and b must span the period, or half of
   it, at the working precision: with a = -pi rounded at 15 digits,
-  e^cos(x) at 50 digits stalled near 1e-25.  The factor 4 gives a Hankel half circle, its one
-  caller, the spacing of 32768 nodes on the full circle at the last level
-  (16385 evaluations), about what tanh-sinh evaluates through its last
-  level (33665 at 30 digits), so a slowly converging circle close to its
-  first pole still converges where tanh-sinh did.
-- Composite Gauss-Legendre serves integrands analytic on the closed
-  interval, again only when the caller says so, by passing the panel
-  breakpoints strictly inside [a, b] (``breaks``, possibly empty).  Each
-  panel carries an n-point rule, exact for polynomials of degree < 2n, whose
-  error falls like rho^(-2n) with rho the largest Bernstein ellipse about
-  the panel free of singularities (Trefethen, "Is Gauss quadrature better
-  than Clenshaw-Curtis?", SIAM Rev. 50, 2008).  The order n comes from the
-  working precision, about dps/2 (32 at 50 digits, 60 at 100, 108 at 200):
-  32 nodes at every precision made a Hankel contour at 100 digits cost
-  3360 evaluations against tanh-sinh's 2609.  Level l halves every panel
-  l - _MIN_LEVEL times at that order, which about doubles rho for a
-  singularity near a panel and keeps one node table per precision.
+  e^cos(x) at 50 digits stalled near 1e-25.  The factor 4 gives a Hankel
+  half circle, its one caller, the spacing of 32768 nodes on the full
+  circle at the last level (16385 evaluations), so that a slowly
+  converging circle close to its first pole still converges.
+- Composite Gauss-Legendre serves every other finite interval [a, b], and
+  needs the integrand analytic on the closed interval.  The caller may cut
+  [a, b] into panels at breakpoints strictly inside it (``breaks``, none
+  by default).  Each panel carries an n-point rule, exact for polynomials
+  of degree < 2n, whose error falls like rho^(-2n) with rho the largest
+  Bernstein ellipse about the panel free of singularities (Trefethen, "Is
+  Gauss quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008).
+  The order n comes from the working precision, about dps/2 (32 at 50
+  digits, 60 at 100, 108 at 200): 32 nodes at every precision made a
+  Hankel contour at 100 digits cost 3360 evaluations, more than the 2609
+  of the double-exponential rule it replaced there.  Level l halves every
+  panel l - _MIN_LEVEL times at that order, which about doubles rho for a
+  singularity near a panel and keeps one node table per precision.  An
+  endpoint singularity loses that rate: log x on [0, 1] at 15 digits is
+  still off by about 5e-6 at the last level, and the result says it has
+  not converged.
 
-The two DE transforms are trapezoid sums in t at mesh h = 2^-level, and the
-periodic rule is one in x at mesh (b-a)/4 * 2^-level; all four are
+The exp-exp transform is a trapezoid sum in t at mesh h = 2^-level, and the
+periodic rule one in x at mesh (b-a)/4 * 2^-level; all three rules are
 refined the same way:
 
 - Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
@@ -57,41 +58,38 @@ refined the same way:
   of its levels sums all its panels afresh.  Levels are refined until two
   successive estimates agree below the target tolerance; the returned
   error estimate is the last inter-level difference.
-- tanh-sinh (u, w) tables depend only on the working precision and the
-  level, so they are one more per-precision series of
-  ``precision._coefficients``: entry j is the immutable tuple of level
-  j-1's nodes.  The level-0 table holds every k >= 0 at h = 1 and the
-  level-l table the odd k at h = 2^-l, so a first level L sums the
-  tables 0..L.
-- Gauss-Legendre (x, w) tables are a per-precision series too: entry j is
-  the j-th largest root of P_n and its weight (the rule is symmetric, n
-  even).  Each root starts from Tricomi's estimate and two float Newton
-  steps and is refined by Newton steps on the Legendre three-term
-  recurrence in integer fixed point, with the Stirling kernel's guard bits
-  (``special._wp``); the n = 32 table at 50 digits takes about 3 ms.
+- Gauss-Legendre (x, w) tables depend only on the working precision, so
+  they are one more per-precision series of ``precision._coefficients``:
+  entry j is the j-th largest root of P_n and its weight (the rule is
+  symmetric, n even).  Each root starts from Tricomi's estimate and two
+  float Newton steps and is refined by Newton steps on the Legendre
+  three-term recurrence in integer fixed point, with the Stirling kernel's
+  guard bits (``special._wp``); the n = 32 table at 50 digits takes about
+  3 ms.
 - exp-exp nodes are streamed per call and never stored: their walk ends
   on the integrand's decay, and a table of them costs more peak memory
   than recomputing them costs time.
 - The integrand may return a tuple.  Its components share nodes and
   levels, the call converges when every component does, and the result's
   value is then a tuple too.
-- A DE node walk stops on its weight (tanh-sinh: w < 10^-(dps+5)) or on
-  the integrand's decay (exp-exp: three successive contributions below
-  that, on the walk to infinity and on the walk to a).  A walk that
-  reaches t = _NODE_CAP (20*2^level nodes) first raises ArithmeticError
-  instead of returning a truncated sum.  On [a, inf) that is x = a + e^20,
-  about a + 4.9e8, where an integrand with algebraic decay is not yet
-  negligible.  The periodic and Gauss-Legendre walks have no cutoff: they
-  visit every node of their level.
+- The exp-exp walk stops on the integrand's decay: three successive
+  contributions below 10^-(dps+5), on the walk to infinity and on the walk
+  to a.  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
+  raises ArithmeticError instead of returning a truncated sum.  That is
+  x = a + e^20, about a + 4.9e8, where an integrand with algebraic decay
+  is not yet negligible.  The periodic and Gauss-Legendre walks have no
+  cutoff: they visit every node of their level.
 
-The Ramanujan integral int_1^N H(t) t^k dt is analytic too, and stays on
-tanh-sinh.  Its caller evaluates H(t) once per node for all k, so its cost
-follows the number of distinct nodes.  At kmax = 4 and 50 digits,
-Gauss-Legendre on panels cut at the powers of 3 below N took 4320
-evaluations at 864 distinct nodes and 0.106 s of CPU, against tanh-sinh's
-3744 at 1152 and 0.117 s; at 100 digits, 8100 at 1620 and 0.33 s against
-7834 at 1958 and 0.35 s (thread CPU on a 2-vCPU KVM host, Python 3.11.7,
-pure-Python mpmath 1.3.0).
+The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
+panels cut at the powers of 3 below N.  Its caller evaluates H(t) once per
+node for all k, so its cost follows the number of distinct nodes.  At
+kmax = 4 and 50 digits it takes 4320 evaluations at 864 distinct nodes
+and 874 psi evaluations, against 3744 at 1152 and 1162 on the
+double-exponential rule for finite intervals that it replaced.
+run_oracle(4, 50) took 0.20-0.28 s of thread CPU against 0.26-0.32 s,
+and run_oracle(4, 30), where the order is 24, 0.12-0.20 s against
+0.13-0.16 s (medians of 7 warm runs in four processes per rule, taken in
+turn, on a 2-vCPU KVM host, Python 3.11.7, pure-Python mpmath 1.3.0).
 """
 
 from __future__ import annotations
@@ -129,38 +127,20 @@ class QuadratureResult:
         return self.value
 
 
-def _walk(level: int, first: bool, why: str = ""):
+def _walk(level: int, first: bool):
     """t = k h at h = 2^-level: every k >= 0 on a first level, else odd k.
 
-    Reaching t = _NODE_CAP raises ArithmeticError, with why appended.
+    Reaching t = _NODE_CAP raises ArithmeticError.
     """
     h = mpf(2) ** (-level)
     k, step = (0, 1) if first else (1, 2)
     while k <= _NODE_CAP * 2**level:
         yield k * h
         k += step
-    raise ArithmeticError(f"quadrature node walk reached t = {_NODE_CAP} at level {level}{why}")
-
-
-def _tanh_sinh_level(j: int) -> tuple:
-    # (u, w) pairs of level j-1's own nodes; the weight cutoff depends on the
-    # decimal dps, which workdps maps one-to-one onto the table's prec
-    level = j - 1
-    eps = mpf(10) ** (-mpmath.mp.dps - 5)
-    piov2 = mpmath.pi / 2
-    nodes = []
-    for t in _walk(level, level == 0):
-        sh = mpmath.sinh(t)
-        w = piov2 * mpmath.cosh(t) / mpmath.cosh(piov2 * sh) ** 2
-        if w < eps:
-            break
-        nodes.append((mpmath.tanh(piov2 * sh), w))
-    return tuple(nodes)
-
-
-def _tanh_sinh_table(level: int) -> tuple:
-    """(u, w) pairs of the level's own nodes at the current working precision."""
-    return _coefficients(_tanh_sinh_level)[level + 1]
+    raise ArithmeticError(
+        f"quadrature node walk reached t = {_NODE_CAP} at level {level}; "
+        "an integrand on [a, inf) must decay at least exponentially"
+    )
 
 
 def _gauss_legendre_order() -> int:
@@ -228,26 +208,9 @@ def _gauss_legendre_walks(edges: tuple, level: int, first: bool):
     return (nodes(),)
 
 
-def _tanh_sinh_walks(a: mpf, b: mpf, level: int, first: bool):
-    half = (b - a) / 2
-    mid = (a + b) / 2
-
-    def nodes():
-        for lvl in range(level + 1) if first else (level,):
-            for u, w in _tanh_sinh_table(lvl):
-                if not u:
-                    yield mid, w
-                    continue
-                for x in (mid + half * u, mid - half * u):
-                    if x != a and x != b:  # clamp exactly-at-endpoint nodes away
-                        yield x, w
-
-    return (nodes(),)
-
-
 def _exp_exp_walks(a: mpf, level: int, first: bool):
     def nodes(direction):
-        for t in _walk(level, first, "; an integrand on [a, inf) must decay at least exponentially"):
+        for t in _walk(level, first):
             if direction < 0 and not t:
                 continue  # t = 0 belongs to the positive walk
             t *= direction
@@ -298,21 +261,23 @@ def integrate(
     ctx: PrecisionContext,
     tol_offset: int = 5,
     periodic: bool = False,
-    breaks: tuple | None = None,
+    breaks: tuple = (),
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
     On [a, inf) f must decay at least exponentially: one with algebraic
-    decay, such as 1/(1 + x^3), raises ArithmeticError.  f may return a
+    decay, such as 1/(1 + x^3), raises ArithmeticError.  On a finite
+    interval f must be analytic on the closed interval [a, b]: composite
+    Gauss-Legendre integrates it over the panels that breaks, the points
+    strictly between a and b, cut it into.  An endpoint singularity, such
+    as log x on [0, 1], does not converge by the last level, and the
+    result says so.  With periodic, f must be smooth and periodic, [a, b]
+    one period of it or half a period of an even f, and the trapezoid rule
+    integrates it; periodic with breaks raises ValueError.  f may return a
     tuple of values; the result's value is then the tuple of their
-    integrals.  With periodic, f must be smooth and periodic, [a, b] one
-    period of it or half a period of an even f, and the trapezoid rule
-    integrates it.  With breaks, the points strictly between a and b that
-    cut [a, b] into panels (possibly none), f must be analytic on [a, b],
-    and composite Gauss-Legendre integrates it; periodic and breaks
-    together raise ValueError.
+    integrals.
     """
-    if periodic and breaks is not None:
+    if periodic and breaks:
         raise ValueError("a periodic integrand takes no Gauss-Legendre breaks")
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
@@ -324,7 +289,7 @@ def integrate(
         if decays:
             if periodic:
                 raise ValueError("a periodic integrand needs a finite period [a, b]")
-            if breaks is not None:
+            if breaks:
                 raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
             walks = partial(_exp_exp_walks, a)
         else:
@@ -334,16 +299,12 @@ def integrate(
             if periodic:
                 scale = (b - a) / _PERIODIC_INTERVALS
                 walks = partial(_periodic_walks, a, b)
-            elif breaks is not None:
+            else:
                 inner = sorted(mpf(x) for x in breaks)
                 if not all(a < x < b for x in inner):
                     raise ValueError("breaks must lie strictly between a and b")
-                edges = (a, *inner, b)
                 nested = False
-                walks = partial(_gauss_legendre_walks, edges)
-            else:
-                scale = (b - a) / 2
-                walks = partial(_tanh_sinh_walks, a, b)
+                walks = partial(_gauss_legendre_walks, (a, *inner, b))
 
         total = prev = None
         value = [mpf(0)]

@@ -14,11 +14,12 @@ at (2N, J+1); a result whose spread exceeds the tolerance is flagged but
 still returned.
 
 One request covers k = 0..kmax.  Under one scheme every k integrates over
-[1, N] to the same tolerance, so all of them visit the same quadrature
-nodes, and H(t) is evaluated once per node for all k: 1152 nodes instead
-of 3744 integrand evaluations at kmax = 4 and 50 digits.  Each k keeps its
-own integral, levels and convergence test, so no value depends on kmax.
-The table lives for one scheme's pass only.
+[1, N] on the same Gauss-Legendre panels, cut at the powers of 3 below N,
+so all of them visit the same quadrature nodes, and H(t) is evaluated
+once per node for all k: 864 nodes instead of 4320 integrand evaluations
+at kmax = 4 and 50 digits (384 at N = 50, 480 at the refined N = 100).
+Each k keeps its own integral, levels and convergence test, so no value
+depends on kmax.  The table lives for one scheme's pass only.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def _ramanujan_raw(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[m
             return _hsmooth(t, ctx)
 
         off = (ctx.digits + 1) // 2 - 5
+        # Gauss-Legendre panels [1, 3], [3, 9], ... up to N, each at least
+        # half its length from H's first pole, at t = -1
+        breaks = tuple(3**i for i in range(1, N.bit_length()) if 3**i < N)
         em = _em_coefficients()
         values = []
         for k in range(kmax + 1):
@@ -73,7 +77,7 @@ def _ramanujan_raw(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[m
             def f(t):
                 return hsmooth(t) * t**k
 
-            quad = integrate(f, 1, N, ctx, tol_offset=off)
+            quad = integrate(f, 1, N, ctx, tol_offset=off, breaks=breaks)
             total -= quad.require_converged()
 
             derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
