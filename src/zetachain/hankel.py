@@ -38,6 +38,22 @@ levels stop where they did there.  The ray integrand returns both real
 integrands as one tuple, and the circle its two, so I and I' come from one
 pass over the contour.
 
+Each node is written to need few transcendental kernels.  On the circle
+z = r e^(i theta), and e^z/(1 - e^z) = 1/(e^-z - 1) gives
+
+    val = i z^(e+1)/(e^-z - 1),
+    z^(e+1) = r^(e+1) (cos((e+1) theta) + i sin((e+1) theta)),
+    e^-z = e^(-r cos theta) (cos(r sin theta) - i sin(r sin theta)),
+
+with log r and r^(e+1) computed once per contour, so a node costs one
+real exp, three cos_sin pairs and one complex division, and
+Im(-log z val) is -(log r Im val + theta Re val).  On the rays,
+e^t - 1 is exp(t) - 1 at t >= 1, where it exceeds 1.7 and the
+subtraction loses under one bit, and expm1(t) below 1, where it would
+cancel: at a radius of 1e-10 the subtraction would lose about 33 bits,
+more than the working precision's 10-digit guard.  A ray node then costs
+one log and two exps, or a log, an exp and an expm1 below t = 1.
+
 Which quadrature rule integrates which piece:
 
 - At integer u with no log factor, z^e is single-valued: sin(pi e) = 0,
@@ -131,24 +147,33 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         T = spec.cutoff(ctx)
         expo = -(uv + 1)
         sin_e, cos_e = mpmath.sinpi(expo), mpmath.cospi(expo)
+        pi_cos_e = mpmath.pi * cos_e
+        log_r = mpmath.log(r)
+        r_e1 = r ** (expo + 1)
         off = (ctx.digits + 1) // 2 - 3  # target ~10^(-digits/2)
 
         def rays(t):
-            # Im of the lower ray's integrand, which is (lower - upper)/2i
+            # Im of the lower ray's integrand, which is (lower - upper)/2i;
+            # expm1 only below t = 1, where e^t - 1 cancels
             logt = mpmath.log(t)
-            v = mpmath.exp(expo * logt) / mpmath.expm1(t)
+            em1 = mpmath.exp(t) - 1 if t >= 1 else mpmath.expm1(t)
+            v = mpmath.exp(expo * logt) / em1
             if with_log:
-                return -sin_e * v, v * (sin_e * logt + mpmath.pi * cos_e)
+                return -sin_e * v, v * (sin_e * logt + pi_cos_e)
             return (-sin_e * v,)
 
         def circle(theta):
             # (val(theta) + val(-theta))/i = 2 Im val(theta), the full circle's
-            # two points +-theta in one
-            logz = mpmath.log(r) + mpmath.mpc(0, theta)
-            z = r * mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
-            val = mpmath.exp(expo * logz) * mpmath.exp(z) / (1 - mpmath.exp(z))
-            val *= mpmath.mpc(0, 1) * z  # dz = i z d(theta)
-            return (2 * val.imag, 2 * (-logz * val).imag) if with_log else (2 * val.imag,)
+            # two points +-theta in one, with val = i z^(e+1)/(e^-z - 1)
+            c, s = mpmath.cos_sin(theta)
+            ca, sa = mpmath.cos_sin((expo + 1) * theta)
+            cb, sb = mpmath.cos_sin(r * s)
+            m = mpmath.exp(-r * c)
+            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mpc(m * cb - 1, -m * sb)
+            if with_log:
+                # Im(-log z val), log z = log r + i theta
+                return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)
+            return (2 * val.imag,)
 
         # integer index, no log factor: no rays (sinpi is exact at integers)
         # and a periodic circle; see the module docstring

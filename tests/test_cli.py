@@ -106,8 +106,9 @@ def test_chain_documents_pinned():
 
 
 def test_verify_documents_pinned():
-    # run_verify(30, every suite) and run_verify(50, mellin), recorded with
-    # timing removed; a quadrature rule must reproduce every reported residual.
+    # run_verify(30, every suite), run_verify(50, mellin) and
+    # run_verify(50, hankel), recorded with timing removed; a quadrature rule
+    # or integrand must reproduce every reported residual.
     pins = json.loads((Path(__file__).parent / "verify_documents.json").read_text())
     for pin in pins:
         doc = cli.run_verify(pin["precision"], pin["suites"])

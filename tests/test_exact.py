@@ -133,7 +133,7 @@ def test_exact_layer_imports_no_numeric_layer():
 # types and precision control.  mpmath's zeta, psi, gamma, bernoulli and quad
 # are the tests' independent oracles, so the library must never call them.
 ELEMENTARY_MPMATH = set(
-    "cos cospi euler exp expm1 floor inf log log1p mp mpc mpf pi sin sinpi".split()
+    "cos cos_sin cospi euler exp expm1 floor inf log log1p mp mpc mpf pi sin sinpi".split()
 )
 
 

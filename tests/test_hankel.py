@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from zetachain import hankel
 from zetachain.exact import BernoulliConvention, bernoulli
 from zetachain.hankel import (
     ContourSpec,
@@ -81,6 +82,39 @@ def test_gauss_legendre_contour_near_and_far_from_the_pole(u, radius):
         assert abs(got - expected) < mpf(10) ** (-ctx.digits // 2)
 
 
+def test_contour_node_transcendental_budget(monkeypatch):
+    # B_2.5 at radius 1 and 50 digits takes 480 evaluations, 384 on the rays
+    # and 96 on the half circle.  A circle node takes e^-z from one real exp
+    # and cos_sin pairs, not from complex exps, and the rays, which start at
+    # t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
+    calls = {"exp": [], "expm1": [], "cos_sin": []}
+    for name, log in calls.items():
+
+        def counting(x, *args, _fn=getattr(mpmath, name), _log=log, **kwargs):
+            _log.append(x)
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath, name, counting)
+    circle_exps, integrate = [], hankel.integrate
+
+    def per_node(f, a, b, ctx, **kwargs):
+        def node(x):
+            before = len(calls["exp"])
+            value = f(x)
+            if a == 0:  # the half circle [0, pi]; the rays start at r
+                circle_exps.append(len(calls["exp"]) - before)
+            return value
+
+        return integrate(node, a, b, ctx, **kwargs)
+
+    monkeypatch.setattr(hankel, "integrate", per_node)
+    bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50))
+    assert not any(isinstance(x, mpmath.mpc) for x in calls["exp"])
+    assert calls["expm1"] == []
+    assert circle_exps and max(circle_exps) <= 1
+    assert len(calls["cos_sin"]) <= 3 * len(circle_exps)
+
+
 def test_radius_validation():
     with pytest.raises(ValueError):
         bernoulli_interp(1, ContourSpec(radius=7.0), CTX)
@@ -144,9 +178,10 @@ def test_derivative_consistent_with_finite_difference():
 
 def test_hankel_documents_pinned():
     # B_(u+1) at seven u and B'_s at four s, at radii 0.5, 1 and 3 and at
-    # radius 6 near the first poles, at 30 and 50 digits, recorded to
-    # digits + 3 significant digits, which fix every bit; the contour must
-    # reproduce them.
+    # radius 6 near the first poles, at 30 and 50 digits, and three values
+    # at radius 0.05, whose rays start on the expm1 branch below t = 1,
+    # recorded to digits + 3 significant digits, which fix every bit; the
+    # contour must reproduce them.
     pins = json.loads((Path(__file__).parent / "hankel_documents.json").read_text())
     fns = {"bernoulli_interp": bernoulli_interp, "bernoulli_prime_interp": bernoulli_prime_interp}
     for pin in pins:
