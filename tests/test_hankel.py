@@ -88,10 +88,10 @@ def test_contour_node_transcendental_budget(monkeypatch):
     # and cos_sin pairs, not from complex exps, and the rays, which start at
     # t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
     calls = {"exp": [], "expm1": [], "cos_sin": []}
-    for name, log in calls.items():
+    for name, seen in calls.items():
 
-        def counting(x, *args, _fn=getattr(mpmath, name), _log=log, **kwargs):
-            _log.append(x)
+        def counting(x, *args, _fn=getattr(mpmath, name), _seen=seen, **kwargs):
+            _seen.append(x)
             return _fn(x, *args, **kwargs)
 
         monkeypatch.setattr(mpmath, name, counting)
