@@ -29,7 +29,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli, binomial, harmonic
-from .precision import GUARD, PrecisionContext, _coefficients, _working
+from .precision import GUARD, PrecisionContext, _coefficients, _node_kernels, _working
 from .quadrature import integrate
 from .special import DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
@@ -216,6 +216,21 @@ class MellinCheck:
     combined: mpf
 
 
+def _mellin_kernels(x) -> tuple:
+    """The _mpf_ of e^-x, 1 - e^-x and log(1 - e^-x).
+
+    log1p keeps log(1 - e^-x) relatively accurate once e^-x < 10^-dps.
+    """
+    ex = mpmath.exp(-x)
+    if x < 1:
+        one_minus = -mpmath.expm1(-x)
+        log_om = mpmath.log(one_minus)
+    else:
+        one_minus = 1 - ex
+        log_om = mpmath.log1p(-ex)
+    return ex._mpf_, one_minus._mpf_, log_om._mpf_
+
+
 def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
     """Integrate the three Mellin transforms of the generating-function identity.
 
@@ -230,16 +245,15 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
         if sv <= 1:
             raise DomainError("Mellin check requires s > 1")
 
+        # e^-x, 1 - e^-x and log(1 - e^-x) depend only on the node, which the
+        # exp-exp walk puts at the same x for every s: they are read from a
+        # per-precision table, and only x^(s-1) is computed per s
+        kernels = _node_kernels(_mellin_kernels)
+
         def integrands(x):
-            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x);
-            # log1p keeps log(1 - e^-x) relatively accurate once e^-x < 10^-dps
-            ex = mpmath.exp(-x)
-            if x < 1:
-                one_minus = -mpmath.expm1(-x)
-                i3 = x ** (sv - 1) * mpmath.log(one_minus)
-            else:
-                one_minus = 1 - ex
-                i3 = x ** (sv - 1) * mpmath.log1p(-ex)
+            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x)
+            ex, one_minus, log_om = map(mpmath.mp.make_mpf, kernels(x))
+            i3 = x ** (sv - 1) * log_om
             return i3 / one_minus, ex * i3 / one_minus, i3
 
         off = -(GUARD - 3)

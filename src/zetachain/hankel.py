@@ -45,14 +45,24 @@ z = r e^(i theta), and e^z/(1 - e^z) = 1/(e^-z - 1) gives
     z^(e+1) = r^(e+1) (cos((e+1) theta) + i sin((e+1) theta)),
     e^-z = e^(-r cos theta) (cos(r sin theta) - i sin(r sin theta)),
 
-with log r and r^(e+1) computed once per contour, so a node costs one
-real exp, three cos_sin pairs and one complex division, and
+with log r and r^(e+1) computed once per contour, and
 Im(-log z val) is -(log r Im val + theta Re val).  On the rays,
 e^t - 1 is exp(t) - 1 at t >= 1, where it exceeds 1.7 and the
 subtraction loses under one bit, and expm1(t) below 1, where it would
 cancel: at a radius of 1e-10 the subtraction would lose about 33 bits,
-more than the working precision's 10-digit guard.  A ray node then costs
-one log and two exps, or a log, an exp and an expm1 below t = 1.
+more than the working precision's 10-digit guard.
+
+Most of that work depends on neither u nor the log factor: log t and
+e^t - 1 on the rays, and e^-z - 1 on the circle.  The nodes are the same
+mpf values for every contour of one radius at one precision, so these
+kernels are kept in per-precision node tables (``precision._node_kernels``),
+the rays' keyed by t and the circle's by (r, theta), and built with the
+same expressions on first use.  A node whose kernels are stored costs one
+exp, t^e = exp(e log t), on a ray, and one cos_sin, that of (e+1) theta,
+and one complex division on the circle.  A node not yet stored adds a log
+and an exp (or an expm1 below t = 1) on a ray, and an exp and two cos_sin
+pairs on the circle.  In one verify pass at 50 digits the rays visit 672
+distinct nodes over 1440 evaluations and the circles 385 over 837.
 
 Which quadrature rule integrates which piece:
 
@@ -89,7 +99,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _node_kernels
 from .quadrature import _MAX_LEVEL, _PERIODIC_INTERVALS, integrate
 from .special import digamma, gamma_fn
 from .zeta import zeta_em, zeta_prime_oracle
@@ -136,6 +146,23 @@ def _reject_hopeless_circle(expo: mpf, r: mpf, off: int, ctx: PrecisionContext) 
         )
 
 
+def _ray_kernels(t) -> tuple:
+    """The _mpf_ of log t and of e^t - 1, with expm1 only below t = 1, where e^t - 1 cancels."""
+    em1 = mpmath.exp(t) - 1 if t >= 1 else mpmath.expm1(t)
+    return mpmath.log(t)._mpf_, em1._mpf_
+
+
+def _circle_kernel(r, theta) -> tuple:
+    """The _mpc_ of e^-z - 1 at z = r e^(i theta).
+
+    e^-z = e^(-r cos theta) (cos(r sin theta) - i sin(r sin theta)).
+    """
+    c, s = mpmath.cos_sin(theta)
+    cb, sb = mpmath.cos_sin(r * s)
+    m = mpmath.exp(-r * c)
+    return mpmath.mpc(m * cb - 1, -m * sb)._mpc_
+
+
 def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext) -> tuple:
     """(I,) or, with the log factor, (I, I'), where
     I = (1/2pi i) oint z^-(u+1) e^z/(1-e^z) dz and I' carries an extra -log z.
@@ -151,12 +178,12 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         log_r = mpmath.log(r)
         r_e1 = r ** (expo + 1)
         off = (ctx.digits + 1) // 2 - 3  # target ~10^(-digits/2)
+        ray_kernels = _node_kernels(_ray_kernels)
+        circle_kernel = _node_kernels(_circle_kernel)
 
         def rays(t):
-            # Im of the lower ray's integrand, which is (lower - upper)/2i;
-            # expm1 only below t = 1, where e^t - 1 cancels
-            logt = mpmath.log(t)
-            em1 = mpmath.exp(t) - 1 if t >= 1 else mpmath.expm1(t)
+            # Im of the lower ray's integrand, which is (lower - upper)/2i
+            logt, em1 = map(mpmath.mp.make_mpf, ray_kernels(t))
             v = mpmath.exp(expo * logt) / em1
             if with_log:
                 return -sin_e * v, v * (sin_e * logt + pi_cos_e)
@@ -165,11 +192,8 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         def circle(theta):
             # (val(theta) + val(-theta))/i = 2 Im val(theta), the full circle's
             # two points +-theta in one, with val = i z^(e+1)/(e^-z - 1)
-            c, s = mpmath.cos_sin(theta)
             ca, sa = mpmath.cos_sin((expo + 1) * theta)
-            cb, sb = mpmath.cos_sin(r * s)
-            m = mpmath.exp(-r * c)
-            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mpc(m * cb - 1, -m * sb)
+            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mp.make_mpc(circle_kernel(r, theta))
             if with_log:
                 # Im(-log z val), log z = log r + i theta
                 return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)

@@ -33,8 +33,26 @@ c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own
 expression, so values are the same as building it inline; a table grows
 one coefficient at a time and holds only the coefficients some caller
-reached.  The tables of the _COEFF_SLOTS most recently used precisions
-are kept (an LRU over precisions).
+reached.
+
+Quadrature-node kernels that depend only on the node and the working
+precision (log t and e^t - 1 on the Hankel rays, e^-z - 1 on the Hankel
+circle, and e^-x, 1 - e^-x and log(1 - e^-x) in the Mellin integrands)
+live in the same per-precision tables: ``_node_kernels(build)`` returns
+the table of build(*nodes), keyed by the nodes' ``_mpf_`` tuples.  A value
+is built on first use by the caller's own expression at the table's
+precision, so it is the value an inline evaluation gives.  The builds
+return raw ``_mpf_``/``_mpc_`` tuples, which are 64 bytes per value
+smaller than the mpf objects.  A table stores at most _NODE_KERNEL_CAP
+entries; past that, kernels are built on every call and not stored, so a
+circle near 2pi, whose nodes run to thousands, cannot grow a table
+without bound.  A verify pass at 50 digits fills 672 ray, 385 circle and
+343 Mellin entries, about 0.85 MB (539, 615 and 719 bytes an entry); a
+full table holds about 1.1-1.5 MB at 50 digits and 1.7-2.1 MB at 200.
+
+The tables of the _COEFF_SLOTS most recently used precisions are kept (an
+LRU over precisions), node tables with the coefficient tables of their
+precision.
 """
 
 from __future__ import annotations
@@ -49,8 +67,9 @@ from mpmath import mpf
 GUARD = 10  # decimal digits carried beyond the target precision
 
 _COEFF_SLOTS = 16
+_NODE_KERNEL_CAP = 2048  # entries per node-kernel table and precision
 
-# mpmath prec -> {(build, args): _Coefficients}
+# mpmath prec -> {(build, args): _Coefficients, (build, None): _NodeKernels}
 _coeff_tables: OrderedDict[int, dict] = OrderedDict()
 
 # held by every _working block and by every table update
@@ -145,9 +164,8 @@ class _Coefficients:
         return items[j - 1]
 
 
-def _coefficients(build, *args) -> _Coefficients:
-    """The table of c(j) = build(*args, j) at the current mpmath precision."""
-    key = (build, args)
+def _table(key, make, *args):
+    """The table stored under key at the current mpmath precision, make(*args) on first use."""
     with _lock:
         prec = mpmath.mp.prec
         tables = _coeff_tables.get(prec)
@@ -159,5 +177,40 @@ def _coefficients(build, *args) -> _Coefficients:
             _coeff_tables.move_to_end(prec)
         table = tables.get(key)
         if table is None:
-            table = tables[key] = _Coefficients(build, args)
+            table = tables[key] = make(*args)
         return table
+
+
+def _coefficients(build, *args) -> _Coefficients:
+    """The table of c(j) = build(*args, j) at the current mpmath precision."""
+    return _table((build, args), _Coefficients, build, args)
+
+
+class _NodeKernels(dict):
+    """build(*nodes) for quadrature nodes, keyed by the nodes' _mpf_ tuples.
+
+    ``table(*nodes)`` returns the stored value, or builds it and stores it
+    while the table holds fewer than _NODE_KERNEL_CAP entries; past the cap
+    it is built on every call.  A write holds the lock; a read takes none.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self._build = build
+
+    def __call__(self, *nodes):
+        key = nodes[0]._mpf_ if len(nodes) == 1 else tuple([x._mpf_ for x in nodes])
+        kernels = self.get(key)
+        if kernels is None:
+            kernels = self._build(*nodes)
+            with _lock:
+                if len(self) < _NODE_KERNEL_CAP:
+                    self[key] = kernels
+        return kernels
+
+
+def _node_kernels(build) -> _NodeKernels:
+    """The table of build(*nodes), by node, at the current mpmath precision."""
+    return _table((build, None), _NodeKernels, build)

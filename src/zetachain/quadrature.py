@@ -68,7 +68,11 @@ refined the same way:
   3 ms.
 - exp-exp nodes are streamed per call and never stored: their walk ends
   on the integrand's decay, and a table of them costs more peak memory
-  than recomputing them costs time.
+  than recomputing them costs time.  What callers store instead are the
+  transcendental kernels their integrands evaluate at a node
+  (``precision._node_kernels``): those cost several exps and logs a node,
+  against one exp pair for the node itself, and are shared by every s
+  or u that visits the node.
 - The integrand may return a tuple.  Its components share nodes and
   levels, the call converges when every component does, and the result's
   value is then a tuple too.

@@ -1,12 +1,13 @@
 import copy
 import json
+from collections import OrderedDict
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from zetachain import cli
+from zetachain import cli, precision
 from zetachain.values import SumConvention
 
 
@@ -105,15 +106,18 @@ def test_chain_documents_pinned():
         assert doc == pin["document"]
 
 
-def test_verify_documents_pinned():
+def test_verify_documents_pinned(monkeypatch):
     # run_verify(30, every suite), run_verify(50, mellin) and
     # run_verify(50, hankel), recorded with timing removed; a quadrature rule
-    # or integrand must reproduce every reported residual.
+    # or integrand must reproduce every reported residual, on cleared tables
+    # and again with the node kernels read back from the tables.
     pins = json.loads((Path(__file__).parent / "verify_documents.json").read_text())
     for pin in pins:
-        doc = cli.run_verify(pin["precision"], pin["suites"])
-        del doc["timing"]
-        assert doc == pin["document"]
+        monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+        for _ in ("cold", "warm"):
+            doc = cli.run_verify(pin["precision"], pin["suites"])
+            del doc["timing"]
+            assert doc == pin["document"]
 
 
 def test_oracle_kmax_bound(capsys):

@@ -1,12 +1,13 @@
 import json
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mpf
 
-from zetachain import hankel
+from zetachain import hankel, precision
 from zetachain.exact import BernoulliConvention, bernoulli
 from zetachain.hankel import (
     ContourSpec,
@@ -84,10 +85,14 @@ def test_gauss_legendre_contour_near_and_far_from_the_pole(u, radius):
 
 def test_contour_node_transcendental_budget(monkeypatch):
     # B_2.5 at radius 1 and 50 digits takes 480 evaluations, 384 on the rays
-    # and 96 on the half circle.  A circle node takes e^-z from one real exp
-    # and cos_sin pairs, not from complex exps, and the rays, which start at
-    # t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
-    calls = {"exp": [], "expm1": [], "cos_sin": []}
+    # and 96 on the half circle.  Cold, a circle node takes e^-z from one
+    # real exp and cos_sin pairs, not from complex exps, and the rays, which
+    # start at t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
+    # Warm, at the same radius and precision, the node tables hold log t,
+    # e^t - 1 and e^-z - 1: a ray node makes only the exp of t^e, and a
+    # circle node only the cos_sin of (e+1) theta.
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    calls = {"exp": [], "expm1": [], "log": [], "cos_sin": []}
     for name, seen in calls.items():
 
         def counting(x, *args, _fn=getattr(mpmath, name), _seen=seen, **kwargs):
@@ -95,24 +100,34 @@ def test_contour_node_transcendental_budget(monkeypatch):
             return _fn(x, *args, **kwargs)
 
         monkeypatch.setattr(mpmath, name, counting)
-    circle_exps, integrate = [], hankel.integrate
+    nodes, integrate = {"rays": [], "circle": []}, hankel.integrate
 
     def per_node(f, a, b, ctx, **kwargs):
+        # the half circle is [0, pi]; the rays start at r
+        piece = nodes["circle" if a == 0 else "rays"]
+
         def node(x):
-            before = len(calls["exp"])
+            before = {name: len(seen) for name, seen in calls.items()}
             value = f(x)
-            if a == 0:  # the half circle [0, pi]; the rays start at r
-                circle_exps.append(len(calls["exp"]) - before)
+            piece.append({name: len(seen) - before[name] for name, seen in calls.items()})
             return value
 
         return integrate(node, a, b, ctx, **kwargs)
 
     monkeypatch.setattr(hankel, "integrate", per_node)
     bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50))
+    circle = nodes["circle"]
     assert not any(isinstance(x, mpmath.mpc) for x in calls["exp"])
     assert calls["expm1"] == []
-    assert circle_exps and max(circle_exps) <= 1
-    assert len(calls["cos_sin"]) <= 3 * len(circle_exps)
+    assert circle and max(n["exp"] for n in circle) <= 1
+    assert len(calls["cos_sin"]) <= 3 * len(circle)
+
+    nodes["rays"].clear()
+    circle.clear()
+    bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50))
+    assert (len(nodes["rays"]), len(circle)) == (384, 96)
+    assert all(n == {"exp": 1, "expm1": 0, "log": 0, "cos_sin": 0} for n in nodes["rays"])
+    assert all(n == {"exp": 0, "expm1": 0, "log": 0, "cos_sin": 1} for n in circle)
 
 
 def test_radius_validation():
@@ -176,14 +191,18 @@ def test_derivative_consistent_with_finite_difference():
         assert abs(bernoulli_prime_interp(s, SPEC, CTX) - fd) < max(h * h * 100, half_tol() * 100)
 
 
-def test_hankel_documents_pinned():
+def test_hankel_documents_pinned(monkeypatch):
     # B_(u+1) at seven u and B'_s at four s, at radii 0.5, 1 and 3 and at
     # radius 6 near the first poles, at 30 and 50 digits, and three values
     # at radius 0.05, whose rays start on the expm1 branch below t = 1,
     # recorded to digits + 3 significant digits, which fix every bit; the
-    # contour must reproduce them.
+    # contour must reproduce them on cleared tables and again with its node
+    # kernels read back from the tables.
     pins = json.loads((Path(__file__).parent / "hankel_documents.json").read_text())
     fns = {"bernoulli_interp": bernoulli_interp, "bernoulli_prime_interp": bernoulli_prime_interp}
     for pin in pins:
-        got = fns[pin["fn"]](pin["arg"], ContourSpec(radius=pin["radius"]), PrecisionContext(pin["digits"]))
-        assert mpmath.nstr(got, pin["digits"] + 3) == pin["value"], pin
+        monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+        spec, ctx = ContourSpec(radius=pin["radius"]), PrecisionContext(pin["digits"])
+        for _ in ("cold", "warm"):
+            got = fns[pin["fn"]](pin["arg"], spec, ctx)
+            assert mpmath.nstr(got, pin["digits"] + 3) == pin["value"], pin

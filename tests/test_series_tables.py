@@ -13,9 +13,10 @@ from collections import OrderedDict
 import mpmath
 import pytest
 
-from zetachain import exact, precision, special, zeta
+from zetachain import exact, hankel, precision, special, zeta
 from zetachain.chain import chain_report_from_dict
-from zetachain.eulersums import h_euler
+from zetachain.eulersums import h_euler, mellin_fundamental_check
+from zetachain.hankel import ContourSpec, bernoulli_interp, bernoulli_prime_interp
 from zetachain.precision import PrecisionContext, _coefficients
 from zetachain.quadrature import integrate
 from zetachain.special import _stirling_ratio, digamma, gamma_fn, polygamma
@@ -201,3 +202,150 @@ def test_a_rejected_precision_leaves_the_lock_free():
     t.start()
     t.join(timeout=30)
     assert not t.is_alive() and done
+
+
+# the node-kernel tables of the Hankel and Mellin integrands
+NODE_CALLS = {
+    "B_2.5": lambda: bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50)),
+    "B'_2.5": lambda: bernoulli_prime_interp("2.5", ContourSpec(), PrecisionContext(50)),
+    "B_4 at radius 3": lambda: bernoulli_interp(3, ContourSpec(radius=3), PrecisionContext(30)),
+    "mellin": lambda: mellin_fundamental_check("2.5", PrecisionContext(50)),
+}
+NODE_FILL = (
+    # other u, other s, another radius, another precision
+    lambda: bernoulli_interp("0.7", ContourSpec(), PrecisionContext(50)),
+    lambda: bernoulli_prime_interp("3.2", ContourSpec(), PrecisionContext(50)),
+    lambda: mellin_fundamental_check("3.5", PrecisionContext(50)),
+    lambda: bernoulli_prime_interp("2.5", ContourSpec(radius=3), PrecisionContext(50)),
+    lambda: bernoulli_interp(3, ContourSpec(radius=0.5), PrecisionContext(30)),
+    lambda: bernoulli_prime_interp("2.5", ContourSpec(), PrecisionContext(40)),
+    lambda: mellin_fundamental_check("2.5", PrecisionContext(40)),
+)
+
+
+def _node_tables():
+    """{(prec, build): table} of every node-kernel table held."""
+    return {
+        (prec, build): table
+        for prec, tables in precision._coeff_tables.items()
+        for (build, args), table in tables.items()
+        if args is None
+    }
+
+
+def _wrong_node_entries():
+    """(prec, build, key) of each stored node kernel that differs from a rebuild at its table's prec."""
+    wrong = []
+    for (prec, build), table in _node_tables().items():
+        with mpmath.workprec(prec):
+            for key, got in table.items():
+                # a key is one node's _mpf_ tuple, or a tuple of them
+                nodes = (key,) if isinstance(key[0], int) else key
+                if got != build(*map(mpmath.mp.make_mpf, nodes)):
+                    wrong.append((prec, build.__name__, key))
+    return wrong
+
+
+def test_node_kernels_cold_and_warm_match(monkeypatch):
+    # each call on cleared tables, then on tables filled by other calls,
+    # then on tables that hold every node it needs
+    cold = {}
+    for name, call in NODE_CALLS.items():
+        monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+        cold[name] = call()
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    for fill in NODE_FILL:
+        fill()
+    builds = {build.__name__ for _, build in _node_tables()}
+    assert builds == {"_ray_kernels", "_circle_kernel", "_mellin_kernels"}
+    for _ in ("filled by others", "warm"):
+        assert {name: call() for name, call in NODE_CALLS.items()} == cold
+    assert _wrong_node_entries() == []
+
+
+def test_node_kernels_read_back_from_the_tables(monkeypatch):
+    # a warm contour builds no kernel: every node is read from the tables
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    NODE_CALLS["B'_2.5"]()
+    built = []
+    for name in ("_ray_kernels", "_circle_kernel"):
+
+        def counting(*nodes, _fn=getattr(hankel, name)):
+            built.append(nodes)
+            return _fn(*nodes)
+
+        for (_, build), table in _node_tables().items():
+            if build.__name__ == name:
+                monkeypatch.setattr(table, "_build", counting)
+    assert NODE_CALLS["B'_2.5"]() is not None
+    assert built == []
+
+
+def test_node_tables_evicted_with_their_precision(monkeypatch):
+    monkeypatch.setattr(precision, "_COEFF_SLOTS", 2)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    for digits in (30, 40, 50):
+        bernoulli_prime_interp("2.5", ContourSpec(), PrecisionContext(digits))
+    precs = {prec for prec, _ in _node_tables()}
+    assert len(precision._coeff_tables) == 2
+    assert precs == set(precision._coeff_tables)
+    assert mpmath.mp.prec not in precs
+
+
+def test_node_table_entry_cap(monkeypatch):
+    # radius 6 sits near the first poles: its half circle takes 4064
+    # evaluations at distinct nodes, more than a table stores
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    value = bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50))
+    sizes = {build.__name__: len(table) for (_, build), table in _node_tables().items()}
+    assert sizes["_circle_kernel"] == precision._NODE_KERNEL_CAP
+    assert max(sizes.values()) <= precision._NODE_KERNEL_CAP
+    # past the cap the kernels are built afresh, with the same values
+    assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
+    monkeypatch.setattr(precision, "_NODE_KERNEL_CAP", 0)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
+    assert all(len(table) == 0 for table in _node_tables().values())
+
+
+def test_node_tables_under_threads(monkeypatch):
+    # the rounds alternate between two precisions that share the cache, and
+    # all threads of a round start at once on the same contour and Mellin
+    # nodes; each integrand writes its tables inside integrate's workdps
+    calls = {
+        "B'": lambda ctx: bernoulli_prime_interp("2.5", ContourSpec(), ctx),
+        "mellin": lambda ctx: mellin_fundamental_check("2.5", ctx),
+    }
+    serial = {}
+    for digits in (20, 40):
+        monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+        serial[digits] = {name: call(PrecisionContext(digits)) for name, call in calls.items()}
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    errors, wrong = [], []
+
+    def worker(start, digits):
+        try:
+            start.wait(timeout=60)
+            ctx = PrecisionContext(digits)
+            assert {name: call(ctx) for name, call in calls.items()} == serial[digits]
+        except Exception as exc:  # reported through errors, read below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for digits in (20, 40, 20):
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=worker, args=(start, digits)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            wrong += _wrong_node_entries()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert wrong == []
+    assert len(precision._coeff_tables) == 2
+    assert len(_node_tables()) == 6
