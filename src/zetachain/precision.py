@@ -33,7 +33,8 @@ c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own
 expression, so values are the same as building it inline; a table grows
 one coefficient at a time and holds only the coefficients some caller
-reached.
+reached.  After a verify pass at 50 digits the coefficient tables hold
+about 0.15 MB.
 
 Quadrature-node kernels that depend only on the node and the working
 precision (log t and e^t - 1 on the Hankel rays, e^-z - 1 on the Hankel

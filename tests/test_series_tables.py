@@ -13,7 +13,7 @@ from collections import OrderedDict
 import mpmath
 import pytest
 
-from zetachain import exact, hankel, precision, special, zeta
+from zetachain import exact, precision, special, zeta
 from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler, mellin_fundamental_check
 from zetachain.hankel import ContourSpec, bernoulli_interp, bernoulli_prime_interp
@@ -263,21 +263,23 @@ def test_node_kernels_cold_and_warm_match(monkeypatch):
     assert _wrong_node_entries() == []
 
 
-def test_node_kernels_read_back_from_the_tables(monkeypatch):
-    # a warm contour builds no kernel: every node is read from the tables
+def test_warm_calls_build_no_node_kernel(monkeypatch):
+    # a repeated contour or Mellin check reads every node kernel back
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    NODE_CALLS["B'_2.5"]()
+    calls = (NODE_CALLS["B'_2.5"], NODE_CALLS["mellin"])
+    for call in calls:
+        call()
     built = []
-    for name in ("_ray_kernels", "_circle_kernel"):
+    for (_, build), table in _node_tables().items():
 
-        def counting(*nodes, _fn=getattr(hankel, name)):
-            built.append(nodes)
-            return _fn(*nodes)
+        def counting(*nodes, _build=build):
+            built.append(_build.__name__)
+            return _build(*nodes)
 
-        for (_, build), table in _node_tables().items():
-            if build.__name__ == name:
-                monkeypatch.setattr(table, "_build", counting)
-    assert NODE_CALLS["B'_2.5"]() is not None
+        monkeypatch.setattr(table, "_build", counting)
+    assert len(_node_tables()) == 3
+    for call in calls:
+        call()
     assert built == []
 
 
