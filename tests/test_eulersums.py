@@ -1,5 +1,8 @@
+import json
 import math
+from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from zetachain import eulersums, special
+from zetachain import eulersums, precision, special
 from zetachain.eulersums import (
     bprime_from_zprime,
     fundamental_lemma_residual,
@@ -133,6 +136,31 @@ def test_euler_sum_tail_polygamma_budget(monkeypatch):
     monkeypatch.setattr(special, "polygamma", counting)
     fundamental_lemma_residual("2.345", PrecisionContext(100))
     assert 0 < len(calls) <= 178
+
+
+@pytest.mark.parametrize("digits", [15, 40, 100, 200])
+def test_euler_sum_tail_order_grid(digits):
+    # the tail's order estimate must never fall short of the order its
+    # corrections need: a short estimate raises ArithmeticError
+    ctx = PrecisionContext(digits)
+    for s in ("1.0001", "1.05", "1.5", "2.456", "4.75", "12", "30", "75.5", "150"):
+        for fn in (h_euler, h_euler_shifted):
+            assert fn(s, ctx) > 0
+
+
+def test_euler_sum_grid_pinned(monkeypatch):
+    # h and the shifted sum at s from 1.0001 to 150 and 15, 50 and 100
+    # digits, recorded to digits + 3 significant digits, which fix every
+    # bit; the partial sums and tails must reproduce them on cleared tables
+    # and again with the Stirling and EM coefficients read back
+    pins = json.loads((Path(__file__).parent / "euler_documents.json").read_text())
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    for _ in ("cold", "warm"):
+        for pin in pins:
+            ctx = PrecisionContext(pin["digits"])
+            got = {name: mpmath.nstr(fn(pin["s"], ctx), pin["digits"] + 3) for name, fn in (("h", h_euler), ("h_shifted", h_euler_shifted))}
+            assert got == {"h": pin["h"], "h_shifted": pin["h_shifted"]}, (pin["s"], pin["digits"])
+
 
 
 def test_sum_lm_examples():
