@@ -9,14 +9,24 @@ takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
 on H(t) = gamma + psi(t+1).  N is ``zeta._em_setpoint``, max(20, dps), the
-cut of zeta_em and zeta_prime_em.  The tail needs psi^(m)(N+1) up to the
-order where (2j)!/(2 pi N)^(2j) meets the tolerance, and the Stirling kernel
-first shifts psi^(m)(x) up to x ~ 0.4 dps + m.  At N = dps the orders stop
-near 0.8 dps (89 at 100 digits, dps 110) and most need no shift; a cut near
-0.45 dps needed orders to 135 there, shifted by up to 124 steps each.  The
-shifted tail integral is the unshifted one moved by the identity
-H(u-1) = H(u) - 1/u (psi(u+1) = psi(u) + 1/u); each sum's corrections come
-from its own derivative table at N.
+cut of zeta_em and zeta_prime_em.  The partial sum runs on Python integers
+in units of 2^-up, up = the working prec + ``special._GUARD_BITS``, and is
+converted to mpf once: H_n adds 1/n as one floor division, and (n+shift)^-s
+comes from ``zeta._inverse_powers``, an mpf power at each prime and a
+fixed-point product at each composite.  The shifted sum is at least 2^-s,
+so its unit is floor(s) + 1 bits finer.  Each sum builds its own powers.
+
+The tail needs psi^(m)(N+1) up to the order where its own j-th correction,
+about 2 (2 pi)^-2j H(N) (s)_(2j-1) N^(1-s-2j), meets the tolerance, plus
+one spare j, and the Stirling kernel first shifts psi^(m)(x) up to
+x ~ 0.4 dps + m.  At N = dps the orders stop near 0.8 dps (85 at 100
+digits and s = 2.345, dps 110) and most need no shift; a (2j)!/(2 pi N)^2j
+estimate asked for 89 there, and a cut near 0.45 dps needed orders to 135,
+shifted by up to 124 steps each.  The derivative table is prefix-stable,
+so the order asked for changes no value.  The shifted tail integral is the
+unshifted one moved by the identity H(u-1) = H(u) - 1/u
+(psi(u+1) = psi(u) + 1/u); each sum's corrections come from its own
+derivative table at N.
 """
 
 from __future__ import annotations
@@ -31,9 +41,9 @@ from mpmath import mpf
 from .exact import bernoulli, binomial, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients, _node_kernels, _working
 from .quadrature import integrate
-from .special import DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
+from .special import _GUARD_BITS, DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
-from .zeta import _em_coefficients, _em_setpoint, zeta_em, zeta_neg_int_exact
+from .zeta import _em_coefficients, _em_setpoint, _inverse_powers, zeta_em, zeta_neg_int_exact
 
 
 def _tail_coefficient(j: int) -> mpf:
@@ -67,13 +77,17 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
     with ctx.workdps():
         sv = mpf(s)
         tol = mpf(10) ** (-ctx.dps - 3)
-        # order needed, terms ~ (2j)!/(2 pi N)^(2j); checked first: a hopeless cut stalls the integral
-        log_tol = float(mpmath.log(tol)) - 8
+        # order needed: the j-th correction is about 2 (2 pi)^-2j H(N) (s)_(2j-1) N^(1-s-2j),
+        # the first j where that meets tol, plus one spare; checked first: a hopeless cut stalls the integral
+        log_tol = float(mpmath.log(tol))
+        sf = float(sv)
+        lead = math.log(2 * (math.log(N) + float(mpmath.euler))) - math.lgamma(sf) + (1 - sf) * math.log(N)
         jmax = 1
-        while math.lgamma(2 * jmax + 1) - 2 * jmax * math.log(2 * math.pi * N) > log_tol:
+        while lead + math.lgamma(sf + 2 * jmax - 1) - 2 * jmax * math.log(2 * math.pi * N) >= log_tol:
             jmax += 1
             if 2 * jmax > 6 * math.pi * N:
                 raise ArithmeticError("Euler-Maclaurin tail cannot reach tolerance at this cut point")
+        jmax += 1
         # u = t + 1 and H(u-1) = H(u) - 1/u: the unshifted integral from N+1, less (N+1)^(-s)/s
         cut = mpf(N + shift)
         total = _power_tail_integral(sv, cut, tol / 10)
@@ -96,12 +110,17 @@ def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
         sv = mpf(s)
         if sv <= 1:
             raise DomainError("the Euler sum requires s > 1")
-        h = mpf(0)
-        total = mpf(0)
+        # sum_{n<N} H_n (n+shift)^-s on integers in units of 2^-up: the
+        # shifted sum is at least 2^-s, so its unit is floor(s) + 1 bits finer
+        up = mpmath.mp.prec + _GUARD_BITS + (int(sv) + 1 if shift else 0)
+        one = 1 << up
+        pw = _inverse_powers(sv, N - 1 + shift, up)
+        pw[1] = one
+        h = acc = 0
         for n in range(1, N):
-            h += mpf(1) / n
-            total += h * mpf(n + shift) ** (-sv)
-        total += _smooth_tail(sv, N, shift, ctx)
+            h += one // n
+            acc += h * pw[n + shift]
+        total = mpf((acc, -2 * up)) + _smooth_tail(sv, N, shift, ctx)
         return ctx.round(total)
 
 

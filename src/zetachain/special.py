@@ -17,10 +17,14 @@ exponent, so every t + i is an exact ratio of integers.  The kernel returns
 sum_j g(m, j) z^(-2j), with g(m, j) the j-th term above divided by its
 leading one ((-1)^(m+1) (m-1)! z^-m for m >= 1).  It builds each term from
 the one before by the exact ratio g(m, j)/g(m, j-1) and z^-2; z^-2j on its
-own would underflow the fixed point.  The ratios come from the exact
-Bernoulli rationals of the exact layer and are rounded once per working
-precision: the kernel reads them from a table keyed by (mpmath prec, m)
-that grows one term at a time, and the tables of the 16 most recently used
+own would underflow the fixed point.  The argument's denominator is a power
+of two, z = zn/2^e, so the step term * ratio * 2^2e // (zn^2 2^wp) is
+(term * ratio >> (wp - 2e)) // zn^2, a floor of a floor (a left shift when
+2e > wp): at the integer arguments of the Euler-sum tails the divisor zn^2
+fits one 30-bit limb.  The ratios come from the exact Bernoulli rationals
+of the exact layer and are rounded once per working precision: the kernel
+reads them from the list of a table keyed by (mpmath prec, m) that grows
+one term at a time, and the tables of the 16 most recently used
 precisions are kept (``precision._COEFF_SLOTS``).  The kernel raises
 ArithmeticError rather than return a truncated series: when a term stops
 shrinking before the series has converged, the argument was shifted too
@@ -114,14 +118,17 @@ def _stirling_ratio(m: int, j: int) -> int:
 
 
 def _stirling(m: int, zn: int, zd: int) -> int:
-    """sum_{j>=1} g(m, j) z^-2j, z = zn/zd shifted by ``_shift``, in units of 2^-wp."""
+    """sum_{j>=1} g(m, j) z^-2j, z = zn/zd shifted by ``_shift``, zd a power of two, in units of 2^-wp."""
     wp = _wp()
-    ratio = _coefficients(_stirling_ratio, m)
-    zd2, zn2 = zd * zd, zn * zn << wp
+    table = _coefficients(_stirling_ratio, m)
+    ratios = table._items  # read directly; table[j] only to grow it
+    # term r zd^2 // (zn^2 2^wp) = (term r >> (wp - 2e)) // zn^2 for zd = 2^e
+    down, zn2 = wp - 2 * (zd.bit_length() - 1), zn * zn
     s = 0
     term = size = 1 << wp
     for j in itertools.count(1):
-        term = term * ratio[j] * zd2 // zn2
+        r = ratios[j - 1] if j <= len(ratios) else table[j]
+        term = (term * r >> down if down >= 0 else term * r << -down) // zn2
         s += term
         last, size = size, abs(term)
         if size < _TOL:

@@ -16,13 +16,18 @@ term by term in s (log factors, no finite differences).
 Both functions run one private routine, ``_em``, on Python integers in
 units of 2^-up, up = wp = the working prec + ``special._GUARD_BITS``
 (+ floor(s) for zeta' at s > 0, since |zeta'(s)| > 2^-s log 2), and convert
-to mpf once.  n^-s is one mpf power taken to that unit, or at integer s
-below the working prec (every s on the chain path) an integer or one
-floor division.  s and (s)_(2j-1) are fixed point in units of 2^-wp, or
-exact integers at those integer s, and B_2j/(2j)! is the exact rational
-of ``exact.bernoulli``: every EM term is one floor division.  zeta' groups
-its logs by prime, sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1}
-sum_{p^a | n} n^-s: pi(N) + 1 logarithms at wp bits, not N - 2.
+to mpf once.  At integer s below the working prec (every s on the chain
+path) n^-s is an integer or one floor division.  Elsewhere it comes from
+``_inverse_powers``: n^-s is completely multiplicative, so a prime takes
+one mpf power taken to the unit and a composite n = p m, p its smallest
+prime factor from a sieve, the fixed-point product p^-s m^-s; pi(N) mpf
+powers, not N - 1.  The Euler sums (``eulersums._h_sum``) build their
+partial sums from the same routine.  s and (s)_(2j-1) are fixed point in
+units of 2^-wp, or exact integers at those integer s, and B_2j/(2j)! is
+the exact rational of ``exact.bernoulli``: every EM term is one floor
+division.  zeta' groups its logs by prime, taking the primes from the same
+sieve, sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n}
+n^-s: pi(N) + 1 logarithms at wp bits, not N - 2.
 Corrections are added until one falls below 10^-(dps+5) relative to
 max(1, |running sum|), compared as binary magnitudes (int.bit_length); a
 sum still short of that after 4 dps terms raises ArithmeticError.
@@ -95,12 +100,40 @@ def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
         return _em(mpf(s), n_terms, ctx, derivative=True)
 
 
+def _least_prime_factors(N: int) -> list[int]:
+    """lpf[n] = the smallest prime factor of n for 2 <= n <= N, by a sieve; lpf[n] == n at primes."""
+    lpf = list(range(N + 1))
+    for p in range(2, math.isqrt(N) + 1):
+        if lpf[p] == p:
+            for q in range(p * p, N + 1, p):
+                if lpf[q] == q:
+                    lpf[q] = p
+    return lpf
+
+
+def _inverse_powers(sv: mpf, N: int, up: int) -> list[int]:
+    """[0, 0, 2^-s, ..., N^-s] for real s, in units of 2^-up.
+
+    n^-s is completely multiplicative: a prime p takes one mpf power at the
+    working precision, and a composite n = p m, p its smallest prime factor,
+    the fixed-point product p^-s m^-s, so N - 1 entries cost pi(N) powers.
+    """
+    unit = mpf((1, up))
+    lpf = _least_prime_factors(N)
+    pw = [0] * (N + 1)
+    for n in range(2, N + 1):
+        p = lpf[n]
+        pw[n] = int(mpf(p) ** -sv * unit) if p == n else pw[p] * pw[n // p] >> up
+    return pw
+
+
 def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     """zeta(sv), or zeta'(sv) if derivative, for real sv != 1, inside the caller's working block.
 
     Integers in units of 2^-up, up = wp = mpmath prec + _GUARD_BITS, + floor(s)
     for zeta' at s > 0 (|zeta'(s)| > 2^-s log 2).  s and (s)_(2j-1) are in
-    units of 2^-k: k = 0 at integer s, where n^-s is exact too, else k = wp.
+    units of 2^-k: k = 0 at integer s, where n^-s is exact too, else k = wp
+    and n^-s comes from _inverse_powers.
     Each N-dependent piece is A + B log N: zeta keeps B, zeta' = A - B log N.
     """
     wp = mpmath.mp.prec + _GUARD_BITS
@@ -109,15 +142,15 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     k = 0 if sv == s and abs(s) < mpmath.mp.prec else wp
     if k:
         sn = int(sv * mpf((1, k)))
-        unit = mpf((1, up))
-        pw = [0, 0] + [int(mpf(n) ** -sv * unit) for n in range(2, N + 1)]
+        pw = _inverse_powers(sv, N, up)
     else:
         sn, unit = s, 1 << up
         pw = [0, 0] + [n**-s << up if s <= 0 else unit // n**s for n in range(2, N + 1)]
     pw_N = pw.pop()  # N^-s; pw[n] = n^-s for 2 <= n < N, and n = 1 stays out: zeta' never builds 1 << up
     if derivative:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
-        primes = [p for p in range(2, N) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        lpf = _least_prime_factors(N)
+        primes = [p for p in range(2, N) if lpf[p] == p]
         with _working(mpmath.mp.dps + 8):  # log at no fewer than wp bits
             logs = [int(mpmath.log(p) * (1 << wp)) for p in primes + [N]]
         total = 0
