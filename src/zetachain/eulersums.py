@@ -10,11 +10,12 @@ takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
 on H(t) = gamma + psi(t+1).  N is ``zeta._em_setpoint``, max(20, dps), the
 cut of zeta_em and zeta_prime_em.  The partial sum runs on Python integers
-in units of 2^-up, up = the working prec + ``special._GUARD_BITS``, and is
-converted to mpf once: H_n adds 1/n as one floor division, and (n+shift)^-s
-comes from ``zeta._inverse_powers``, an mpf power at each prime and a
-fixed-point product at each composite.  The shifted sum is at least 2^-s,
-so its unit is floor(s) + 1 bits finer.  Each sum builds its own powers.
+and is converted to mpf once.  H_n >= 1 is fixed point in units of 2^-wp,
+wp = the working prec + ``special._GUARD_BITS``, and adds 1/n as one floor
+division.  (n+shift)^-s comes from ``zeta._inverse_powers``, an mpf power
+at each prime and a fixed-point product at each composite, in units of
+2^-up: up = wp for h, and floor(s) + 1 bits more for the shifted sum,
+which is at least 2^-s.  Each sum builds its own powers.
 
 The tail needs psi^(m)(N+1) up to the order where its own j-th correction,
 about 2 (2 pi)^-2j H(N) (s)_(2j-1) N^(1-s-2j), meets the tolerance, plus
@@ -110,17 +111,19 @@ def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
         sv = mpf(s)
         if sv <= 1:
             raise DomainError("the Euler sum requires s > 1")
-        # sum_{n<N} H_n (n+shift)^-s on integers in units of 2^-up: the
-        # shifted sum is at least 2^-s, so its unit is floor(s) + 1 bits finer
-        up = mpmath.mp.prec + _GUARD_BITS + (int(sv) + 1 if shift else 0)
-        one = 1 << up
+        # sum_{n<N} H_n (n+shift)^-s on integers, H_n >= 1 in units of 2^-wp and
+        # (n+shift)^-s in units of 2^-up: the shifted sum is at least 2^-s, so
+        # its unit is floor(s) + 1 bits finer, and 1 << up is never built
+        wp = mpmath.mp.prec + _GUARD_BITS
+        up = wp + (int(sv) + 1 if shift else 0)
+        one = 1 << wp
         pw = _inverse_powers(sv, N - 1 + shift, up)
-        pw[1] = one
+        pw[1] = one  # 1^-s, read only when shift = 0, where up = wp
         h = acc = 0
         for n in range(1, N):
             h += one // n
             acc += h * pw[n + shift]
-        total = mpf((acc, -2 * up)) + _smooth_tail(sv, N, shift, ctx)
+        total = mpf((acc, -wp - up)) + _smooth_tail(sv, N, shift, ctx)
         return ctx.round(total)
 
 

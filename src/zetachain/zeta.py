@@ -19,7 +19,7 @@ units of 2^-up, up = wp = the working prec + ``special._GUARD_BITS``
 to mpf once.  At integer s below the working prec (every s on the chain
 path) n^-s is an integer or one floor division.  Elsewhere it comes from
 ``_inverse_powers``: n^-s is completely multiplicative, so a prime takes
-one mpf power taken to the unit and a composite n = p m, p its smallest
+one mpf power, converted to the unit, and a composite n = p m, p its smallest
 prime factor from a sieve, the fixed-point product p^-s m^-s; pi(N) mpf
 powers, not N - 1.  The Euler sums (``eulersums._h_sum``) build their
 partial sums from the same routine.  s and (s)_(2j-1) are fixed point in

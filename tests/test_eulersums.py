@@ -149,6 +149,18 @@ def test_euler_sum_tail_order_grid(digits):
             assert fn(s, ctx) > 0
 
 
+@pytest.mark.parametrize("s", [10**6, 2**400])
+def test_euler_sums_at_huge_s(s):
+    # past the working precision h(s) = 1 and the shifted sum is 2^-s to every
+    # digit kept; the shifted sum's unit is floor(s) + 1 bits finer than 2^-wp
+    # only for its powers, so no integer of about s bits is built
+    ctx = PrecisionContext(15)
+    assert h_euler(s, ctx) == 1
+    with mpmath.workdps(35):
+        ref = mpf(2) ** -s
+        assert abs(h_euler_shifted(s, ctx) - ref) <= mpf(10) ** -13 * ref
+
+
 def test_euler_sum_grid_pinned(monkeypatch):
     # h and the shifted sum at s from 1.0001 to 150 and 15, 50 and 100
     # digits, recorded to digits + 3 significant digits, which fix every
