@@ -8,8 +8,13 @@ regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
 takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
 
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
-on H(t) = gamma + psi(t+1).  N is ``zeta._em_setpoint``, max(20, dps), the
-cut of zeta_em and zeta_prime_em.  The partial sum runs on Python integers
+on H(t) = gamma + psi(t+1).  N is ``_cut``, 3 dps, not the max(20, dps) of
+zeta_em and zeta_prime_em (``zeta._em_setpoint``): there every extra n
+costs work (warm zeta and zeta' calls at 3 dps took 1.6-1.9 times as long
+at 20 to 200 digits), but here an extra n is one integer add while a tail
+order is one psi^(m)(N+1) call, so the sums get faster as N grows up to
+about 3 dps (2, 4 and 6 dps were within 15 % of it at 50 to 200 digits,
+dps the slowest by 1.5-1.8 times).  The partial sum runs on Python integers
 and is converted to mpf once.  H_n >= 1 is fixed point in units of 2^-wp,
 wp = the working prec + ``special._GUARD_BITS``, and adds 1/n as one floor
 division.  (n+shift)^-s comes from ``zeta._inverse_powers``, an mpf power
@@ -19,12 +24,12 @@ which is at least 2^-s.  Each sum builds its own powers.
 
 The tail needs psi^(m)(N+1) up to the order where its own j-th correction,
 about 2 (2 pi)^-2j H(N) (s)_(2j-1) N^(1-s-2j), meets the tolerance, plus
-one spare j, and the Stirling kernel first shifts psi^(m)(x) up to
-x ~ 0.4 dps + m.  At N = dps the orders stop near 0.8 dps (85 at 100
-digits and s = 2.345, dps 110) and most need no shift; a (2j)!/(2 pi N)^2j
-estimate asked for 89 there, and a cut near 0.45 dps needed orders to 135,
-shifted by up to 124 steps each.  The derivative table is prefix-stable,
-so the order asked for changes no value.  The shifted tail integral is the
+one spare j.  The Stirling kernel shifts psi^(m)(x) up to x ~ 0.4 dps + m,
+and N + 1 is past that for every order the tails ask for at s from 1.0001
+to 150 and 15 to 200 digits, so none is shifted.  At 100 digits and s = 2.345 (dps 110) the orders stop at 59; the
+cut N = dps needed 85, shifted by up to 23 steps, and a cut near 0.45 dps
+135, shifted by up to 124.  The derivative table is prefix-stable, so the
+order asked for changes no value.  The shifted tail integral is the
 unshifted one moved by the identity H(u-1) = H(u) - 1/u
 (psi(u+1) = psi(u) + 1/u); each sum's corrections come from its own
 derivative table at N.
@@ -44,7 +49,7 @@ from .precision import GUARD, PrecisionContext, _coefficients, _node_kernels, _w
 from .quadrature import integrate
 from .special import _GUARD_BITS, DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
-from .zeta import _em_coefficients, _em_setpoint, _inverse_powers, zeta_em, zeta_neg_int_exact
+from .zeta import _em_coefficients, _inverse_powers, zeta_em, zeta_neg_int_exact
 
 
 def _tail_coefficient(j: int) -> mpf:
@@ -105,8 +110,14 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
         raise ArithmeticError("Euler-Maclaurin tail did not reach tolerance at the estimated order")
 
 
+def _cut(ctx: PrecisionContext) -> int:
+    # partial-sum length: a term past the cut is one integer add, a tail order
+    # one psi^(m)(N+1) call, which at N = 3 dps needs no Stirling shift
+    return 3 * ctx.dps
+
+
 def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
-    N = _em_setpoint(ctx)
+    N = _cut(ctx)
     with ctx.workdps():
         sv = mpf(s)
         if sv <= 1:

@@ -112,9 +112,15 @@ def _stirling_term(m: int, j: int) -> Fraction:
 
 
 def _stirling_ratio(m: int, j: int) -> int:
-    # g(m, j)/g(m, j-1) in fixed point at the current precision
-    r = _stirling_term(m, j) / _stirling_term(m, j - 1)
-    return (r.numerator << _wp()) // r.denominator
+    # g(m, j)/g(m, j-1) in fixed point at the current precision.  Past j = 1 it
+    # is B_2j/B_(2j-2) (2j+m-1)(2j+m-2)/((2j)(2j-1)) for every m >= -1; a floor
+    # does not depend on how the ratio is reduced, so no Fraction is built
+    if j == 1:
+        r = _stirling_term(m, 1)
+        return (r.numerator << _wp()) // r.denominator
+    b, c = bernoulli(2 * j), bernoulli(2 * j - 2)
+    num = b.numerator * c.denominator * (2 * j + m - 1) * (2 * j + m - 2)
+    return (num << _wp()) // (b.denominator * c.numerator * 2 * j * (2 * j - 1))
 
 
 def _stirling(m: int, zn: int, zd: int) -> int:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from zetachain import eulersums, precision, special
+from zetachain import eulersums, precision, special, zeta
 from zetachain.eulersums import (
     bprime_from_zprime,
     fundamental_lemma_residual,
@@ -97,16 +97,19 @@ def test_fundamental_lemma(s):
 
 
 def euler_sum_cut(monkeypatch, n):
-    monkeypatch.setattr(eulersums, "_em_setpoint", lambda ctx: n)
+    monkeypatch.setattr(eulersums, "_cut", lambda ctx: n)
 
 
 @pytest.mark.parametrize("s", ["1.1", "2.5", "7"])
 def test_euler_sum_truncation_stability(monkeypatch, s):
+    # the default cut 3 dps against cuts on both sides of it: dps, zeta's cut
+    # before the Euler sums had their own, and 6 dps
     with CTX.workdps():
         base = h_euler(s, CTX), h_euler_shifted(s, CTX)
-        euler_sum_cut(monkeypatch, 2 * CTX.dps)
-        assert abs(h_euler(s, CTX) - base[0]) < tol(5)
-        assert abs(h_euler_shifted(s, CTX) - base[1]) < tol(5)
+        for n in (CTX.dps, 6 * CTX.dps):
+            euler_sum_cut(monkeypatch, n)
+            assert abs(h_euler(s, CTX) - base[0]) < tol(5), n
+            assert abs(h_euler_shifted(s, CTX) - base[1]) < tol(5), n
 
 
 def test_euler_sum_too_short_cut_raises(monkeypatch):
@@ -124,10 +127,10 @@ def test_fundamental_lemma_at_200_digits():
 
 def test_euler_sum_tail_polygamma_budget(monkeypatch):
     # Each tail asks hsmooth_pow_derivs for psi^(i)(N+1), i = 1..2J-1.  At
-    # 100 digits the cut N = dps and an order sized to the tail's own terms
-    # make that 85 orders per tail, most of them needing no Stirling shift;
-    # a (2j)!/(2 pi N)^2j estimate asked for 89, and a cut of 0.45 dps for
-    # 135, each shifted by up to 124 steps.
+    # 100 digits the cut N = 3 dps and an order sized to the tail's own terms
+    # make that 59 orders per tail, 118 calls for the two sums; the cut
+    # N = dps needed 85 per tail (170 calls), and a cut of 0.45 dps 135,
+    # each shifted by up to 124 steps.
     calls, polygamma = [], special.polygamma
 
     def counting(m, x, ctx):
@@ -136,7 +139,10 @@ def test_euler_sum_tail_polygamma_budget(monkeypatch):
 
     monkeypatch.setattr(special, "polygamma", counting)
     fundamental_lemma_residual("2.345", PrecisionContext(100))
-    assert 0 < len(calls) <= 170
+    assert 0 < len(calls) <= 118
+
+
+TAIL_GRID = ("1.0001", "1.05", "1.5", "2.456", "4.75", "12", "30", "75.5", "150")
 
 
 @pytest.mark.parametrize("digits", [15, 40, 100, 200])
@@ -144,9 +150,28 @@ def test_euler_sum_tail_order_grid(digits):
     # the tail's order estimate must never fall short of the order its
     # corrections need: a short estimate raises ArithmeticError
     ctx = PrecisionContext(digits)
-    for s in ("1.0001", "1.05", "1.5", "2.456", "4.75", "12", "30", "75.5", "150"):
+    for s in TAIL_GRID:
         for fn in (h_euler, h_euler_shifted):
             assert fn(s, ctx) > 0
+
+
+@pytest.mark.parametrize("digits", [15, 40, 100, 200])
+def test_euler_sum_tails_take_no_stirling_shift(monkeypatch, digits):
+    # at the cut N = 3 dps every tail order psi^(m)(N+1), and H(N), is past
+    # the Stirling kernel's shift point x ~ 0.4 dps + m; at N = dps the
+    # higher orders were shifted, by up to 23 steps at 100 digits
+    shifts, shift = [], special._shift
+
+    def recording(x, m, dps):
+        shifts.append(shift(x, m, dps))
+        return shifts[-1]
+
+    monkeypatch.setattr(special, "_shift", recording)
+    ctx = PrecisionContext(digits)
+    for s in TAIL_GRID:
+        for fn in (h_euler, h_euler_shifted):
+            fn(s, ctx)
+    assert shifts and max(shifts) == 0
 
 
 @pytest.mark.parametrize("s", [10**6, 2**400])
@@ -181,7 +206,7 @@ def test_non_integer_powers_one_per_prime(monkeypatch, fn, s):
     # at each prime n and build composites from them; the h tail adds at
     # most five more (its integral terms and the derivative table's base^a)
     ctx = PrecisionContext(100)
-    n_max = eulersums._em_setpoint(ctx)
+    n_max = (eulersums._cut if fn is h_euler else zeta._em_setpoint)(ctx)
     pi_n = sum(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in range(2, n_max + 1))
     calls = []
     pow_, rpow = mpf.__pow__, mpf.__rpow__

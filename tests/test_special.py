@@ -9,7 +9,7 @@ from mpmath import mpf
 from zetachain.exact import harmonic
 from zetachain.precision import PrecisionContext, const_gamma, const_log2pi
 from zetachain.quadrature import integrate
-from zetachain.special import DomainError, _shift, _stirling, digamma, gamma_fn, hsmooth_pow_derivs, polygamma
+from zetachain.special import DomainError, _shift, _stirling, _stirling_ratio, _stirling_term, _wp, digamma, gamma_fn, hsmooth_pow_derivs, polygamma
 
 CTX = PrecisionContext(50)
 
@@ -249,6 +249,17 @@ def test_stirling_kernel_raises_on_unshifted_argument():
     with CTX.workdps():
         with pytest.raises(ArithmeticError):
             _stirling(0, 3, 8)
+
+
+@pytest.mark.parametrize("digits", [15, 200])
+def test_stirling_ratios_equal_the_term_quotient(digits):
+    # each ratio, built from B_2j/B_(2j-2) and four integers, is the floor of
+    # the exact quotient g(m, j)/g(m, j-1) of the series' own terms
+    with PrecisionContext(digits).workdps():
+        for m in range(-1, 40):
+            for j in range(1, 60):
+                r = _stirling_term(m, j) / _stirling_term(m, j - 1)
+                assert _stirling_ratio(m, j) == (r.numerator << _wp()) // r.denominator, (m, j)
 
 
 @pytest.mark.parametrize("x", [0, -1, "-0.5", "-1e-30"])
