@@ -111,8 +111,8 @@ def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
 
 
 def _cut(ctx: PrecisionContext) -> int:
-    # partial-sum length: a term past the cut is one integer add, a tail order
-    # one psi^(m)(N+1) call, which at N = 3 dps needs no Stirling shift
+    # partial-sum length: one more n costs one integer add, one more tail
+    # order a psi^(m)(N+1) call, which at N = 3 dps needs no Stirling shift
     return 3 * ctx.dps
 
 
