@@ -78,11 +78,15 @@ def _power_tail_integral(s_eff, N: mpf, tol: mpf) -> mpf:
     raise ArithmeticError("tail integral series did not converge at this cut point")
 
 
-def _smooth_tail(s, N: int, shift: int, ctx: PrecisionContext) -> mpf:
-    """sum_{n=N}^inf H(n) (n+shift)^(-s), shift 0 or 1, by Euler-Maclaurin on H(t)."""
+def _smooth_tail(s, N: int, shift: int, partial: mpf, ctx: PrecisionContext) -> mpf:
+    """sum_{n=N}^inf H(n) (n+shift)^(-s), shift 0 or 1, by Euler-Maclaurin on H(t).
+
+    partial, the sum before N, scales the tolerance where it is below 1:
+    the shifted sum is about 2^-s.
+    """
     with ctx.workdps():
         sv = mpf(s)
-        tol = mpf(10) ** (-ctx.dps - 3)
+        tol = mpf(10) ** (-ctx.dps - 3) * min(1, partial)
         # order needed: the j-th correction is about 2 (2 pi)^-2j H(N) (s)_(2j-1) N^(1-s-2j),
         # the first j where that meets tol, plus one spare; checked first: a hopeless cut stalls the integral
         log_tol = float(mpmath.log(tol))
@@ -134,7 +138,8 @@ def _h_sum(s, shift: int, ctx: PrecisionContext) -> mpf:
         for n in range(1, N):
             h += one // n
             acc += h * pw[n + shift]
-        total = mpf((acc, -wp - up)) + _smooth_tail(sv, N, shift, ctx)
+        partial = mpf((acc, -wp - up))
+        total = partial + _smooth_tail(sv, N, shift, partial, ctx)
         return ctx.round(total)
 
 

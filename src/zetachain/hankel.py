@@ -62,26 +62,19 @@ exp, t^e = exp(e log t), on a ray, and one cos_sin, that of (e+1) theta,
 and one complex division on the circle.  A node not yet stored adds a log
 and an exp (or an expm1 below t = 1) on a ray, and an exp and two cos_sin
 pairs on the circle.  In one verify pass at 50 digits the rays visit 672
-distinct nodes over 1440 evaluations and the circles 385 over 837.
+distinct nodes over 1440 evaluations and the circles 320 over 992.
 
 Which quadrature rule integrates which piece:
 
 - At integer u with no log factor, z^e is single-valued: sin(pi e) = 0,
-  the rays cancel and are not integrated, and the circle integrand is
-  periodic and analytic in theta.  Im val is then even and periodic, and
-  the half circle is on the periodic trapezoid rule, whose error falls like
-  (r/2pi)^N for N nodes on the full circle (Trefethen & Weideman, "The
-  exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014): B_2 at
-  50 digits takes 65 nodes on [0, pi], the spacing of 128 on the full
-  circle.  The leading error term is known in closed form, so a radius
-  too close to 2pi for the last level is rejected before any evaluation.
-- At other u the branch cut puts a jump of z^e at theta = +-pi, and with
-  the log factor so does -log z = -(log r + i theta) at every u, so those
-  circles are not periodic.  Their integrand is still analytic in theta
-  on [-pi, pi] (z^e = e^(e (log r + i theta))), with its nearest poles,
-  from z = +-2pi i, at theta = +-pi/2 + i log(2pi/r).  The half circle runs
-  on Gauss-Legendre as one panel [0, pi], centred under the pole at
-  theta = pi/2 + i log(2pi/r).
+  and the rays cancel and are not integrated.
+- The circle integrand is analytic in theta on [-pi, pi]
+  (z^e = e^(e (log r + i theta))), with its nearest poles, from
+  z = +-2pi i, at theta = +-pi/2 + i log(2pi/r).  The half circle runs on
+  Gauss-Legendre as one panel [0, pi], centred under the pole at
+  theta = pi/2 + i log(2pi/r).  At integer u without the log factor the
+  integrand is also periodic, but it takes the same rule as every other
+  circle, so every circle of one radius shares its nodes.
 - The ray integrand t^e/(e^t - 1) is analytic on [r, T], with a branch
   point at t = 0 and poles at t = +-2pi i k.  It runs on Gauss-Legendre
   too, over panels split geometrically from r to T at a ratio as near 3 as
@@ -100,7 +93,7 @@ import mpmath
 from mpmath import mpf
 
 from .precision import PrecisionContext, _node_kernels
-from .quadrature import _MAX_LEVEL, _PERIODIC_INTERVALS, integrate
+from .quadrature import integrate
 from .special import digamma, gamma_fn
 from .zeta import zeta_em, zeta_prime_oracle
 
@@ -121,29 +114,6 @@ class ContourSpec:
         if self.truncation is not None:
             return mpf(self.truncation)
         return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
-
-
-def _reject_hopeless_circle(expo: mpf, r: mpf, off: int, ctx: PrecisionContext) -> None:
-    """Raise before any evaluation if the periodic circle cannot converge.
-
-    With N nodes on the full circle the trapezoid error of the circle
-    integral is led by the aliases of the poles at z = +-2pi i,
-    4pi (2pi)^e |cos(pi e/2)| (r/2pi)^N: the higher poles only add to it, and
-    at odd e the two cancel and the rule is exact.  The half circle's last
-    level, of N/2 intervals, has the spacing of N nodes on the full circle.
-    It stops only if its difference from the level before is below
-    tol max(1, |value|), and |value| <= 2pi.
-    """
-    n = 2 * _PERIODIC_INTERVALS * 2**_MAX_LEVEL
-    lead = 4 * mpmath.pi * (2 * mpmath.pi) ** expo * abs(mpmath.cospi(expo / 2))
-    rho = r / (2 * mpmath.pi)
-    diff = lead * (rho ** (n // 2) - rho**n)
-    if diff > 2 * mpmath.pi * mpf(10) ** (off - ctx.digits):
-        raise ArithmeticError(
-            f"quadrature did not converge: the circle of radius {float(r)} needs more than "
-            f"{n} trapezoid nodes at {ctx.digits} digits "
-            f"(error at the last level ~{float(diff):.3g})"
-        )
 
 
 def _ray_kernels(t) -> tuple:
@@ -199,11 +169,8 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
                 return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)
             return (2 * val.imag,)
 
-        # integer index, no log factor: no rays (sinpi is exact at integers)
-        # and a periodic circle; see the module docstring
-        periodic = sin_e == 0 and not with_log
-        if periodic:
-            _reject_hopeless_circle(expo, r, off, ctx)
+        if sin_e == 0 and not with_log:
+            # integer index, no log factor: no rays (sinpi is exact at integers)
             ray = (mpf(0),)
         else:
             # m panels [r q^(i-1), r q^i] up to T, q as near 3 as m allows
@@ -211,11 +178,8 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
             q = (T / r) ** (mpf(1) / m)
             breaks = tuple(r * q**i for i in range(1, m))
             ray = integrate(rays, r, T, ctx, tol_offset=off, breaks=breaks).require_converged()
-        # not periodic: one Gauss-Legendre panel, centred under the pole
-        # nearest the half circle
-        circ = integrate(
-            circle, 0, mpmath.pi, ctx, tol_offset=off, periodic=periodic
-        ).require_converged()
+        # one Gauss-Legendre panel, centred under the pole nearest the half circle
+        circ = integrate(circle, 0, mpmath.pi, ctx, tol_offset=off).require_converged()
         # rays 2i ray plus circle i circ, over 2pi i
         return tuple((2 * j + c) / (2 * mpmath.pi) for j, c in zip(ray, circ))
 

@@ -47,8 +47,8 @@ return raw ``_mpf_``/``_mpc_`` tuples, which are 64 bytes per value
 smaller than the mpf objects.  A table stores at most _NODE_KERNEL_CAP
 entries; past that, kernels are built on every call and not stored, so a
 circle near 2pi, whose nodes run to thousands, cannot grow a table
-without bound.  A verify pass at 50 digits fills 672 ray, 385 circle and
-343 Mellin entries, about 0.85 MB (539, 615 and 719 bytes an entry); a
+without bound.  A verify pass at 50 digits fills 672 ray, 320 circle and
+343 Mellin entries, about 0.80 MB (539, 599 and 720 bytes an entry); a
 full table holds about 1.1-1.5 MB at 50 digits and 1.7-2.1 MB at 200.
 
 The tables of the _COEFF_SLOTS most recently used precisions are kept (an

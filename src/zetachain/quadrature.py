@@ -1,6 +1,6 @@
-"""Quadrature on finite and semi-infinite intervals, and over one period.
+"""Quadrature on finite and semi-infinite intervals.
 
-Three rules share one level driver:
+Two rules share one level driver:
 
 - exp-exp covers [a, inf) for integrands that decay at least
   exponentially, with nodes x = a + exp(t - e^-t) and weights
@@ -12,24 +12,7 @@ Three rules share one level driver:
   1881 on exp-sinh (x = a + exp(pi/2 sinh t)).  An integrand with
   algebraic decay, such as 1/(1 + x^3), reaches the node cap (below) and
   raises.
-- The periodic trapezoid rule serves only integrands that are smooth and
-  periodic, and only when the caller says so (``periodic=True``).  Its
-  nodes are x = a + k(b-a)/n, k <= n, with n = 4*2^level intervals, of
-  weight (b-a)/n, halved at a and b.  [a, b] is either one full period, where
-  f(a) = f(b) makes this the usual rule on n nodes, or half a period of an
-  even integrand, whose sum on [a, b] is half the full period's on the same
-  spacing.  For an integrand analytic in a strip |Im x| < c the error
-  falls like e^(-2 pi c N/P) with N nodes on the period P (Trefethen &
-  Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
-  2014).  On other integrands it loses that rate (a smooth nonperiodic one
-  converges like n^-2), and a call that has not converged by the last
-  level says so in its result.  a and b must span the period, or half of
-  it, at the working precision: with a = -pi rounded at 15 digits,
-  e^cos(x) at 50 digits stalled near 1e-25.  The factor 4 gives a Hankel
-  half circle, its one caller, the spacing of 32768 nodes on the full
-  circle at the last level (16385 evaluations), so that a slowly
-  converging circle close to its first pole still converges.
-- Composite Gauss-Legendre serves every other finite interval [a, b], and
+- Composite Gauss-Legendre serves every finite interval [a, b], and
   needs the integrand analytic on the closed interval.  The caller may cut
   [a, b] into panels at breakpoints strictly inside it (``breaks``, none
   by default).  Each panel carries an n-point rule, exact for polynomials
@@ -46,9 +29,8 @@ Three rules share one level driver:
   still off by about 5e-6 at the last level, and the result says it has
   not converged.
 
-The exp-exp transform is a trapezoid sum in t at mesh h = 2^-level, and the
-periodic rule one in x at mesh (b-a)/4 * 2^-level; all three rules are
-refined the same way:
+The exp-exp transform is a trapezoid sum in t at mesh h = 2^-level; both
+rules are refined the same way:
 
 - Levels are nested (Takahasi & Mori 1974; Bailey, Jeyabalan & Li, "A
   comparison of three high-precision quadrature schemes", Exp. Math. 14,
@@ -81,8 +63,8 @@ refined the same way:
   to a.  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
   raises ArithmeticError instead of returning a truncated sum.  That is
   x = a + e^20, about a + 4.9e8, where an integrand with algebraic decay
-  is not yet negligible.  The periodic and Gauss-Legendre walks have no
-  cutoff: they visit every node of their level.
+  is not yet negligible.  The Gauss-Legendre walk has no cutoff: it
+  visits every node of its level.
 
 The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
 panels cut at the powers of 3 below N.  Its caller evaluates H(t) once per
@@ -113,7 +95,6 @@ from .special import _wp
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 _NODE_CAP = 20
-_PERIODIC_INTERVALS = 4  # a periodic level-l mesh has 4*2^l intervals
 
 
 @dataclass(frozen=True)
@@ -226,19 +207,6 @@ def _exp_exp_walks(a: mpf, level: int, first: bool):
     return nodes(1), nodes(-1)
 
 
-def _periodic_walks(a: mpf, b: mpf, level: int, first: bool):
-    n = _PERIODIC_INTERVALS * 2**level
-    step = (b - a) / n
-    half = mpf(1) / 2
-
-    def nodes():
-        # x = a + k(b-a)/n for k <= n, a and b at half weight
-        for k in range(n + 1) if first else range(1, n, 2):
-            yield a + k * step, 1 if 0 < k < n else half
-
-    return (nodes(),)
-
-
 def _add_level(f, walks, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
     """Add w*f(x) over the walks' nodes to the running sums; (sums, tuple-valued).
 
@@ -264,7 +232,6 @@ def integrate(
     b,
     ctx: PrecisionContext,
     tol_offset: int = 5,
-    periodic: bool = False,
     breaks: tuple = (),
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
@@ -275,40 +242,25 @@ def integrate(
     Gauss-Legendre integrates it over the panels that breaks, the points
     strictly between a and b, cut it into.  An endpoint singularity, such
     as log x on [0, 1], does not converge by the last level, and the
-    result says so.  With periodic, f must be smooth and periodic, [a, b]
-    one period of it or half a period of an even f, and the trapezoid rule
-    integrates it; periodic with breaks raises ValueError.  f may return a
-    tuple of values; the result's value is then the tuple of their
+    result says so.  b < a gives the integral from a to b.  f may return
+    a tuple of values; the result's value is then the tuple of their
     integrals.
     """
-    if periodic and breaks:
-        raise ValueError("a periodic integrand takes no Gauss-Legendre breaks")
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
         eps = mpf(10) ** (-ctx.dps - 5)
         a = mpf(a)
-        sign, scale = 1, mpf(1)
-        nested = True
-        decays = b == mpmath.inf
+        nested = decays = b == mpmath.inf
         if decays:
-            if periodic:
-                raise ValueError("a periodic integrand needs a finite period [a, b]")
             if breaks:
                 raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
             walks = partial(_exp_exp_walks, a)
         else:
             b = mpf(b)
-            if b < a:
-                a, b, sign = b, a, -1
-            if periodic:
-                scale = (b - a) / _PERIODIC_INTERVALS
-                walks = partial(_periodic_walks, a, b)
-            else:
-                inner = sorted(mpf(x) for x in breaks)
-                if not all(a < x < b for x in inner):
-                    raise ValueError("breaks must lie strictly between a and b")
-                nested = False
-                walks = partial(_gauss_legendre_walks, (a, *inner, b))
+            inner = sorted(mpf(x) for x in breaks)
+            if not all(a < x < b for x in inner):
+                raise ValueError("breaks must lie strictly between a and b")
+            walks = partial(_gauss_legendre_walks, (a, *inner, b))
 
         total = prev = None
         value = [mpf(0)]
@@ -321,7 +273,7 @@ def integrate(
                 f, walks(level, total is None), decays, eps, total, is_tuple
             )
             h = mpf(2) ** (-level) if nested else 1
-            value = [sign * s * scale * h for s in total]
+            value = [s * h for s in total]
             if prev is not None:
                 errs = [abs(v - p) for v, p in zip(value, prev)]
                 err = max(errs)

@@ -186,6 +186,29 @@ def test_euler_sums_at_huge_s(s):
         assert abs(h_euler_shifted(s, ctx) - ref) <= mpf(10) ** -13 * ref
 
 
+@pytest.mark.parametrize("s", ["60", "75.5"])
+def test_shifted_sum_relative_at_large_s(s):
+    # the shifted sum is about 2^-s, so its tail must stop on a tolerance
+    # relative to the sum, not on an absolute 10^-(dps+3); checked against
+    # direct summation at 40 more digits, stopped where a term falls below
+    # 10^-250 of 2^-s (n = 30,548 at s = 60)
+    ctx = PrecisionContext(200)
+    got = h_euler_shifted(s, ctx)
+    with mpmath.workdps(240):
+        sv = mpf(s)
+        stop = mpf(10) ** -250 * mpf(2) ** -sv
+        total = h = mpf(0)
+        n = 0
+        while True:
+            n += 1
+            h += mpf(1) / n
+            term = h * mpf(n + 1) ** -sv
+            total += term
+            if term < stop:
+                break
+        assert abs(got - total) <= mpf(10) ** -200 * total
+
+
 def test_euler_sum_grid_pinned(monkeypatch):
     # h and the shifted sum at s from 1.0001 to 150 and 15, 50 and 100
     # digits, recorded to digits + 3 significant digits, which fix every

@@ -1,5 +1,4 @@
 import json
-import time
 from collections import OrderedDict
 from pathlib import Path
 
@@ -34,11 +33,19 @@ def test_b1_anchor():
 
 
 def test_integer_values_match_exact_core():
-    with CTX.workdps():
-        for n in range(1, 13):
-            ex = bernoulli(n, BernoulliConvention.PAPER_PLUS)
-            got = bernoulli_interp(n - 1, SPEC, CTX)
-            assert abs(got - mpf(ex.numerator) / ex.denominator) < half_tol()
+    # at integer index the contour is the circle alone, on Gauss-Legendre;
+    # at radius 0.05 and 30 digits B_12 is off by 0.032 of the tolerance,
+    # as the circle integral cancels by about (2pi/r)^12
+    for digits in (30, 50):
+        ctx = PrecisionContext(digits)
+        for radius in (0.05, 0.5, 1.0, 3.0, 5.5):
+            spec = ContourSpec(radius=radius)
+            with ctx.workdps():
+                for n in range(1, 13):
+                    ex = bernoulli(n, BernoulliConvention.PAPER_PLUS)
+                    got = bernoulli_interp(n - 1, spec, ctx)
+                    err = abs(got - mpf(ex.numerator) / ex.denominator)
+                    assert err < mpf(10) ** (-digits // 2), (digits, radius, n)
 
 
 def test_contour_deformation_invariance():
@@ -50,24 +57,14 @@ def test_contour_deformation_invariance():
 
 
 def test_circle_near_the_first_pole_converges():
-    # at integer index the circle is on the trapezoid rule, whose error falls
-    # like (r/2pi)^N: at r = 6.2 it needs thousands of nodes, which a mesh
-    # capped at 2^12 nodes does not reach
+    # at integer index the contour is the circle alone; at r = 6.2 its poles
+    # at theta = +-pi/2 + i log(2pi/r) lie 0.013 off the Gauss-Legendre panel
+    # [0, pi], and the half circle stops at level 11 of 12, after 12,264
+    # evaluations
     ctx = PrecisionContext(30)
     with ctx.workdps():
         got = bernoulli_interp(1, ContourSpec(radius=6.2), ctx)
         assert abs(got - mpf(1) / 6) < mpf(10) ** (-ctx.digits // 2)
-
-
-def test_hopeless_periodic_circle_raises_before_evaluating():
-    # at 200 digits radius 6.2 needs about 36,000 trapezoid nodes on the full
-    # circle, more than the 32,768 that the half circle's last level stands
-    # for: rejected up front instead of after ~23 s
-    ctx = PrecisionContext(200)
-    start = time.process_time()
-    with pytest.raises(ArithmeticError, match="did not converge.* more than 32768 trapezoid nodes"):
-        bernoulli_interp(1, ContourSpec(radius=6.2), ctx)
-    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("u, radius", [("1.5", 6.0), ("2.7", 0.5)])
@@ -167,8 +164,8 @@ def test_prime_interp_k2():
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_prime_interp_at_integers_matches_mpmath(s):
-    # integer index with the -log z factor: the circle integrand jumps at
-    # theta = +-pi, so the circle is not periodic and runs on Gauss-Legendre
+    # integer index with the -log z factor: the rays carry pi cos(pi e) and
+    # do not cancel, so the contour has rays as well as the circle
     got = bernoulli_prime_interp(s, SPEC, CTX)
     with mpmath.workdps(CTX.digits + 20):
         expected = -mpmath.zeta(1 - s) + s * mpmath.zeta(1 - s, derivative=1)

@@ -38,15 +38,6 @@ CASES = {
         0,
         mpmath.inf,
     ),
-    # one period of smooth periodic integrands, on the trapezoid rule; -pi is
-    # a function so that it is rounded at the working precision: rounded at
-    # 15 digits, it stalled the rule near 1e-25 at 50 digits
-    "periodic": (lambda x: mpmath.exp(mpmath.cos(x)), lambda: -mpmath.pi, mpmath.pi),
-    "periodic_tuple": (
-        lambda x: (mpmath.exp(mpmath.cos(x)), 1 / (mpf(5) / 4 + mpmath.cos(x))),
-        lambda: -mpmath.pi,
-        mpmath.pi,
-    ),
 }
 
 
@@ -61,12 +52,10 @@ def _reference(f, a, b, digits, n):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_integrate_matches_mpmath_quad(case):
-    f, lo, b = CASES[case]
+    f, a, b = CASES[case]
     for digits in DIGITS_ORDER:
         ctx = PrecisionContext(digits)
-        with ctx.workdps():
-            a = lo() if callable(lo) else lo
-        res = integrate(f, a, b, ctx, periodic=case.startswith("periodic"))
+        res = integrate(f, a, b, ctx)
         assert res.converged
         values = res.value if isinstance(res.value, tuple) else (res.value,)
         assert isinstance(res.value, tuple) == case.endswith("tuple")
@@ -76,8 +65,8 @@ def test_integrate_matches_mpmath_quad(case):
                 assert abs(got - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref), (case, digits, n)
 
 
-# the node cap exists only on exp-exp: the other rules visit every node of
-# their level
+# the node cap exists only on exp-exp: Gauss-Legendre visits every node of
+# its level
 @pytest.mark.parametrize("b", [mpmath.inf], ids=["exp_exp"])
 def test_node_walk_reaching_the_cap_raises(monkeypatch, b):
     monkeypatch.setattr(quadrature, "_NODE_CAP", 1)
@@ -105,80 +94,6 @@ def test_half_line_endpoint_singularity(digits):
     with mpmath.workdps(digits + 20):
         ref = mpmath.gamma(mpf(1) / 8) * mpmath.digamma(mpf(1) / 8)
         assert abs(res.value - ref) <= mpf(10) ** (-digits + 6) * abs(ref)
-
-
-def test_periodic_rule_that_never_converges_raises():
-    # periodic and analytic, but a pole 10^-6 off the real axis makes the
-    # trapezoid error fall like e^(-N/10^6): no mesh up to the last level
-    # settles, and no truncated sum is returned as a value
-    with mpmath.workdps(15):
-        c = mpmath.cosh(mpf(10) ** -6)
-    ctx = PrecisionContext(15)
-    with ctx.workdps():
-        res = integrate(lambda x: 1 / (c - mpmath.cos(x)), -mpmath.pi, mpmath.pi, ctx, periodic=True)
-    assert not res.converged
-    assert res.levels == quadrature._MAX_LEVEL
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        res.require_converged()
-
-
-def test_periodic_rule_needs_a_finite_period():
-    with pytest.raises(ValueError, match="finite period"):
-        integrate(mpmath.cos, 0, mpmath.inf, PrecisionContext(15), periodic=True)
-
-
-def test_periodic_rule_takes_no_breaks():
-    # the trapezoid rule has no panels: breaks with periodic is a caller's
-    # mistake, not a request that one of the two silently wins
-    with pytest.raises(ValueError, match="no Gauss-Legendre breaks"):
-        integrate(mpmath.cos, 0, 2, PrecisionContext(15), periodic=True, breaks=(1,))
-
-
-# even integrands of period 2pi over half a period, [0, pi], against their
-# closed forms: f(-x) = f(x) makes the half-weighted trapezoid sum on [0, pi]
-# half the full period's sum on the same spacing
-_HALF_PERIODS = {
-    "exp_cos": (lambda x: mpmath.exp(mpmath.cos(x)), lambda: mpmath.pi * mpmath.besseli(0, 1)),
-    "pole_pair": (lambda x: 1 / (mpf(5) / 4 + mpmath.cos(x)), lambda: 4 * mpmath.pi / 3),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_HALF_PERIODS))
-@pytest.mark.parametrize("digits", [15, 50, 120])
-def test_periodic_rule_over_half_a_period(case, digits):
-    f, closed = _HALF_PERIODS[case]
-    ctx = PrecisionContext(digits)
-    with ctx.workdps():
-        res = integrate(f, 0, mpmath.pi, ctx, periodic=True)
-    assert res.converged
-    with mpmath.workdps(digits + 20):
-        ref = closed()
-        assert abs(res.value - ref) <= mpf(10) ** (-digits + 5 + 1) * abs(ref)
-
-
-@pytest.mark.parametrize("digits", [15, 50, 120])
-def test_half_period_takes_half_the_evaluations(digits):
-    # a half period at level l has the spacing of the full period at level
-    # l + 1, so it stops after at most half the full period's nodes plus one;
-    # the poles at Im x = +-acosh(5/4) keep both past the first level that
-    # can stop, where e^cos(x) at 15 digits stops on either mesh (65 nodes)
-    f, _ = _HALF_PERIODS["pole_pair"]
-    ctx = PrecisionContext(digits)
-    counts = []
-
-    def counted(x):
-        counts[-1] += 1
-        return f(x)
-
-    with ctx.workdps():
-        counts.append(0)
-        full = integrate(counted, -mpmath.pi, mpmath.pi, ctx, periodic=True)
-        counts.append(0)
-        half = integrate(counted, 0, mpmath.pi, ctx, periodic=True)
-    assert full.converged and half.converged
-    assert counts[1] <= counts[0] / 2 + 1, counts
-    with ctx.workdps():
-        assert abs(2 * half.value - full.value) <= mpf(10) ** (-ctx.digits + 5) * abs(full.value)
 
 
 def _gauss_legendre_rule() -> list:
@@ -271,9 +186,10 @@ def _contour_calls():
     ctx = PrecisionContext(50)
     return {
         # an integer argument: the ray integrand is identically 0 and is not
-        # integrated, and the half circle is on the periodic trapezoid rule
-        # (65 evaluations)
-        "bernoulli_interp_1": (80, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
+        # integrated, and the half circle is on Gauss-Legendre like every
+        # other circle: two levels of one 32-node panel, 96 evaluations (the
+        # trapezoid rule it replaced took 65, at the cost of a third rule)
+        "bernoulli_interp_1": (96, lambda: hankel.bernoulli_interp("1", ContourSpec(), ctx)),
         # rays and half circle on composite Gauss-Legendre: 480 at radius 1,
         # 512 at 3
         "bernoulli_interp_1.5": (500, lambda: hankel.bernoulli_interp("1.5", ContourSpec(), ctx)),
@@ -281,9 +197,8 @@ def _contour_calls():
             540,
             lambda: hankel.bernoulli_interp("1.5", ContourSpec(radius=3.0), ctx),
         ),
-        # an integer argument with the -log z factor: the circle integrand
-        # jumps at theta = +-pi, so it is not periodic; rays and half circle
-        # on Gauss-Legendre, as at any non-integer argument (480 each)
+        # an integer argument with the -log z factor: the rays do not cancel,
+        # so they are integrated, as at any non-integer argument (480 each)
         "bernoulli_prime_interp_2": (
             500,
             lambda: hankel.bernoulli_prime_interp("2", ContourSpec(), ctx),
@@ -341,17 +256,6 @@ _FAMILIES = {
             {},
         )
     ),
-    # e^(c cos(x - phi)) + 1/(rho - cos(x - phi)) over one period: poles at
-    # Im x = +-acosh(rho) set the trapezoid rule's geometric rate
-    "periodic": st.tuples(_eighths, _eighths, st.integers(min_value=10, max_value=32)).map(
-        lambda p: (
-            lambda x, c=p[0], phi=p[1], rho=mpf(p[2]) / 8: mpmath.exp(c * mpmath.cos(x - phi))
-            + 1 / (rho - mpmath.cos(x - phi)),
-            lambda: -mpmath.pi,
-            mpmath.pi,
-            {"periodic": True},
-        )
-    ),
     # e^(beta x) + 1/(c + (x - phi)^2) on [0, b], analytic there with poles
     # at phi +- i sqrt(c), cut into panels at up to four drawn points
     "gauss_legendre": st.tuples(
@@ -380,9 +284,7 @@ def test_integrate_differential_against_mpmath_quad(family, digits):
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(_FAMILIES[family])
     def check(case):
-        f, lo, b, kwargs = case
-        with ctx.workdps():
-            a = lo() if callable(lo) else lo
+        f, a, b, kwargs = case
         res = integrate(f, a, b, ctx, **kwargs)
         assert res.converged
         with mpmath.workdps(digits + 20):
