@@ -242,9 +242,9 @@ def integrate(
     Gauss-Legendre integrates it over the panels that breaks, the points
     strictly between a and b, cut it into.  An endpoint singularity, such
     as log x on [0, 1], does not converge by the last level, and the
-    result says so.  b < a gives the integral from a to b.  f may return
-    a tuple of values; the result's value is then the tuple of their
-    integrals.
+    result says so.  b < a without breaks gives the integral from a to b.
+    f may return a tuple of values; the result's value is then the tuple
+    of their integrals.
     """
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
