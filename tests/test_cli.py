@@ -108,10 +108,11 @@ def test_chain_documents_pinned():
 
 def test_verify_documents_pinned(monkeypatch):
     # run_verify(30, every suite), run_verify(50, mellin),
-    # run_verify(50, hankel) and run_verify(100, fundamental_lemma + mellin),
-    # recorded with timing removed; a quadrature rule, integrand or Euler
-    # sum must reproduce every reported residual, on cleared tables and
-    # again with the node kernels read back from the tables.
+    # run_verify(50, hankel), run_verify(100, fundamental_lemma + mellin) and
+    # run_verify(100, hankel), recorded with timing removed; a quadrature
+    # rule, an integrand or an Euler sum must reproduce every reported
+    # residual, on cleared tables and again with the nodes and node kernels
+    # read back from the tables.
     pins = json.loads((Path(__file__).parent / "verify_documents.json").read_text())
     for pin in pins:
         monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
