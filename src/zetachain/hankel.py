@@ -62,7 +62,11 @@ exp, t^e = exp(e log t), on a ray, and one cos_sin, that of (e+1) theta,
 and one complex division on the circle.  A node not yet stored adds a log
 and an exp (or an expm1 below t = 1) on a ray, and an exp and two cos_sin
 pairs on the circle.  In one verify pass at 50 digits the rays visit 672
-distinct nodes over 1440 evaluations and the circles 320 over 992.
+distinct nodes over 1440 evaluations and the circles 320 over 992.  The
+nodes themselves come from the per-precision Gauss-Legendre node lists of
+``quadrature``, one per (panel edges, level): every contour of one radius
+reads the same ray lists, and every circle, whatever its radius, the same
+[0, pi] lists.  That verify pass builds 896 nodes in 7 lists.
 
 Which quadrature rule integrates which piece:
 

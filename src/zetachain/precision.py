@@ -27,14 +27,15 @@ guarantees and what it does not:
 
 Series coefficients that depend only on the working precision (the
 Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin B_2j terms
-and the Gauss-Legendre quadrature nodes) live in per-precision tables:
+and the Gauss-Legendre rule on [-1, 1]) live in per-precision tables:
 ``_coefficients(build, *args)`` returns the table of the series
 c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
 built once, on first use, at that prec and with the caller's own
 expression, so values are the same as building it inline; a table grows
 one coefficient at a time and holds only the coefficients some caller
 reached.  After a verify pass at 50 digits the coefficient tables hold
-about 0.15 MB.
+about 0.15 MB.  log(2 pi) is one more entry, built once per precision
+(``const_log2pi``).
 
 Quadrature-node kernels that depend only on the node and the working
 precision (log t and e^t - 1 on the Hankel rays, e^-z - 1 on the Hankel
@@ -48,8 +49,20 @@ smaller than the mpf objects.  A table stores at most _NODE_KERNEL_CAP
 entries; past that, kernels are built on every call and not stored, so a
 circle near 2pi, whose nodes run to thousands, cannot grow a table
 without bound.  A verify pass at 50 digits fills 672 ray, 320 circle and
-343 Mellin entries, about 0.80 MB (539, 599 and 720 bytes an entry); a
+343 Mellin entries, about 0.80 MB (539, 553 and 720 bytes an entry); a
 full table holds about 1.1-1.5 MB at 50 digits and 1.7-2.1 MB at 200.
+
+The quadrature nodes and weights themselves live in node-list tables, one
+per rule and precision: ``_node_lists(build)`` returns the table of the
+lists build(*key), each stored whole (a Gauss-Legendre level on its
+panels) or grown node by node as the series build(*key, i) (an exp-exp
+walk).  A table holds at most _NODE_LIST_CAP nodes; a whole list that
+does not fit in what is left is built on every call and not stored, and
+so is a series node past the cap.  A verify pass at 50 digits stores 343
+exp-exp and 896 Gauss-Legendre nodes, about 0.49 MB (502 and 350 bytes a
+node), and at 200 digits 1,625 and 4,536 (8 lists), about 3.1 MB (662 and
+447 bytes).  A full table at 200 digits holds about 5.4 MB of exp-exp
+nodes or 3.7 MB of Gauss-Legendre nodes.
 
 The tables of the _COEFF_SLOTS most recently used precisions are kept (an
 LRU over precisions), node tables with the coefficient tables of their
@@ -69,8 +82,10 @@ GUARD = 10  # decimal digits carried beyond the target precision
 
 _COEFF_SLOTS = 16
 _NODE_KERNEL_CAP = 2048  # entries per node-kernel table and precision
+_NODE_LIST_CAP = 8192  # nodes per node-list table and precision
 
-# mpmath prec -> {(build, args): _Coefficients, (build, None): _NodeKernels}
+# mpmath prec -> {(build, args): _Coefficients,
+#                 (build, None): _NodeKernels or _NodeLists, build: constant}
 _coeff_tables: OrderedDict[int, dict] = OrderedDict()
 
 # held by every _working block and by every table update
@@ -137,9 +152,14 @@ def const_gamma(ctx: PrecisionContext) -> mpf:
         return +mpmath.euler
 
 
+def _log2pi() -> mpf:
+    return mpmath.log(2 * mpmath.pi)
+
+
 def const_log2pi(ctx: PrecisionContext) -> mpf:
+    """log(2 pi), built once per precision."""
     with ctx.workdps():
-        return mpmath.log(2 * mpmath.pi)
+        return _table(_log2pi, _log2pi)
 
 
 class _Coefficients:
@@ -215,3 +235,53 @@ class _NodeKernels(dict):
 def _node_kernels(build) -> _NodeKernels:
     """The table of build(*nodes), by node, at the current mpmath precision."""
     return _table((build, None), _NodeKernels, build)
+
+
+class _NodeLists(dict):
+    """Lists of quadrature nodes at one precision, by key, _NODE_LIST_CAP nodes in all.
+
+    A list is either whole or a series:
+
+    - ``table(*key)`` returns the list build(*key), stored whole if the
+      table has room for it and else built on every call;
+    - ``table.series(*key)`` returns the stored prefix of the series
+      build(*key, i), i = 0, 1, ..., and ``table.node(nodes, key, i)``
+      builds its i-th node and appends it while the table has room.
+
+    ``size`` counts the nodes held.  A write holds the lock; a read takes
+    none.
+    """
+
+    __slots__ = ("_build", "size")
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self._build = build
+        self.size = 0
+
+    def __call__(self, *key) -> list:
+        nodes = self.get(key)
+        if nodes is None:
+            nodes = self._build(*key)
+            with _lock:
+                if key not in self and self.size + len(nodes) <= _NODE_LIST_CAP:
+                    self[key] = nodes
+                    self.size += len(nodes)
+        return nodes
+
+    def series(self, *key) -> list:
+        with _lock:
+            return self.setdefault(key, [])
+
+    def node(self, nodes: list, key: tuple, i: int):
+        node = self._build(*key, i)
+        with _lock:
+            if len(nodes) == i and self.size < _NODE_LIST_CAP:
+                nodes.append(node)
+                self.size += 1
+        return node
+
+
+def _node_lists(build) -> _NodeLists:
+    """The table of quadrature node lists that build makes, at the current mpmath precision."""
+    return _table((build, None), _NodeLists, build)

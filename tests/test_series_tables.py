@@ -1,9 +1,10 @@
-"""Per-precision coefficient tables and the one owner of mpmath's precision.
+"""Per-precision coefficient, constant and node tables and the one owner of mpmath's precision.
 
 A table must serve only the precision it was built at, hold each
 coefficient once and in order, and make a warm call do no Bernoulli work.
 Threads at different precisions must get the values a serial run gives and
-leave only entries built at their table's own precision.
+leave only entries built at their table's own precision.  Quadrature node
+tables must build each node once per precision and stay within their bound.
 """
 
 import sys
@@ -13,7 +14,7 @@ from collections import OrderedDict
 import mpmath
 import pytest
 
-from zetachain import exact, precision, special, zeta
+from zetachain import exact, precision, quadrature, special, zeta
 from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler, mellin_fundamental_check
 from zetachain.hankel import ContourSpec, bernoulli_interp, bernoulli_prime_interp
@@ -133,6 +134,8 @@ RACE_CALLS = {
     "zeta": lambda ctx: zeta_em(3, ctx),
     "zeta_prime": lambda ctx: zeta_prime_em("-2.5", ctx),
     "quad": lambda ctx: integrate(lambda x: mpmath.exp(x) / (1 + x * x), 0, 2, ctx).value,
+    "quad_half_line": lambda ctx: integrate(lambda x: mpmath.exp(-x) / (1 + x), 0, mpmath.inf, ctx).value,
+    "log2pi": precision.const_log2pi,
 }
 
 
@@ -141,15 +144,39 @@ def _race_values(digits):
     return {name: call(ctx) for name, call in RACE_CALLS.items()}
 
 
+def _stored(key, table):
+    """(build, entry, stored value, rebuilt value) of each entry of one table, at the current prec."""
+    if isinstance(table, precision._Coefficients):
+        build, args = key
+        for j, got in enumerate(table._items, 1):
+            yield build, (args, j), got, build(*args, j)
+    elif isinstance(table, precision._NodeKernels):
+        for nodes, got in table.items():
+            # a key is one node's _mpf_ tuple, or a tuple of them
+            nodes = (nodes,) if isinstance(nodes[0], int) else nodes
+            yield table._build, nodes, got, table._build(*map(mpmath.mp.make_mpf, nodes))
+    elif isinstance(table, precision._NodeLists):
+        for k, got in table.items():
+            # an exp-exp walk is a series, node i = build(*k, i); a
+            # Gauss-Legendre list is built whole
+            if table._build is quadrature._exp_exp_node:
+                yield table._build, k, got, [table._build(*k, i) for i in range(len(got))]
+            else:
+                yield table._build, k, got, table._build(*k)
+    else:  # a constant, stored under its build
+        yield key, None, table, key()
+
+
 def _wrong_table_entries():
-    """(prec, series, j) of each cached entry that differs from a rebuild at its table's prec."""
+    """(prec, build, entry) of each stored entry that differs from a rebuild at its table's prec."""
     wrong = []
-    for prec, tables in precision._coeff_tables.items():
+    # a rebuild may read, and so reorder, the tables it is checked against
+    for prec, tables in list(precision._coeff_tables.items()):
         with mpmath.workprec(prec):
-            for (build, args), table in tables.items():
-                for j, got in enumerate(table._items, 1):
-                    if got != build(*args, j):
-                        wrong.append((prec, build.__name__, args, j))
+            for key, table in list(tables.items()):
+                for build, entry, got, rebuilt in _stored(key, table):
+                    if got != rebuilt:
+                        wrong.append((prec, build.__name__, entry))
     return wrong
 
 
@@ -223,27 +250,17 @@ NODE_FILL = (
 )
 
 
-def _node_tables():
-    """{(prec, build): table} of every node-kernel table held."""
+def _node_tables(kind=(precision._NodeKernels, precision._NodeLists)):
+    """{(prec, build): table} of every node-kernel and node-list table held, or those of one kind."""
     return {
-        (prec, build): table
+        (prec, table._build): table
         for prec, tables in precision._coeff_tables.items()
-        for (build, args), table in tables.items()
-        if args is None
+        for table in tables.values()
+        if isinstance(table, kind)
     }
 
 
-def _wrong_node_entries():
-    """(prec, build, key) of each stored node kernel that differs from a rebuild at its table's prec."""
-    wrong = []
-    for (prec, build), table in _node_tables().items():
-        with mpmath.workprec(prec):
-            for key, got in table.items():
-                # a key is one node's _mpf_ tuple, or a tuple of them
-                nodes = (key,) if isinstance(key[0], int) else key
-                if got != build(*map(mpmath.mp.make_mpf, nodes)):
-                    wrong.append((prec, build.__name__, key))
-    return wrong
+NODE_BUILDS = {"_ray_kernels", "_circle_kernel", "_mellin_kernels", "_exp_exp_node", "_gauss_legendre_nodes"}
 
 
 def test_node_kernels_cold_and_warm_match(monkeypatch):
@@ -257,18 +274,20 @@ def test_node_kernels_cold_and_warm_match(monkeypatch):
     for fill in NODE_FILL:
         fill()
     builds = {build.__name__ for _, build in _node_tables()}
-    assert builds == {"_ray_kernels", "_circle_kernel", "_mellin_kernels"}
+    assert builds == NODE_BUILDS
     for _ in ("filled by others", "warm"):
         assert {name: call() for name, call in NODE_CALLS.items()} == cold
-    assert _wrong_node_entries() == []
+    assert _wrong_table_entries() == []
 
 
 def test_warm_calls_build_no_node_kernel(monkeypatch):
-    # a repeated contour or Mellin check reads every node kernel back
+    # a repeated contour or Mellin check reads every node and node kernel
+    # back
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     calls = (NODE_CALLS["B'_2.5"], NODE_CALLS["mellin"])
     for call in calls:
         call()
+    assert {build.__name__ for _, build in _node_tables()} == NODE_BUILDS
     built = []
     for (_, build), table in _node_tables().items():
 
@@ -277,7 +296,6 @@ def test_warm_calls_build_no_node_kernel(monkeypatch):
             return _build(*nodes)
 
         monkeypatch.setattr(table, "_build", counting)
-    assert len(_node_tables()) == 3
     for call in calls:
         call()
     assert built == []
@@ -292,6 +310,9 @@ def test_node_tables_evicted_with_their_precision(monkeypatch):
     assert len(precision._coeff_tables) == 2
     assert precs == set(precision._coeff_tables)
     assert mpmath.mp.prec not in precs
+    for prec in precs:
+        builds = {build.__name__ for p, build in _node_tables() if p == prec}
+        assert builds == {"_ray_kernels", "_circle_kernel", "_gauss_legendre_nodes"}
 
 
 def test_node_table_entry_cap(monkeypatch):
@@ -299,7 +320,8 @@ def test_node_table_entry_cap(monkeypatch):
     # evaluations at distinct nodes, more than a table stores
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     value = bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50))
-    sizes = {build.__name__: len(table) for (_, build), table in _node_tables().items()}
+    kernels = precision._NodeKernels
+    sizes = {build.__name__: len(table) for (_, build), table in _node_tables(kernels).items()}
     assert sizes["_circle_kernel"] == precision._NODE_KERNEL_CAP
     assert max(sizes.values()) <= precision._NODE_KERNEL_CAP
     # past the cap the kernels are built afresh, with the same values
@@ -307,7 +329,7 @@ def test_node_table_entry_cap(monkeypatch):
     monkeypatch.setattr(precision, "_NODE_KERNEL_CAP", 0)
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
-    assert all(len(table) == 0 for table in _node_tables().values())
+    assert all(len(table) == 0 for table in _node_tables(kernels).values())
 
 
 def test_node_tables_under_threads(monkeypatch):
@@ -344,10 +366,80 @@ def test_node_tables_under_threads(monkeypatch):
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
-            wrong += _wrong_node_entries()
+            wrong += _wrong_table_entries()
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
     assert wrong == []
     assert len(precision._coeff_tables) == 2
-    assert len(_node_tables()) == 6
+    assert len(_node_tables()) == 2 * len(NODE_BUILDS)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of quadrature's node builder name from now on; the list of their arguments."""
+    build, built = getattr(quadrature, name), []
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(quadrature, name, counting)
+    return built
+
+
+def _node_list_sizes():
+    """{build name: nodes held} of every node-list table, each checked against its lists."""
+    sizes = {}
+    for (_, build), table in _node_tables(precision._NodeLists).items():
+        assert table.size == sum(map(len, table.values()))
+        sizes[build.__name__] = table.size
+    return sizes
+
+
+def test_mellin_checks_build_each_exp_exp_node_once(monkeypatch):
+    # the exp-exp nodes depend only on the precision: s = 3 reads the nodes
+    # s = 2 built, and builds only those its walks reach beyond them
+    built = _counting(monkeypatch, "_exp_exp_node")
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    ctx = PrecisionContext(50)
+    mellin_fundamental_check(2, ctx)
+    assert built
+    mellin_fundamental_check(3, ctx)
+    assert len(built) == len(set(built))
+    assert _node_list_sizes()["counting"] == len(built)
+    assert _wrong_table_entries() == []
+
+
+def test_second_contour_at_one_radius_builds_no_gauss_legendre_node(monkeypatch):
+    # the rays and the half circle of every contour of one radius share
+    # their panels, so their node lists, whatever u and the log factor
+    built = _counting(monkeypatch, "_gauss_legendre_nodes")
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    ctx = PrecisionContext(50)
+    first = bernoulli_prime_interp("2.5", ContourSpec(radius=3), ctx)
+    n = len(built)
+    assert n > 0
+    for u in ("1.5", 3):
+        bernoulli_interp(u, ContourSpec(radius=3), ctx)
+    assert bernoulli_prime_interp("2.5", ContourSpec(radius=3), ctx) == first
+    assert len(built) == n
+
+
+def test_node_lists_stay_within_their_bound(monkeypatch):
+    # a walk to the node cap and a circle near 2pi each reach more nodes
+    # than the lowered bound; what is past it is built per call, with the
+    # values of a run that stores nothing
+    monkeypatch.setattr(precision, "_NODE_LIST_CAP", 100)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    with pytest.raises(ArithmeticError, match="decay at least exponentially"):
+        integrate(lambda x: 1 / (1 + x**3), 0, mpmath.inf, PrecisionContext(50))
+    assert _node_list_sizes() == {"_exp_exp_node": 100}
+    monkeypatch.setattr(precision, "_NODE_LIST_CAP", 1000)
+    value = bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50))
+    sizes = _node_list_sizes()
+    assert 0 < sizes["_gauss_legendre_nodes"] <= 1000
+    assert _wrong_table_entries() == []
+    monkeypatch.setattr(precision, "_NODE_LIST_CAP", 0)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
+    assert set(_node_list_sizes().values()) == {0}
