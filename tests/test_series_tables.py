@@ -7,6 +7,7 @@ leave only entries built at their table's own precision.  Quadrature node
 tables must build each node once per precision and stay within their bound.
 """
 
+import functools
 import sys
 import threading
 from collections import OrderedDict
@@ -379,6 +380,7 @@ def _counting(monkeypatch, name):
     """Count the calls of quadrature's node builder name from now on; the list of their arguments."""
     build, built = getattr(quadrature, name), []
 
+    @functools.wraps(build)
     def counting(*args):
         built.append(args)
         return build(*args)
@@ -406,7 +408,7 @@ def test_mellin_checks_build_each_exp_exp_node_once(monkeypatch):
     assert built
     mellin_fundamental_check(3, ctx)
     assert len(built) == len(set(built))
-    assert _node_list_sizes()["counting"] == len(built)
+    assert _node_list_sizes()["_exp_exp_node"] == len(built)
     assert _wrong_table_entries() == []
 
 
