@@ -83,14 +83,17 @@ rules are refined the same way:
 
 The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
 panels cut at the powers of 3 below N.  Its caller evaluates H(t) once per
-node for all k, so its cost follows the number of distinct nodes.  At
-kmax = 4 and 50 digits it takes 4320 evaluations at 864 distinct nodes
-and 874 psi evaluations, against 3744 at 1152 and 1162 on the
-double-exponential rule for finite intervals that it replaced.
-run_oracle(4, 50) took 0.20-0.28 s of thread CPU against 0.26-0.32 s,
-and run_oracle(4, 30), where the order is 24, 0.12-0.20 s against
-0.13-0.16 s (medians of 7 warm runs in four processes per rule, taken in
-turn, on a 2-vCPU KVM host, Python 3.11.7, pure-Python mpmath 1.3.0).
+distinct node, for all k and for both the scheme and its refinement at
+2N, so its cost follows the number of distinct nodes.  At kmax = 4 and
+50 digits it takes 4320 evaluations at 576 distinct nodes and 586 psi
+evaluations, ten of them at H(N).  When this rule replaced the
+double-exponential rule for finite intervals, each scheme still kept its
+own H(t) table: 4320 evaluations at 864 distinct nodes and 874 psi
+evaluations, against 3744 at 1152 and 1162.  run_oracle(4, 50) took
+0.20-0.28 s of thread CPU against 0.26-0.32 s, and run_oracle(4, 30),
+where the order is 24, 0.12-0.20 s against 0.13-0.16 s (medians of 7 warm
+runs in four processes per rule, taken in turn, on a 2-vCPU KVM host,
+Python 3.11.7, pure-Python mpmath 1.3.0).
 """
 
 from __future__ import annotations

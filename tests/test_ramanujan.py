@@ -95,11 +95,25 @@ def test_rows_do_not_depend_on_kmax(digits):
         assert a.stable == b.stable
 
 
+@pytest.mark.parametrize("kmax, digits", [(8, 20), (4, 50)])
+def test_refined_value_is_the_refined_scheme_alone(kmax, digits):
+    # The refined scheme (2N, J+1) reads the H(t) table and the partial
+    # sums that the base scheme left; its values must be bit for bit those
+    # of a request that runs (2N, J+1) as its own base scheme.
+    ctx = PrecisionContext(digits)
+    shared = ramanujan_sum(kmax, EMScheme(), ctx)
+    alone = ramanujan_sum(kmax, EMScheme(100, 16), ctx)
+    for a, b in zip(shared, alone, strict=True):
+        assert a.refined_value == b.value
+
+
 def test_ramanujan_digamma_budget(monkeypatch):
-    # The k = 0..4 integrals of one scheme share their Gauss-Legendre
-    # nodes, so H(t) is evaluated once per node: 384 nodes at N = 50 and
-    # 480 at N = 100, plus one H(N) per k and scheme in hsmooth_pow_derivs,
-    # make 874 calls.  Evaluating H(t) again for every k would make 4,330.
+    # The k = 0..4 integrals of both schemes, N = 50 and the refined
+    # N = 100, read one H(t) table per request, so H(t) is evaluated once
+    # per distinct Gauss-Legendre node: 576 over both schemes (the 288 on
+    # [1, 27] are shared), plus one H(N) per k and scheme in
+    # hsmooth_pow_derivs, make 586 calls.  A table per scheme made 874, and
+    # evaluating H(t) again for every k would make 4,330.
     calls, digamma = [], special.digamma
 
     def counting(x, ctx):
@@ -108,4 +122,4 @@ def test_ramanujan_digamma_budget(monkeypatch):
 
     monkeypatch.setattr(special, "digamma", counting)
     ramanujan_sum(4, EMScheme(), PrecisionContext(50))
-    assert 0 < len(calls) <= 900
+    assert 0 < len(calls) <= 586
