@@ -14,10 +14,10 @@ at (2N, J+1); a result whose spread exceeds the tolerance is flagged but
 still returned.
 
 One request covers k = 0..kmax under the scheme (N, J) and its
-refinement (2N, J+1).  Every k integrates over [1, N] on the same
-Gauss-Legendre panels, cut at the powers of 3 below N, so the two
-schemes share every panel but the base scheme's last, and one table of
-H(t) per request serves both: H(t) is evaluated once per distinct node,
+refinement (2N, J+1).  Under one scheme every k integrates over [1, N]
+on the same Gauss-Legendre panels, cut at the powers of 3 below N, and
+the two schemes share every panel but the base scheme's last, so one
+table of H(t) per request serves both: H(t) is evaluated once per node,
 576 nodes for 4320 integrand evaluations at kmax = 4 and 50 digits (the
 288 on [1, 27] are read by both schemes).  The partial sums
 sum_{n<=N} H_n n^k build H_n once for every k, and the refined sum to 2N
