@@ -45,7 +45,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact import bernoulli, binomial, harmonic
-from .precision import GUARD, PrecisionContext, _coefficients, _node_kernels, _working
+from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
 from .special import _GUARD_BITS, DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
@@ -283,19 +283,21 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
         if sv <= 1:
             raise DomainError("Mellin check requires s > 1")
 
-        # e^-x, 1 - e^-x and log(1 - e^-x) depend only on the node, which the
-        # exp-exp walk puts at the same x for every s: they are read from a
-        # per-precision table, and only x^(s-1) is computed per s
-        kernels = _node_kernels(_mellin_kernels)
-
-        def integrands(x):
+        def integrands(x, kernels):
             # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x)
-            ex, one_minus, log_om = map(mpmath.mp.make_mpf, kernels(x))
+            ex, one_minus, log_om = map(mpmath.mp.make_mpf, kernels)
             i3 = x ** (sv - 1) * log_om
             return i3 / one_minus, ex * i3 / one_minus, i3
 
         off = -(GUARD - 3)
-        i1, i2, i3 = integrate(integrands, 0, mpmath.inf, ctx, tol_offset=off).require_converged()
+        # e^-x, 1 - e^-x and log(1 - e^-x) depend only on the node, which the
+        # exp-exp walk puts at the same x for every s: they are kept beside
+        # the nodes in quadrature's per-precision exp-exp kernel series, keyed
+        # by the walk and bounded like every node list, and only x^(s-1) is
+        # computed per s
+        i1, i2, i3 = integrate(
+            integrands, 0, mpmath.inf, ctx, tol_offset=off, kernel=(_mellin_kernels,)
+        ).require_converged()
         g = gamma_fn(sv, ctx)
         r1 = abs(i1 + g * h_euler(sv, ctx))
         r2 = abs(i2 + g * h_euler_shifted(sv, ctx))

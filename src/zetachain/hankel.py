@@ -53,20 +53,16 @@ cancel: at a radius of 1e-10 the subtraction would lose about 33 bits,
 more than the working precision's 10-digit guard.
 
 Most of that work depends on neither u nor the log factor: log t and
-e^t - 1 on the rays, and e^-z - 1 on the circle.  The nodes are the same
-mpf values for every contour of one radius at one precision, so these
-kernels are kept in per-precision node tables (``precision._node_kernels``),
-the rays' keyed by t and the circle's by (r, theta), and built with the
-same expressions on first use.  A node whose kernels are stored costs one
-exp, t^e = exp(e log t), on a ray, and one cos_sin, that of (e+1) theta,
-and one complex division on the circle.  A node not yet stored adds a log
-and an exp (or an expm1 below t = 1) on a ray, and an exp and two cos_sin
-pairs on the circle.  In one verify pass at 50 digits the rays visit 672
-distinct nodes over 1440 evaluations and the circles 320 over 992.  The
-nodes themselves come from the per-precision Gauss-Legendre node lists of
-``quadrature``, one per (panel edges, level): every contour of one radius
-reads the same ray lists, and every circle, whatever its radius, the same
-[0, pi] lists.  That verify pass builds 896 nodes in 7 lists.
+e^t - 1 on the rays, and e^-z - 1 on the circle.  These are the node
+kernels that ``quadrature.integrate`` keeps beside its Gauss-Legendre
+nodes (``kernel=``): the rays' per (panel edges, level), the edges
+following from the radius and the ray cutoff, and the circle's per
+(radius, level), while the circle's [0, pi] nodes themselves are shared
+by every radius.  A node whose
+kernels are stored costs one exp, t^e = exp(e log t), on a ray, and one
+cos_sin, that of (e+1) theta, and one complex division on the circle.  A
+node not yet stored adds a log and an exp (or an expm1 below t = 1) on a
+ray, and an exp and two cos_sin pairs on the circle.
 
 Which quadrature rule integrates which piece:
 
@@ -78,7 +74,8 @@ Which quadrature rule integrates which piece:
   Gauss-Legendre as one panel [0, pi], centred under the pole at
   theta = pi/2 + i log(2pi/r).  At integer u without the log factor the
   integrand is also periodic, but it takes the same rule as every other
-  circle, so every circle of one radius shares its nodes.
+  circle, so every circle shares its nodes, and every circle of one
+  radius its kernels.
 - The ray integrand t^e/(e^t - 1) is analytic on [r, T], with a branch
   point at t = 0 and poles at t = +-2pi i k.  It runs on Gauss-Legendre
   too, over panels split geometrically from r to T at a ratio as near 3 as
@@ -96,7 +93,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import PrecisionContext, _node_kernels
+from .precision import PrecisionContext
 from .quadrature import integrate
 from .special import digamma, gamma_fn
 from .zeta import zeta_em, zeta_prime_oracle
@@ -152,22 +149,20 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         log_r = mpmath.log(r)
         r_e1 = r ** (expo + 1)
         off = (ctx.digits + 1) // 2 - 3  # target ~10^(-digits/2)
-        ray_kernels = _node_kernels(_ray_kernels)
-        circle_kernel = _node_kernels(_circle_kernel)
 
-        def rays(t):
+        def rays(t, kernels):
             # Im of the lower ray's integrand, which is (lower - upper)/2i
-            logt, em1 = map(mpmath.mp.make_mpf, ray_kernels(t))
+            logt, em1 = map(mpmath.mp.make_mpf, kernels)
             v = mpmath.exp(expo * logt) / em1
             if with_log:
                 return -sin_e * v, v * (sin_e * logt + pi_cos_e)
             return (-sin_e * v,)
 
-        def circle(theta):
+        def circle(theta, kernel):
             # (val(theta) + val(-theta))/i = 2 Im val(theta), the full circle's
             # two points +-theta in one, with val = i z^(e+1)/(e^-z - 1)
             ca, sa = mpmath.cos_sin((expo + 1) * theta)
-            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mp.make_mpc(circle_kernel(r, theta))
+            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mp.make_mpc(kernel)
             if with_log:
                 # Im(-log z val), log z = log r + i theta
                 return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)
@@ -181,9 +176,13 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
             m = max(1, round(mpmath.log(T / r) / math.log(3)))
             q = (T / r) ** (mpf(1) / m)
             breaks = tuple(r * q**i for i in range(1, m))
-            ray = integrate(rays, r, T, ctx, tol_offset=off, breaks=breaks).require_converged()
+            ray = integrate(
+                rays, r, T, ctx, tol_offset=off, breaks=breaks, kernel=(_ray_kernels,)
+            ).require_converged()
         # one Gauss-Legendre panel, centred under the pole nearest the half circle
-        circ = integrate(circle, 0, mpmath.pi, ctx, tol_offset=off).require_converged()
+        circ = integrate(
+            circle, 0, mpmath.pi, ctx, tol_offset=off, kernel=(_circle_kernel, r)
+        ).require_converged()
         # rays 2i ray plus circle i circ, over 2pi i
         return tuple((2 * j + c) / (2 * mpmath.pi) for j, c in zip(ray, circ))
 

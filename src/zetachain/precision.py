@@ -25,48 +25,28 @@ guarantees and what it does not:
   Pass str, int or Fraction arguments, which are parsed at the working
   precision.
 
-Series coefficients that depend only on the working precision (the
-Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin B_2j terms
-and the Gauss-Legendre rule on [-1, 1]) live in per-precision tables:
-``_coefficients(build, *args)`` returns the table of the series
-c(j) = build(*args, j), j >= 1, at the current mpmath prec.  An entry is
-built once, on first use, at that prec and with the caller's own
-expression, so values are the same as building it inline; a table grows
-one coefficient at a time and holds only the coefficients some caller
-reached.  After a verify pass at 50 digits the coefficient tables hold
-about 0.15 MB.  log(2 pi) is one more entry, built once per precision
-(``const_log2pi``).
+Everything cached here depends only on the working precision, and is
+kept in per-precision tables of two kinds, each entry built on first use
+by the caller's own expression at its table's precision, so a value read
+back is the value an inline build gives:
 
-Quadrature-node kernels that depend only on the node and the working
-precision (log t and e^t - 1 on the Hankel rays, e^-z - 1 on the Hankel
-circle, and e^-x, 1 - e^-x and log(1 - e^-x) in the Mellin integrands)
-live in the same per-precision tables: ``_node_kernels(build)`` returns
-the table of build(*nodes), keyed by the nodes' ``_mpf_`` tuples.  A value
-is built on first use by the caller's own expression at the table's
-precision, so it is the value an inline evaluation gives.  The builds
-return raw ``_mpf_``/``_mpc_`` tuples, which are 64 bytes per value
-smaller than the mpf objects.  A table stores at most _NODE_KERNEL_CAP
-entries; past that, kernels are built on every call and not stored, so a
-circle near 2pi, whose nodes run to thousands, cannot grow a table
-without bound.  A verify pass at 50 digits fills 672 ray, 320 circle and
-343 Mellin entries, about 0.80 MB (539, 553 and 720 bytes an entry); a
-full table holds about 1.1-1.5 MB at 50 digits and 1.7-2.1 MB at 200.
-
-The quadrature nodes and weights themselves live in node-list tables, one
-per rule and precision: ``_node_lists(build)`` returns the table of the
-lists build(*key), each stored whole (a Gauss-Legendre level on its
-panels) or grown node by node as the series build(*key, i) (an exp-exp
-walk).  A table holds at most _NODE_LIST_CAP nodes; a whole list that
-does not fit in what is left is built on every call and not stored, and
-so is a series node past the cap.  A verify pass at 50 digits stores 343
-exp-exp and 896 Gauss-Legendre nodes, about 0.49 MB (502 and 350 bytes a
-node), and at 200 digits 1,625 and 4,536 (8 lists), about 3.1 MB (662 and
-447 bytes).  A full table at 200 digits holds about 5.4 MB of exp-exp
-nodes or 3.7 MB of Gauss-Legendre nodes.
+- ``_coefficients(build, *args)``: the series c(j) = build(*args, j),
+  j >= 1, grown one coefficient at a time as far as some caller reached
+  (the Stirling kernel's fixed-point B_2j ratios, the Euler-Maclaurin
+  B_2j terms and the Gauss-Legendre rule on [-1, 1]).  log(2 pi) is one
+  more entry, stored under its build (``const_log2pi``).  Unbounded: a
+  series stops where its callers stop.
+- ``_node_lists(build)``: the quadrature node lists that build makes, by
+  key, each stored whole (``table(*key)``) or grown entry by entry as the
+  series build(*key, i) (``table.series`` and ``table.node``).  The
+  ``quadrature`` module keeps its nodes here, and beside them the
+  transcendental kernels its callers' integrands read at each node.  A
+  table holds at most _NODE_LIST_CAP entries; a whole list that does not
+  fit in what is left is built on every call and not stored, and so is a
+  series entry past the cap.
 
 The tables of the _COEFF_SLOTS most recently used precisions are kept (an
-LRU over precisions), node tables with the coefficient tables of their
-precision.
+LRU over precisions), and a precision's tables leave together.
 """
 
 from __future__ import annotations
@@ -81,11 +61,10 @@ from mpmath import mpf
 GUARD = 10  # decimal digits carried beyond the target precision
 
 _COEFF_SLOTS = 16
-_NODE_KERNEL_CAP = 2048  # entries per node-kernel table and precision
-_NODE_LIST_CAP = 8192  # nodes per node-list table and precision
+_NODE_LIST_CAP = 8192  # entries per node-list table and precision
 
-# mpmath prec -> {(build, args): _Coefficients,
-#                 (build, None): _NodeKernels or _NodeLists, build: constant}
+# mpmath prec -> {(build, args): _Coefficients, (build, None): _NodeLists,
+#                 build: constant}
 _coeff_tables: OrderedDict[int, dict] = OrderedDict()
 
 # held by every _working block and by every table update
@@ -207,38 +186,8 @@ def _coefficients(build, *args) -> _Coefficients:
     return _table((build, args), _Coefficients, build, args)
 
 
-class _NodeKernels(dict):
-    """build(*nodes) for quadrature nodes, keyed by the nodes' _mpf_ tuples.
-
-    ``table(*nodes)`` returns the stored value, or builds it and stores it
-    while the table holds fewer than _NODE_KERNEL_CAP entries; past the cap
-    it is built on every call.  A write holds the lock; a read takes none.
-    """
-
-    __slots__ = ("_build",)
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self._build = build
-
-    def __call__(self, *nodes):
-        key = nodes[0]._mpf_ if len(nodes) == 1 else tuple([x._mpf_ for x in nodes])
-        kernels = self.get(key)
-        if kernels is None:
-            kernels = self._build(*nodes)
-            with _lock:
-                if len(self) < _NODE_KERNEL_CAP:
-                    self[key] = kernels
-        return kernels
-
-
-def _node_kernels(build) -> _NodeKernels:
-    """The table of build(*nodes), by node, at the current mpmath precision."""
-    return _table((build, None), _NodeKernels, build)
-
-
 class _NodeLists(dict):
-    """Lists of quadrature nodes at one precision, by key, _NODE_LIST_CAP nodes in all.
+    """Lists of quadrature nodes at one precision, by key, _NODE_LIST_CAP entries in all.
 
     A list is either whole or a series:
 
@@ -248,7 +197,7 @@ class _NodeLists(dict):
       build(*key, i), i = 0, 1, ..., and ``table.node(nodes, key, i)``
       builds its i-th node and appends it while the table has room.
 
-    ``size`` counts the nodes held.  A write holds the lock; a read takes
+    ``size`` counts the entries held.  A write holds the lock; a read takes
     none.
     """
 

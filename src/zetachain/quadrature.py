@@ -40,36 +40,30 @@ rules are refined the same way:
   of its levels sums all its panels afresh.  Levels are refined until two
   successive estimates agree below the target tolerance; the returned
   error estimate is the last inter-level difference.
-- Gauss-Legendre (x, w) tables depend only on the working precision, so
-  they are one more per-precision series of ``precision._coefficients``:
-  entry j is the j-th largest root of P_n and its weight (the rule is
-  symmetric, n even).  Each root starts from Tricomi's estimate and two
-  float Newton steps and is refined by Newton steps on the Legendre
-  three-term recurrence in integer fixed point, with the Stirling kernel's
-  guard bits (``special._wp``); the n = 32 table at 50 digits takes about
-  3 ms.
-- The nodes and weights of both rules depend only on the working
-  precision too, so they are kept in per-precision node-list tables
+- The Gauss-Legendre rule on [-1, 1] depends only on the working
+  precision, so it is one more per-precision series of
+  ``precision._coefficients``: entry j is the j-th largest root of P_n and
+  its weight (the rule is symmetric, n even).  Each root starts from
+  Tricomi's estimate and two float Newton steps and is refined by Newton
+  steps on the Legendre three-term recurrence in integer fixed point, with
+  the Stirling kernel's guard bits (``special._wp``).
+- Nodes and node kernels live in per-precision node-list tables
   (``precision._node_lists``), built by the same expressions at the same
-  precision as an inline build.  An exp-exp walk, one per (level, sign,
-  first), is a series indexed by its position in the walk and grown only
-  as far as some caller's walk reached; an entry is x - a =
-  exp(t - e^-t) and the weight, two exps, and the walk yields a + that.
-  A Gauss-Legendre list is the (x, w) of every node of one (panel edges,
-  level), stored whole or not at all, so every contour of one radius and
-  every Ramanujan k read the same list.  The node cap is checked in the
-  walk, not in the table: a walk that reaches t = _NODE_CAP raises
-  whatever the table holds.  The trade-off, measured: the warm mellin
-  suite took 0.155 -> 0.090 s of thread CPU at 100 digits and 0.79 ->
-  0.39 s at 200, the warm hankel suite 0.47 -> 0.44 s and 2.0 -> 1.6 s
-  (medians of three processes per side, each the median of 5 warm runs).
-  After a cold verify of all suites the tables hold 0.49 MB at 50
-  digits, 1.1 MB at 100 and 3.1 MB at 200, and the memory traced after
-  the run grew by 0.35, 0.68 and 2.0 MB (``precision`` gives the bound).
-  What callers store beside the nodes are the transcendental kernels
-  their integrands evaluate at a node (``precision._node_kernels``):
-  those cost several exps and logs a node and are shared by every s or u
-  that visits the node.
+  precision as an inline build, and bounded like every node list:
+  - a Gauss-Legendre list is the (x, w) of every node of one level on its
+    panels, keyed by (panel edges, level) and stored whole or not at all;
+  - an exp-exp walk is a series of (x, w), keyed by (a, level, sign,
+    first), indexed by position in the walk and grown only as far as some
+    walk reached;
+  - with ``kernel=(build, *args)`` the integrand is called as f(x, k),
+    and k = build(*args, x) is kept beside the node: a Gauss-Legendre
+    list of (x, w, k) keyed by (kernel, panel edges, level), or an
+    exp-exp series keyed by (kernel, a, level, sign, first).  A kernel is
+    the part of an integrand that depends on the node alone, so every
+    integrand that passes the same kernel over the same nodes reads it
+    back instead of building it.
+  The node cap is checked in the walk, not in the table: a walk that
+  reaches t = _NODE_CAP raises whatever the table holds.
 - The integrand may return a tuple.  Its components share nodes and
   levels, the call converges when every component does, and the result's
   value is then a tuple too.
@@ -82,18 +76,9 @@ rules are refined the same way:
   visits every node of its level.
 
 The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
-panels cut at the powers of 3 below N.  Its caller evaluates H(t) once per
-distinct node, for all k and for both the scheme and its refinement at
-2N, so its cost follows the number of distinct nodes.  At kmax = 4 and
-50 digits it takes 4320 evaluations at 576 distinct nodes and 586 psi
-evaluations, ten of them at H(N).  When this rule replaced the
-double-exponential rule for finite intervals, each scheme still kept its
-own H(t) table: 4320 evaluations at 864 distinct nodes and 874 psi
-evaluations, against 3744 at 1152 and 1162.  run_oracle(4, 50) took
-0.20-0.28 s of thread CPU against 0.26-0.32 s, and run_oracle(4, 30),
-where the order is 24, 0.12-0.20 s against 0.13-0.16 s (medians of 7 warm
-runs in four processes per rule, taken in turn, on a 2-vCPU KVM host,
-Python 3.11.7, pure-Python mpmath 1.3.0).
+panels cut at the powers of 3 below N, without a kernel: its caller
+evaluates H(t) once per distinct node from a table of its own request, for
+all k and for both the scheme and its refinement at 2N.
 """
 
 from __future__ import annotations
@@ -194,32 +179,47 @@ def _gauss_legendre_nodes(edges: tuple, level: int) -> list:
     return nodes
 
 
-def _gauss_legendre_walks(edges: tuple, level: int, first: bool):
-    return (_node_lists(_gauss_legendre_nodes)(edges, level),)
+def _gauss_legendre_kernels(kernel: tuple, edges: tuple, level: int) -> list:
+    """(x, w, build(*args, x)) at every node of a level, kernel = (build, *args)."""
+    build, *args = kernel
+    return [(x, w, build(*args, x)) for x, w in _node_lists(_gauss_legendre_nodes)(edges, level)]
 
 
-def _exp_exp_node(level: int, sign: int, first: bool, i: int) -> tuple:
-    """(x - a, w) at the i-th node of the walk of sign: x - a = exp(t - e^-t), w = (x - a)(1 + e^-t)."""
+def _gauss_legendre_walks(edges: tuple, kernel, level: int, first: bool):
+    if kernel is None:
+        return (_node_lists(_gauss_legendre_nodes)(edges, level),)
+    return (_node_lists(_gauss_legendre_kernels)(kernel, edges, level),)
+
+
+def _exp_exp_node(a: mpf, level: int, sign: int, first: bool, i: int) -> tuple:
+    """(x, w) at the i-th node of the walk of sign: x = a + exp(t - e^-t), w = (x - a)(1 + e^-t)."""
     # t = k h at h = 2^-level: every k >= 0 on a first level, else odd k;
     # t = 0 belongs to the positive walk
     k = i + (sign < 0) if first else 2 * i + 1
     t = sign * k * mpf(2) ** (-level)
     et = mpmath.exp(-t)
     ex = mpmath.exp(t - et)
-    return ex, ex * (1 + et)
+    return a + ex, ex * (1 + et)
 
 
-def _exp_exp_walks(a: mpf, level: int, first: bool):
-    lists = _node_lists(_exp_exp_node)
+def _exp_exp_kernels(kernel: tuple, a: mpf, level: int, sign: int, first: bool, i: int) -> tuple:
+    """(x, w, build(*args, x)) at the i-th node of the walk of sign, kernel = (build, *args)."""
+    build, *args = kernel
+    x, w = _exp_exp_node(a, level, sign, first, i)
+    return x, w, build(*args, x)
+
+
+def _exp_exp_walks(a: mpf, kernel, level: int, first: bool):
+    lists = _node_lists(_exp_exp_node if kernel is None else _exp_exp_kernels)
+    head = (a,) if kernel is None else (kernel, a)
 
     def nodes(sign):
-        key = (level, sign, first)
+        key = (*head, level, sign, first)
         walk = lists.series(*key)
         last = _NODE_CAP * 2**level
         # the number of k <= last the walk visits
         for i in range(last + (sign > 0) if first else last // 2):
-            ex, w = walk[i] if i < len(walk) else lists.node(walk, key, i)
-            yield a + ex, w
+            yield walk[i] if i < len(walk) else lists.node(walk, key, i)
         raise ArithmeticError(
             f"quadrature node walk reached t = {_NODE_CAP} at level {level}; "
             "an integrand on [a, inf) must decay at least exponentially"
@@ -229,15 +229,17 @@ def _exp_exp_walks(a: mpf, level: int, first: bool):
     return nodes(1), nodes(-1)
 
 
-def _add_level(f, walks, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
-    """Add w*f(x) over the walks' nodes to the running sums; (sums, tuple-valued).
+def _add_level(f, walks, kernel: bool, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
+    """Add w*f over the walks' nodes to the running sums; (sums, tuple-valued).
 
+    A node is (x, w), or with kernel (x, w, k) and f is called as f(x, k).
     With decays, a walk stops after three successive contributions below eps.
     """
     for nodes in walks:
         small = 0
-        for x, w in nodes:
-            fx = f(x)
+        for node in nodes:
+            fx = f(node[0], node[2]) if kernel else f(node[0])
+            w = node[1]
             is_tuple = isinstance(fx, tuple)
             terms = [w * v for v in fx] if is_tuple else [w * fx]
             total = terms if total is None else [s + c for s, c in zip(total, terms)]
@@ -249,12 +251,13 @@ def _add_level(f, walks, decays: bool, eps: mpf, total: list | None, is_tuple: b
 
 
 def integrate(
-    f: Callable[[mpf], mpf | tuple],
+    f: Callable[..., mpf | tuple],
     a,
     b,
     ctx: PrecisionContext,
     tol_offset: int = 5,
     breaks: tuple = (),
+    kernel: tuple | None = None,
 ) -> QuadratureResult:
     """Integrate f over [a, b] (b may be mpmath.inf) to ~10^(-digits+tol_offset).
 
@@ -266,7 +269,8 @@ def integrate(
     as log x on [0, 1], does not converge by the last level, and the
     result says so.  b < a without breaks gives the integral from a to b.
     f may return a tuple of values; the result's value is then the tuple
-    of their integrals.
+    of their integrals.  With kernel = (build, *args), f is called as
+    f(x, build(*args, x)), the kernel read from the node-list tables.
     """
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits + tol_offset)
@@ -276,13 +280,13 @@ def integrate(
         if decays:
             if breaks:
                 raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
-            walks = partial(_exp_exp_walks, a)
+            walks = partial(_exp_exp_walks, a, kernel)
         else:
             b = mpf(b)
             inner = sorted(mpf(x) for x in breaks)
             if not all(a < x < b for x in inner):
                 raise ValueError("breaks must lie strictly between a and b")
-            walks = partial(_gauss_legendre_walks, (a, *inner, b))
+            walks = partial(_gauss_legendre_walks, (a, *inner, b), kernel)
 
         total = prev = None
         value = [mpf(0)]
@@ -292,7 +296,7 @@ def integrate(
             if not nested:
                 total = None
             total, is_tuple = _add_level(
-                f, walks(level, total is None), decays, eps, total, is_tuple
+                f, walks(level, total is None), kernel is not None, decays, eps, total, is_tuple
             )
             h = mpf(2) ** (-level) if nested else 1
             value = [s * h for s in total]

@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -143,3 +144,16 @@ def test_report_serialization_roundtrip():
                 # exact fields round-trip losslessly, and absent ones stay None
                 assert v1 == v2, f.name
         assert all((name in d) == (r1.k % 2 == 0) for name in odd_fields)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # the README's Quick start block, run as written, prints what its
+    # comments say: the exact triple, the oracle value and the delta
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "1/12 + (1/6)*gamma + (-1/4)*log(2*pi)"
+    assert lines[1].startswith("-0.16542114")  # zeta'(-1)
+    assert lines[2].startswith("0.1145")

@@ -85,7 +85,7 @@ def test_contour_node_transcendental_budget(monkeypatch):
     # and 96 on the half circle.  Cold, a circle node takes e^-z from one
     # real exp and cos_sin pairs, not from complex exps, and the rays, which
     # start at t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
-    # Warm, at the same radius and precision, the node tables hold log t,
+    # Warm, at the same radius and precision, the node lists hold log t,
     # e^t - 1 and e^-z - 1: a ray node makes only the exp of t^e, and a
     # circle node only the cos_sin of (e+1) theta.
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
@@ -103,9 +103,10 @@ def test_contour_node_transcendental_budget(monkeypatch):
         # the half circle is [0, pi]; the rays start at r
         piece = nodes["circle" if a == 0 else "rays"]
 
-        def node(x):
+        def node(*args):
+            # the node's x and its kernel
             before = {name: len(seen) for name, seen in calls.items()}
-            value = f(x)
+            value = f(*args)
             piece.append({name: len(seen) - before[name] for name, seen in calls.items()})
             return value
 

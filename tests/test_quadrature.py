@@ -182,6 +182,48 @@ def test_gauss_legendre_rejects_bad_breaks():
         integrate(mpmath.exp, 0, 1, ctx, breaks=(1,))
 
 
+# a rule's (a, b, keywords) for the kernel tests: Gauss-Legendre over
+# panels, exp-exp on [0, inf)
+KERNEL_RULES = {
+    "gauss_legendre": (0, 3, {"breaks": (1, 2)}),
+    "exp_exp": (0, mpmath.inf, {}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(KERNEL_RULES))
+def test_kernel_gives_the_inline_value(monkeypatch, rule):
+    # the node's kernel comes from the node-list tables, built by the same
+    # expression at the same precision as inside the integrand: the result
+    # is the same bit for bit, cold and warm, and a warm call builds none
+    a, b, kwargs = KERNEL_RULES[rule]
+    ctx = PrecisionContext(50)
+    c = mpf(3) / 4
+    built, evals = [], [0]
+
+    def kernel(c, x):
+        built.append(x)
+        return mpmath.exp(-c * x), mpmath.log(1 + x)
+
+    def f(x, k):
+        evals[0] += 1
+        return k[0] * k[1] / (1 + x)
+
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    inline = integrate(lambda x: f(x, kernel(c, x)), a, b, ctx, **kwargs)
+    assert inline.converged
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    built.clear()
+    evals[0] = 0
+    assert integrate(f, a, b, ctx, kernel=(kernel, c), **kwargs) == inline
+    assert len(built) == evals[0] > 0
+    built.clear()
+    assert integrate(f, a, b, ctx, kernel=(kernel, c), **kwargs) == inline
+    assert built == []
+    # another kernel argument is another list, not the one just read
+    assert integrate(f, a, b, ctx, kernel=(kernel, 2 * c), **kwargs) != inline
+    assert built
+
+
 def _contour_calls():
     ctx = PrecisionContext(50)
     return {
@@ -225,9 +267,10 @@ def test_integrand_evaluation_ceilings(monkeypatch, call):
     evals = [0]
 
     def counting(f, *args, **kwargs):
-        def g(x):
+        def g(*node):
+            # x, and the node's kernel when the caller passes one
             evals[0] += 1
-            return f(x)
+            return f(*node)
 
         return integrate(g, *args, **kwargs)
 

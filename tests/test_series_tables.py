@@ -15,7 +15,7 @@ from collections import OrderedDict
 import mpmath
 import pytest
 
-from zetachain import exact, precision, quadrature, special, zeta
+from zetachain import exact, hankel, precision, quadrature, special, zeta
 from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler, mellin_fundamental_check
 from zetachain.hankel import ContourSpec, bernoulli_interp, bernoulli_prime_interp
@@ -151,16 +151,12 @@ def _stored(key, table):
         build, args = key
         for j, got in enumerate(table._items, 1):
             yield build, (args, j), got, build(*args, j)
-    elif isinstance(table, precision._NodeKernels):
-        for nodes, got in table.items():
-            # a key is one node's _mpf_ tuple, or a tuple of them
-            nodes = (nodes,) if isinstance(nodes[0], int) else nodes
-            yield table._build, nodes, got, table._build(*map(mpmath.mp.make_mpf, nodes))
     elif isinstance(table, precision._NodeLists):
         for k, got in table.items():
-            # an exp-exp walk is a series, node i = build(*k, i); a
-            # Gauss-Legendre list is built whole
-            if table._build is quadrature._exp_exp_node:
+            # an exp-exp walk, with or without its kernels, is a series,
+            # node i = build(*k, i); a Gauss-Legendre list, of nodes or of
+            # nodes and kernels, is built whole
+            if table._build in (quadrature._exp_exp_node, quadrature._exp_exp_kernels):
                 yield table._build, k, got, [table._build(*k, i) for i in range(len(got))]
             else:
                 yield table._build, k, got, table._build(*k)
@@ -232,7 +228,7 @@ def test_a_rejected_precision_leaves_the_lock_free():
     assert not t.is_alive() and done
 
 
-# the node-kernel tables of the Hankel and Mellin integrands
+# the node lists of the Hankel and Mellin integrands, with their kernels
 NODE_CALLS = {
     "B_2.5": lambda: bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50)),
     "B'_2.5": lambda: bernoulli_prime_interp("2.5", ContourSpec(), PrecisionContext(50)),
@@ -251,17 +247,18 @@ NODE_FILL = (
 )
 
 
-def _node_tables(kind=(precision._NodeKernels, precision._NodeLists)):
-    """{(prec, build): table} of every node-kernel and node-list table held, or those of one kind."""
+def _node_tables():
+    """{(prec, build): table} of every node-list table held."""
     return {
         (prec, table._build): table
         for prec, tables in precision._coeff_tables.items()
         for table in tables.values()
-        if isinstance(table, kind)
+        if isinstance(table, precision._NodeLists)
     }
 
 
-NODE_BUILDS = {"_ray_kernels", "_circle_kernel", "_mellin_kernels", "_exp_exp_node", "_gauss_legendre_nodes"}
+# the Mellin integrands walk exp-exp only with their kernels
+NODE_BUILDS = {"_exp_exp_kernels", "_gauss_legendre_nodes", "_gauss_legendre_kernels"}
 
 
 def test_node_kernels_cold_and_warm_match(monkeypatch):
@@ -313,24 +310,28 @@ def test_node_tables_evicted_with_their_precision(monkeypatch):
     assert mpmath.mp.prec not in precs
     for prec in precs:
         builds = {build.__name__ for p, build in _node_tables() if p == prec}
-        assert builds == {"_ray_kernels", "_circle_kernel", "_gauss_legendre_nodes"}
+        assert builds == {"_gauss_legendre_nodes", "_gauss_legendre_kernels"}
 
 
-def test_node_table_entry_cap(monkeypatch):
-    # radius 6 sits near the first poles: its half circle takes 4064
-    # evaluations at distinct nodes, more than a table stores
+def test_second_circle_near_2pi_builds_no_kernel(monkeypatch):
+    # radius 6 sits near the first poles: the first call's half circle
+    # visits 4064 nodes over its levels, and the second call reads the
+    # kernels of every one of them back
+    built = []
+    for name in ("_ray_kernels", "_circle_kernel"):
+
+        @functools.wraps(getattr(hankel, name))
+        def counting(*args, _build=getattr(hankel, name)):
+            built.append(_build.__name__)
+            return _build(*args)
+
+        monkeypatch.setattr(hankel, name, counting)
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     value = bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50))
-    kernels = precision._NodeKernels
-    sizes = {build.__name__: len(table) for (_, build), table in _node_tables(kernels).items()}
-    assert sizes["_circle_kernel"] == precision._NODE_KERNEL_CAP
-    assert max(sizes.values()) <= precision._NODE_KERNEL_CAP
-    # past the cap the kernels are built afresh, with the same values
+    assert built.count("_circle_kernel") == 4064
+    built.clear()
     assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
-    monkeypatch.setattr(precision, "_NODE_KERNEL_CAP", 0)
-    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
-    assert all(len(table) == 0 for table in _node_tables(kernels).values())
+    assert built == []
 
 
 def test_node_tables_under_threads(monkeypatch):
@@ -392,15 +393,16 @@ def _counting(monkeypatch, name):
 def _node_list_sizes():
     """{build name: nodes held} of every node-list table, each checked against its lists."""
     sizes = {}
-    for (_, build), table in _node_tables(precision._NodeLists).items():
+    for (_, build), table in _node_tables().items():
         assert table.size == sum(map(len, table.values()))
         sizes[build.__name__] = table.size
     return sizes
 
 
 def test_mellin_checks_build_each_exp_exp_node_once(monkeypatch):
-    # the exp-exp nodes depend only on the precision: s = 3 reads the nodes
-    # s = 2 built, and builds only those its walks reach beyond them
+    # the exp-exp nodes and their kernels depend only on the precision:
+    # s = 3 reads the nodes s = 2 built, and builds only those its walks
+    # reach beyond them
     built = _counting(monkeypatch, "_exp_exp_node")
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     ctx = PrecisionContext(50)
@@ -408,7 +410,7 @@ def test_mellin_checks_build_each_exp_exp_node_once(monkeypatch):
     assert built
     mellin_fundamental_check(3, ctx)
     assert len(built) == len(set(built))
-    assert _node_list_sizes()["_exp_exp_node"] == len(built)
+    assert _node_list_sizes() == {"_exp_exp_kernels": len(built)}
     assert _wrong_table_entries() == []
 
 
@@ -428,20 +430,28 @@ def test_second_contour_at_one_radius_builds_no_gauss_legendre_node(monkeypatch)
 
 
 def test_node_lists_stay_within_their_bound(monkeypatch):
-    # a walk to the node cap and a circle near 2pi each reach more nodes
-    # than the lowered bound; what is past it is built per call, with the
-    # values of a run that stores nothing
+    # a walk to the node cap, a circle near 2pi and a Mellin check each
+    # reach more nodes than the lowered bound; what is past it, nodes and
+    # kernels alike, is built per call, with the values of a run that
+    # stores nothing
+    ctx = PrecisionContext(50)
+    monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
+    mellin = mellin_fundamental_check("2.5", ctx)
     monkeypatch.setattr(precision, "_NODE_LIST_CAP", 100)
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     with pytest.raises(ArithmeticError, match="decay at least exponentially"):
-        integrate(lambda x: 1 / (1 + x**3), 0, mpmath.inf, PrecisionContext(50))
+        integrate(lambda x: 1 / (1 + x**3), 0, mpmath.inf, ctx)
     assert _node_list_sizes() == {"_exp_exp_node": 100}
+    assert mellin_fundamental_check("2.5", ctx) == mellin
+    assert _node_list_sizes() == {"_exp_exp_node": 100, "_exp_exp_kernels": 100}
     monkeypatch.setattr(precision, "_NODE_LIST_CAP", 1000)
-    value = bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50))
+    value = bernoulli_interp("1.5", ContourSpec(radius=6), ctx)
     sizes = _node_list_sizes()
     assert 0 < sizes["_gauss_legendre_nodes"] <= 1000
+    assert 0 < sizes["_gauss_legendre_kernels"] <= 1000
     assert _wrong_table_entries() == []
     monkeypatch.setattr(precision, "_NODE_LIST_CAP", 0)
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    assert bernoulli_interp("1.5", ContourSpec(radius=6), PrecisionContext(50)) == value
+    assert bernoulli_interp("1.5", ContourSpec(radius=6), ctx) == value
+    assert mellin_fundamental_check("2.5", ctx) == mellin
     assert set(_node_list_sizes().values()) == {0}
