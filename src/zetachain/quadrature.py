@@ -61,7 +61,8 @@ rules are refined the same way:
     exp-exp series keyed by (kernel, a, level, sign, first).  A kernel is
     the part of an integrand that depends on the node alone, so every
     integrand that passes the same kernel over the same nodes reads it
-    back instead of building it.
+    back instead of building it.  The library's kernels are raw
+    ``_mpf_``/``_mpc_`` tuples, which take less memory than mpf objects.
   The node cap is checked in the walk, not in the table: a walk that
   reaches t = _NODE_CAP raises whatever the table holds.
 - The integrand may return a tuple.  Its components share nodes and

@@ -391,7 +391,7 @@ def _counting(monkeypatch, name):
 
 
 def _node_list_sizes():
-    """{build name: nodes held} of every node-list table, each checked against its lists."""
+    """{build name: entries held} of every node-list table, each checked against its lists."""
     sizes = {}
     for (_, build), table in _node_tables().items():
         assert table.size == sum(map(len, table.values()))
