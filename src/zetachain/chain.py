@@ -7,6 +7,14 @@ the exact S_0 derived from zeta'(0), the chain is solved entirely in
 Q + Q*gamma + Q*ln(2pi); floating arithmetic enters only when the chain
 values are compared against the classical oracle.
 
+The solve runs on Python integers: each S_j is kept as three integer
+numerators over one positive denominator, a row of the system costs
+integer multiplies and one gcd, and each S_j becomes a SymbolicValue (three
+reduced Fractions) once.  The binomial coefficients and right-hand sides
+come from ``build_relation``, the one definition of the relations.
+``relation_residual`` checks a solved chain on SymbolicValue arithmetic,
+sharing no arithmetic with the solve.
+
 The s = 1 relation is excluded: at s = 1 the naive continuation reads
 S_0 - S_0 = -zeta(0), which is false (0 != 1/2), a boundary defect of the
 heuristic that the chain does not try to repair.
@@ -14,6 +22,7 @@ heuristic that the chain does not try to repair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from types import UnionType
@@ -21,7 +30,6 @@ from typing import get_args, get_origin, get_type_hints
 
 from mpmath import mpf
 
-from .exact import binomial
 from .eulersums import s_from_zprime, zprime_from_s
 from .precision import PrecisionContext, _working
 from .values import SumConvention, SymbolicValue
@@ -35,14 +43,14 @@ class RecurrenceRelation:
     """sum_{j=0}^{s-1} C(s,j) S_j = rhs, with rhs = -zeta(1-s) exact."""
 
     s: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
     rhs: Fraction
 
 
 def build_relation(s: int) -> RecurrenceRelation:
     if s < 2:
         raise ValueError("the chain starts at s = 2; s = 1 is the defective boundary case")
-    coeffs = tuple(binomial(s, j) for j in range(s))
+    coeffs = tuple(math.comb(s, j) for j in range(s))
     return RecurrenceRelation(s, coeffs, -zeta_neg_int_exact(s))
 
 
@@ -50,13 +58,26 @@ def solve_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
     """S_0..S_kmax, exact, seeded by zeta'(0) and solved triangularly."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    values = [s_from_zprime(1, _SEED, conv)]
+    s0 = s_from_zprime(1, _SEED, conv)
+    parts = (s0.a, s0.b, s0.c)
+    den = math.lcm(*(q.denominator for q in parts))
+    # row j is S_j = (a, b, c) / d with d > 0; rows_den is the lcm of every d so far
+    rows = [(tuple(q.numerator * (den // q.denominator) for q in parts), den)]
+    rows_den = den
+    values = [s0]
     for s in range(2, kmax + 2):
         rel = build_relation(s)
-        acc = SymbolicValue.rational(rel.rhs)
-        for j in range(s - 1):
-            acc = acc - values[j] * rel.coefficients[j]
-        values.append(acc / rel.coefficients[s - 1])
+        common = math.lcm(rows_den, rel.rhs.denominator)
+        a, b, c = rel.rhs.numerator * (common // rel.rhs.denominator), 0, 0
+        for coeff, ((ra, rb, rc), d) in zip(rel.coefficients, rows):
+            f = coeff * (common // d)
+            a, b, c = a - f * ra, b - f * rb, c - f * rc
+        den = common * rel.coefficients[s - 1]
+        g = math.gcd(a, b, c, den)
+        a, b, c, den = a // g, b // g, c // g, den // g
+        rows.append(((a, b, c), den))
+        rows_den = math.lcm(rows_den, den)
+        values.append(SymbolicValue(Fraction(a, den), Fraction(b, den), Fraction(c, den)))
     return values
 
 

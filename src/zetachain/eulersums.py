@@ -5,7 +5,11 @@ telescoping identity relating them to zeta(s+1), the generating-function
 and Mellin-transform routes to the same identity) and the exact closed form,
 in Q + Q*gamma + Q*ln(2pi), that converts a value of zeta'(1-k) into the
 regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
-takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.
+takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.  Its
+constants, sum_lm(k) and (-zeta(1-k) + k B_(k-1) - sum_lm(k) - B_k H_k)/k,
+are sums of integer numerators over the lcm of their denominators, each
+reduced once to a Fraction; the conversion itself is two Fraction
+additions on a SymbolicValue and, at even k, a sign flip.
 
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
 on H(t) = gamma + psi(t+1).  N is ``_cut``, 3 dps, not the max(20, dps) of
@@ -44,7 +48,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .exact import bernoulli, binomial, harmonic
+from .exact import _rational_sum, bernoulli, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
 from .special import _GUARD_BITS, DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
@@ -166,11 +170,11 @@ def sum_lm(k: int, conv: SumConvention) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     lmax = k if conv is SumConvention.A else k - 1
-    total = Fraction(0)
+    terms = []
     for l in range(1, lmax + 1):
-        m = k - l
-        total += binomial(k, l) * bernoulli(l) / l * bernoulli(m)
-    return total
+        bl, bm = bernoulli(l), bernoulli(k - l)
+        terms.append((math.comb(k, l) * bl.numerator * bm.numerator, l * bl.denominator * bm.denominator))
+    return _rational_sum(terms)
 
 
 def bprime_from_zprime(k: int, zprime) -> mpf:
@@ -181,17 +185,21 @@ def bprime_from_zprime(k: int, zprime) -> mpf:
     return mpf(zprime) * k - mpf(zneg.numerator) / zneg.denominator
 
 
-def _closed_form_rationals(k: int, conv: SumConvention):
-    # pieces of the closed form that do not involve zeta'(1-k):
-    #   -zeta(1-k) + k B_(k-1) + gamma B_k - sum_lm - B_k H_k
-    bk = bernoulli(k)
-    const = (
-        -zeta_neg_int_exact(k)
-        + k * bernoulli(k - 1)
-        - sum_lm(k, conv)
-        - bk * harmonic(k)
+def _closed_form_rationals(k: int, conv: SumConvention) -> tuple[Fraction, Fraction]:
+    # the closed form's pieces that do not involve zeta'(1-k), divided by k:
+    #   (-zeta(1-k) + k B_(k-1) - sum_lm - B_k H_k) / k = q/k + B_(k-1) - sum_lm/k - q H_k
+    # and B_k / k = q, with q = -zeta(1-k)
+    q = -zeta_neg_int_exact(k)
+    b, lm, h = bernoulli(k - 1), sum_lm(k, conv), harmonic(k)
+    const = _rational_sum(
+        (
+            (q.numerator, k * q.denominator),
+            (b.numerator, b.denominator),
+            (-lm.numerator, k * lm.denominator),
+            (-q.numerator * h.numerator, q.denominator * h.denominator),
+        )
     )
-    return const, bk
+    return const, q
 
 
 def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> SymbolicValue:
@@ -202,14 +210,17 @@ def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> Symboli
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    const, bk = _closed_form_rationals(k, conv)
-    return (SymbolicValue.of(a=const, b=bk) + zprime * k) * Fraction((-1) ** (k - 1), k)
+    const, q = _closed_form_rationals(k, conv)
+    s_val = SymbolicValue(zprime.a + const, zprime.b + q, zprime.c)
+    return s_val if k % 2 else -s_val
 
 
 def zprime_from_s(k: int, s_val: SymbolicValue, conv: SumConvention) -> SymbolicValue:
     """Invert the closed form: recover zeta'(1-k) from an exact S_(k-1)."""
-    const, bk = _closed_form_rationals(k, conv)
-    return (s_val * ((-1) ** (k - 1) * k) - SymbolicValue.of(a=const, b=bk)) / k
+    const, q = _closed_form_rationals(k, conv)
+    if k % 2 == 0:
+        s_val = -s_val
+    return SymbolicValue(s_val.a - const, s_val.b - q, s_val.c)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact rational layer: binomials, harmonic numbers, Bernoulli numbers.
 
-Everything here is computed with :class:`fractions.Fraction` and is exact by
-construction; no floating arithmetic ever enters.  This module is the
-independent oracle the numeric layers are checked against, so it must not
-import any of them.
+Everything here is exact by construction and returned as
+:class:`fractions.Fraction`; harmonic and Bernoulli numbers are built on
+Python integers and reduced once.  No floating arithmetic ever enters.
+This module is the independent oracle the numeric layers are checked
+against, so it must not import any of them.
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ def harmonic(n: int) -> Fraction:
     """H_n = sum_{j=1}^{n} 1/j, exact.  Requires n >= 1 (H_0 is left undefined)."""
     if n < 1:
         raise ValueError("harmonic(n) requires n >= 1")
-    h = Fraction(0)
-    for j in range(1, n + 1):
-        h += Fraction(1, j)
-    return h
+    return _rational_sum([(1, j) for j in range(1, n + 1)])
+
+
+def _rational_sum(terms) -> Fraction:
+    # sum of num/den over a sequence of (num, den) pairs: integer numerators
+    # over the lcm of the denominators, reduced once
+    common = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
 # Cache of conventional-sign Bernoulli numbers B_0, B_1, ...  Guarded by a

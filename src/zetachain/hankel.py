@@ -80,9 +80,9 @@ Which quadrature rule integrates which piece:
   point at t = 0 and poles at t = +-2pi i k.  It runs on Gauss-Legendre
   too, over panels split geometrically from r to T at a ratio as near 3 as
   a whole number of panels allows, so that every panel is as far from the
-  branch point, relative to its length, as the first.  At 50 digits a
-  non-integer B_s takes 480 evaluations at radius 1 (384 on the rays, 96
-  on the half circle) and 512 at radius 3 (288 and 224).
+  branch point, relative to its length, as the first.  The panels depend
+  on r and T alone, so every index at one radius and precision reads the
+  same ray nodes.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ Two rules share one level driver:
   (x - a)(1 + e^-t) (Takahasi & Mori 1974; Mori & Sugihara, "The
   double-exponential transformation in numerical analysis", J. Comput.
   Appl. Math. 127, 2001).  The nodes grow like e^t, so an e^-x integrand
-  falls double exponentially in t.  The Mellin integrands of
-  ``eulersums`` took 342 evaluations at s = 2 and 50 digits, against
-  1881 on exp-sinh (x = a + exp(pi/2 sinh t)).  An integrand with
-  algebraic decay, such as 1/(1 + x^3), reaches the node cap (below) and
-  raises.
+  falls double exponentially in t at both ends of the walk.  An integrand
+  with algebraic decay, such as 1/(1 + x^3), reaches the node cap (below)
+  and raises.
 - Composite Gauss-Legendre serves every finite interval [a, b], and
   needs the integrand analytic on the closed interval.  The caller may cut
   [a, b] into panels at breakpoints strictly inside it (``breaks``, none
@@ -19,10 +17,9 @@ Two rules share one level driver:
   of degree < 2n, whose error falls like rho^(-2n) with rho the largest
   Bernstein ellipse about the panel free of singularities (Trefethen, "Is
   Gauss quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008).
-  The order n comes from the working precision, about dps/2 (32 at 50
-  digits, 60 at 100, 108 at 200): 32 nodes at every precision made a
-  Hankel contour at 100 digits cost 3360 evaluations, more than the 2609
-  of the double-exponential rule it replaced there.  Level l halves every
+  The order n comes from the working precision, about dps/2 and a
+  multiple of 4, so the levels a panel needs do not grow with the
+  precision as they would at a fixed order.  Level l halves every
   panel l - _MIN_LEVEL times at that order, which about doubles rho for a
   singularity near a panel and keeps one node table per precision.  An
   endpoint singularity loses that rate: log x on [0, 1] at 15 digits is

@@ -17,9 +17,9 @@ One request covers k = 0..kmax under the scheme (N, J) and its
 refinement (2N, J+1).  Under one scheme every k integrates over [1, N]
 on the same Gauss-Legendre panels, cut at the powers of 3 below N, and
 the two schemes share every panel but the base scheme's last, so one
-table of H(t) per request serves both: H(t) is evaluated once per node,
-576 nodes for 4320 integrand evaluations at kmax = 4 and 50 digits (the
-288 on [1, 27] are read by both schemes).  The partial sums
+table of H(t) per request serves both: H(t) is evaluated once per
+distinct node, whatever kmax, and the nodes of the shared panels are read
+by both schemes.  The partial sums
 sum_{n<=N} H_n n^k build H_n once for every k, and the refined sum to 2N
 continues from the base sum at N by the same mpf operations in the same
 order, so it equals a sum started from n = 1 bit for bit.  Each k keeps
