@@ -9,8 +9,8 @@ values are compared against the classical oracle.
 
 The solve runs on Python integers: each S_j is kept as three integer
 numerators over one positive denominator, a row of the system costs
-integer multiplies and one gcd, and each S_j becomes a SymbolicValue (three
-reduced Fractions) once.  The binomial coefficients and right-hand sides
+integer multiplies over a running lcm and one gcd, and each S_j becomes a
+SymbolicValue (three reduced Fractions) once.  The binomial coefficients and right-hand sides
 come from ``build_relation``, the one definition of the relations.
 ``relation_residual`` checks a solved chain on SymbolicValue arithmetic,
 sharing no arithmetic with the solve.

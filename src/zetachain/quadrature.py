@@ -18,8 +18,8 @@ Two rules share one level driver:
   Bernstein ellipse about the panel free of singularities (Trefethen, "Is
   Gauss quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008).
   The order n comes from the working precision, about dps/2 and a
-  multiple of 4, so the levels a panel needs do not grow with the
-  precision as they would at a fixed order.  Level l halves every
+  multiple of 4, so the digits one level gains, rho^(-2n), grow in
+  proportion to the precision asked for.  Level l halves every
   panel l - _MIN_LEVEL times at that order, which about doubles rho for a
   singularity near a panel and keeps one node table per precision.  An
   endpoint singularity loses that rate: log x on [0, 1] at 15 digits is
