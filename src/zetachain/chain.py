@@ -83,7 +83,7 @@ def solve_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
 
 def relation_residual(rel: RecurrenceRelation, chain: list[SymbolicValue]) -> SymbolicValue:
     """sum_j C(s,j) S_j - rhs as an exact triple; the zero triple iff satisfied."""
-    acc = SymbolicValue.rational(-rel.rhs)
+    acc = SymbolicValue.of(-rel.rhs)
     for j in range(rel.s):
         acc = acc + chain[j] * rel.coefficients[j]
     return acc

@@ -26,7 +26,7 @@ from .eulersums import (
     h_euler_shifted,
     mellin_fundamental_check,
 )
-from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
+from .exact import BernoulliConvention, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
 from .ramanujan import MAX_EXPONENT, EMScheme, convergent_selftest, ramanujan_sum
@@ -261,12 +261,8 @@ def chain_csv(doc: dict) -> str:
 
 
 def _emit(doc: dict, fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        if doc["kind"] != "chain":
-            raise SystemExit("csv output is only defined for the chain report")
-        text = chain_csv(doc)
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # --format accepts csv for the chain report only
+    text = chain_csv(doc) if fmt == "csv" else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -275,9 +271,8 @@ def _emit(doc: dict, fmt: str, out: str | None) -> None:
 
 
 def _parse_conventions(arg: str) -> tuple[SumConvention, ...]:
-    if arg == "all":
-        return (SumConvention.A, SumConvention.B)
-    return tuple(SumConvention(c) for c in arg.split(","))
+    # --convention is one of A, B and all
+    return (SumConvention.A, SumConvention.B) if arg == "all" else (SumConvention(arg),)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -102,19 +102,15 @@ from .zeta import zeta_em, zeta_prime_oracle
 @dataclass(frozen=True)
 class ContourSpec:
     radius: float = 1.0
-    truncation: float | None = None  # rays cut at Re z = -T; default from precision
 
     def validate(self) -> None:
         if not 0 < self.radius < 2 * math.pi:
             raise ValueError("contour radius must lie strictly inside (0, 2pi)")
-        if self.truncation is not None and self.truncation <= self.radius:
-            raise ValueError("ray truncation must exceed the circle radius")
 
-    def cutoff(self, ctx: PrecisionContext) -> mpf:
-        # e^-T below half-precision target, with margin
-        if self.truncation is not None:
-            return mpf(self.truncation)
-        return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
+
+def _ray_cutoff(ctx: PrecisionContext) -> mpf:
+    """T, where the rays are cut at Re z = -T: e^-T below the half-precision target, with margin."""
+    return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
 
 
 def _ray_kernels(t) -> tuple:
@@ -142,7 +138,7 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
     with ctx.workdps():
         uv = mpf(u)
         r = mpf(spec.radius)
-        T = spec.cutoff(ctx)
+        T = _ray_cutoff(ctx)
         expo = -(uv + 1)
         sin_e, cos_e = mpmath.sinpi(expo), mpmath.cospi(expo)
         pi_cos_e = mpmath.pi * cos_e

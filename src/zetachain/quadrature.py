@@ -49,13 +49,14 @@ rules are refined the same way:
   precision as an inline build, and bounded like every node list:
   - a Gauss-Legendre list is the (x, w) of every node of one level on its
     panels, keyed by (panel edges, level) and stored whole or not at all;
-  - an exp-exp walk is a series of (x, w), keyed by (a, level, sign,
-    first), indexed by position in the walk and grown only as far as some
-    walk reached;
+  - an exp-exp walk is a series of (x, w), keyed by (a, level, sign),
+    indexed by position in the walk and grown only as far as some walk
+    reached (the level says whether the walk visits every node of its
+    mesh or only the odd ones);
   - with ``kernel=(build, *args)`` the integrand is called as f(x, k),
     and k = build(*args, x) is kept beside the node: a Gauss-Legendre
     list of (x, w, k) keyed by (kernel, panel edges, level), or an
-    exp-exp series keyed by (kernel, a, level, sign, first).  A kernel is
+    exp-exp series keyed by (kernel, a, level, sign).  A kernel is
     the part of an integrand that depends on the node alone, so every
     integrand that passes the same kernel over the same nodes reads it
     back instead of building it.  The library's kernels are raw
@@ -183,40 +184,40 @@ def _gauss_legendre_kernels(kernel: tuple, edges: tuple, level: int) -> list:
     return [(x, w, build(*args, x)) for x, w in _node_lists(_gauss_legendre_nodes)(edges, level)]
 
 
-def _gauss_legendre_walks(edges: tuple, kernel, level: int, first: bool):
+def _gauss_legendre_walks(edges: tuple, kernel, level: int):
     if kernel is None:
         return (_node_lists(_gauss_legendre_nodes)(edges, level),)
     return (_node_lists(_gauss_legendre_kernels)(kernel, edges, level),)
 
 
-def _exp_exp_node(a: mpf, level: int, sign: int, first: bool, i: int) -> tuple:
+def _exp_exp_node(a: mpf, level: int, sign: int, i: int) -> tuple:
     """(x, w) at the i-th node of the walk of sign: x = a + exp(t - e^-t), w = (x - a)(1 + e^-t)."""
-    # t = k h at h = 2^-level: every k >= 0 on a first level, else odd k;
+    # t = k h at h = 2^-level: every k >= 0 on the first level, else odd k;
     # t = 0 belongs to the positive walk
-    k = i + (sign < 0) if first else 2 * i + 1
+    k = i + (sign < 0) if level == _MIN_LEVEL else 2 * i + 1
     t = sign * k * mpf(2) ** (-level)
     et = mpmath.exp(-t)
     ex = mpmath.exp(t - et)
     return a + ex, ex * (1 + et)
 
 
-def _exp_exp_kernels(kernel: tuple, a: mpf, level: int, sign: int, first: bool, i: int) -> tuple:
+def _exp_exp_kernels(kernel: tuple, a: mpf, level: int, sign: int, i: int) -> tuple:
     """(x, w, build(*args, x)) at the i-th node of the walk of sign, kernel = (build, *args)."""
     build, *args = kernel
-    x, w = _exp_exp_node(a, level, sign, first, i)
+    x, w = _exp_exp_node(a, level, sign, i)
     return x, w, build(*args, x)
 
 
-def _exp_exp_walks(a: mpf, kernel, level: int, first: bool):
+def _exp_exp_walks(a: mpf, kernel, level: int):
     lists = _node_lists(_exp_exp_node if kernel is None else _exp_exp_kernels)
     head = (a,) if kernel is None else (kernel, a)
 
     def nodes(sign):
-        key = (*head, level, sign, first)
+        key = (*head, level, sign)
         walk = lists.series(*key)
         last = _NODE_CAP * 2**level
         # the number of k <= last the walk visits
-        for i in range(last + (sign > 0) if first else last // 2):
+        for i in range(last + (sign > 0) if level == _MIN_LEVEL else last // 2):
             yield walk[i] if i < len(walk) else lists.node(walk, key, i)
         raise ArithmeticError(
             f"quadrature node walk reached t = {_NODE_CAP} at level {level}; "
@@ -227,7 +228,7 @@ def _exp_exp_walks(a: mpf, kernel, level: int, first: bool):
     return nodes(1), nodes(-1)
 
 
-def _add_level(f, walks, kernel: bool, decays: bool, eps: mpf, total: list | None, is_tuple: bool):
+def _add_level(f, walks, kernel: bool, decays: bool, eps: mpf, total: list | None):
     """Add w*f over the walks' nodes to the running sums; (sums, tuple-valued).
 
     A node is (x, w), or with kernel (x, w, k) and f is called as f(x, k).
@@ -274,8 +275,8 @@ def integrate(
         tol = mpf(10) ** (-ctx.digits + tol_offset)
         eps = mpf(10) ** (-ctx.dps - 5)
         a = mpf(a)
-        nested = decays = b == mpmath.inf
-        if decays:
+        exp_exp = b == mpmath.inf
+        if exp_exp:
             if breaks:
                 raise ValueError("Gauss-Legendre panels need a finite interval [a, b]")
             walks = partial(_exp_exp_walks, a, kernel)
@@ -289,14 +290,12 @@ def integrate(
         total = prev = None
         value = [mpf(0)]
         err = mpf("inf")
-        converged = is_tuple = False
+        converged = False
         for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-            if not nested:
+            if not exp_exp:
                 total = None
-            total, is_tuple = _add_level(
-                f, walks(level, total is None), kernel is not None, decays, eps, total, is_tuple
-            )
-            h = mpf(2) ** (-level) if nested else 1
+            total, is_tuple = _add_level(f, walks(level), kernel is not None, exp_exp, eps, total)
+            h = mpf(2) ** (-level) if exp_exp else 1
             value = [s * h for s in total]
             if prev is not None:
                 errs = [abs(v - p) for v, p in zip(value, prev)]

@@ -43,15 +43,8 @@ class SymbolicValue:
     def of(a: RationalLike = 0, b: RationalLike = 0, c: RationalLike = 0) -> "SymbolicValue":
         return SymbolicValue(Fraction(a), Fraction(b), Fraction(c))
 
-    @staticmethod
-    def rational(q: RationalLike) -> "SymbolicValue":
-        return SymbolicValue.of(a=q)
-
     def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
         return SymbolicValue(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other: "SymbolicValue") -> "SymbolicValue":
-        return SymbolicValue(self.a - other.a, self.b - other.b, self.c - other.c)
 
     def __neg__(self) -> "SymbolicValue":
         return SymbolicValue(-self.a, -self.b, -self.c)
@@ -62,11 +55,6 @@ class SymbolicValue:
 
     def __mul__(self, q: RationalLike) -> "SymbolicValue":
         return self.scale(q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, q: RationalLike) -> "SymbolicValue":
-        return self.scale(Fraction(1, 1) / Fraction(q))
 
     def numeric(self, ctx: PrecisionContext) -> mpf:
         with ctx.workdps():

@@ -43,14 +43,19 @@ def test_verify_low_precision_rejected(capsys):
     assert code == 2
 
 
-def test_chain_json_schema_and_rows(capsys):
-    code, out = run(["chain", "--kmax", "2", "--precision", "20"], capsys)
+@pytest.mark.parametrize("convention", ["all", "A", "B"])
+def test_chain_json_schema_and_rows(convention, capsys):
+    code, out = run(["chain", "--kmax", "2", "--precision", "20", "--convention", convention], capsys)
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, _schema())
     rows = doc["report"]["rows"]
-    assert len(rows) == 4  # k = 1..2, conventions A and B
-    assert {r["convention"] for r in rows} == {"A", "B"}
+    wanted = ("A", "B") if convention == "all" else (convention,)
+    assert len(rows) == 2 * len(wanted)  # k = 1..2 under each convention asked for
+    assert {r["convention"] for r in rows} == set(wanted)
+    # a single convention reports the rows that convention has in the full report
+    both = cli.run_chain(2, (SumConvention.A, SumConvention.B), 20)["report"]["rows"]
+    assert rows == [r for r in both if r["convention"] in wanted]
 
 
 def test_chain_csv_header_and_order(capsys):
