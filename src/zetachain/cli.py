@@ -26,7 +26,7 @@ from .eulersums import (
     h_euler_shifted,
     mellin_fundamental_check,
 )
-from .exact import BernoulliConvention, bernoulli_self_identity
+from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
 from .ramanujan import MAX_EXPONENT, EMScheme, convergent_selftest, ramanujan_sum

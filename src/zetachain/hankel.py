@@ -5,7 +5,10 @@ integers it reproduces the Bernoulli numbers (B_1 = +1/2).  The contour is
 the standard Hankel path: in along the lower edge of the negative real
 axis, counterclockwise around a circle of radius < 2pi, out along the
 upper edge.  Branch of z^a and log z: cut on the negative real axis,
-arg z = -pi below, +pi above.
+arg z = -pi below, +pi above.  A contour is given by its radius alone
+(``ContourSpec``).  The rays are cut at Re z = -T with
+T = digits ln 10 / 2 + 25, where e^-T lies below the half-precision target
+with margin, so T depends on the precision only.
 
 Sign calibration: with this orientation the raw contour integral
 I(u) = (1/2pi i) oint z^-(u+1) e^z/(1-e^z) dz satisfies B_(u+1) =
@@ -56,7 +59,7 @@ Most of that work depends on neither u nor the log factor: log t and
 e^t - 1 on the rays, and e^-z - 1 on the circle.  These are the node
 kernels that ``quadrature.integrate`` keeps beside its Gauss-Legendre
 nodes (``kernel=``): the rays' per (panel edges, level), the edges
-following from the radius and the ray cutoff, and the circle's per
+following from the radius and the precision, and the circle's per
 (radius, level), while the circle's [0, pi] nodes themselves are shared
 by every radius.  A node whose
 kernels are stored costs one exp, t^e = exp(e log t), on a ray, and one
@@ -109,7 +112,7 @@ class ContourSpec:
 
 
 def _ray_cutoff(ctx: PrecisionContext) -> mpf:
-    """T, where the rays are cut at Re z = -T: e^-T below the half-precision target, with margin."""
+    """T, the rays cut at Re z = -T: e^-T lies below the half-precision target, with margin."""
     return mpf(ctx.digits) * mpmath.log(10) / 2 + 25
 
 
