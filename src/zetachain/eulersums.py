@@ -47,6 +47,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_div, mpf_mul, mpf_pow, round_nearest
 
 from .exact import _rational_sum, bernoulli, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients, _working
@@ -294,11 +295,20 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
         if sv <= 1:
             raise DomainError("Mellin check requires s > 1")
 
+        # the integrands make the libmp calls of the mpf operators of their
+        # expressions, on raw tuples (quadrature's docstring)
+        prec, rnd = mpmath.mp.prec, round_nearest
+        make_mpf = mpmath.mp.make_mpf
+        s1 = (sv - 1)._mpf_
+
         def integrands(x, kernels):
-            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x)
-            ex, one_minus, log_om = map(mpmath.mp.make_mpf, kernels)
-            i3 = x ** (sv - 1) * log_om
-            return i3 / one_minus, ex * i3 / one_minus, i3
+            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x):
+            # i3 = x^(s-1) log(1 - e^-x), i3/(1 - e^-x) and e^-x i3/(1 - e^-x)
+            ex, one_minus, log_om = kernels
+            i3 = mpf_mul(mpf_pow(x._mpf_, s1, prec, rnd), log_om, prec, rnd)
+            i1 = mpf_div(i3, one_minus, prec, rnd)
+            i2 = mpf_div(mpf_mul(ex, i3, prec, rnd), one_minus, prec, rnd)
+            return make_mpf(i1), make_mpf(i2), make_mpf(i3)
 
         off = -(GUARD - 3)
         # e^-x, 1 - e^-x and log(1 - e^-x) depend only on the node, which the

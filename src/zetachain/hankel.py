@@ -65,7 +65,13 @@ by every radius.  A node whose
 kernels are stored costs one exp, t^e = exp(e log t), on a ray, and one
 cos_sin, that of (e+1) theta, and one complex division on the circle.  A
 node not yet stored adds a log and an exp (or an expm1 below t = 1) on a
-ray, and an exp and two cos_sin pairs on the circle.
+ray, and an exp and two cos_sin pairs on the circle.  The two integrands
+run on raw libmp values, as ``quadrature`` describes: the kernels' stored
+tuples are read as they are, e, e + 1, sin(pi e), pi cos(pi e), log r
+and +-r^(e+1) are computed once per contour, and each node makes the
+libmp calls (``mpf_exp``, ``mpf_cos_sin``, ``mpc_div``, ...) of the mpf
+and mpc operators of the same expression, so every value equals theirs
+bit for bit.
 
 Which quadrature rule integrates which piece:
 
@@ -95,6 +101,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpc_div, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, round_nearest
 
 from .precision import PrecisionContext
 from .quadrature import integrate
@@ -144,28 +151,42 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         T = _ray_cutoff(ctx)
         expo = -(uv + 1)
         sin_e, cos_e = mpmath.sinpi(expo), mpmath.cospi(expo)
-        pi_cos_e = mpmath.pi * cos_e
-        log_r = mpmath.log(r)
-        r_e1 = r ** (expo + 1)
         off = (ctx.digits + 1) // 2 - 3  # target ~10^(-digits/2)
+        # the integrands make the libmp calls of the mpf and mpc operators of
+        # their expressions, on raw tuples (quadrature's docstring)
+        prec, rnd = mpmath.mp.prec, round_nearest
+        make_mpf = mpmath.mp.make_mpf
+        # per contour: e, e + 1, sin(pi e), pi cos(pi e), log r and r^(e+1)
+        e, e1 = expo._mpf_, (expo + 1)._mpf_
+        sin, neg_sin, pi_cos = sin_e._mpf_, (-sin_e)._mpf_, (mpmath.pi * cos_e)._mpf_
+        r_e1 = r ** (expo + 1)
+        log_r, pos_r_e1, neg_r_e1 = mpmath.log(r)._mpf_, r_e1._mpf_, (-r_e1)._mpf_
 
         def rays(t, kernels):
-            # Im of the lower ray's integrand, which is (lower - upper)/2i
-            logt, em1 = map(mpmath.mp.make_mpf, kernels)
-            v = mpmath.exp(expo * logt) / em1
+            # Im of the lower ray's integrand, which is (lower - upper)/2i:
+            # v = exp(e log t)/(e^t - 1), then -sin(pi e) v and, with the
+            # log factor, v (sin(pi e) log t + pi cos(pi e))
+            logt, em1 = kernels
+            v = mpf_div(mpf_exp(mpf_mul(e, logt, prec, rnd), prec, rnd), em1, prec, rnd)
+            ray = make_mpf(mpf_mul(neg_sin, v, prec, rnd))
             if with_log:
-                return -sin_e * v, v * (sin_e * logt + pi_cos_e)
-            return (-sin_e * v,)
+                factor = mpf_add(mpf_mul(sin, logt, prec, rnd), pi_cos, prec, rnd)
+                return ray, make_mpf(mpf_mul(v, factor, prec, rnd))
+            return (ray,)
 
         def circle(theta, kernel):
             # (val(theta) + val(-theta))/i = 2 Im val(theta), the full circle's
             # two points +-theta in one, with val = i z^(e+1)/(e^-z - 1)
-            ca, sa = mpmath.cos_sin((expo + 1) * theta)
-            val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mp.make_mpc(kernel)
+            th = theta._mpf_
+            ca, sa = mpf_cos_sin(mpf_mul(e1, th, prec, rnd), prec, rnd)
+            num = (mpf_mul(neg_r_e1, sa, prec, rnd), mpf_mul(pos_r_e1, ca, prec, rnd))
+            re, im = mpc_div(num, kernel, prec, rnd)
+            twice_im = make_mpf(mpf_mul_int(im, 2, prec, rnd))
             if with_log:
-                # Im(-log z val), log z = log r + i theta
-                return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)
-            return (2 * val.imag,)
+                # Im(-log z val) = -(log r Im val + theta Re val), log z = log r + i theta
+                inner = mpf_add(mpf_mul(log_r, im, prec, rnd), mpf_mul(th, re, prec, rnd), prec, rnd)
+                return twice_im, make_mpf(mpf_mul_int(inner, -2, prec, rnd))
+            return (twice_im,)
 
         if sin_e == 0 and not with_log:
             # integer index, no log factor: no rays (sinpi is exact at integers)

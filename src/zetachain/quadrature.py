@@ -63,9 +63,18 @@ rules are refined the same way:
     ``_mpf_``/``_mpc_`` tuples, which take less memory than mpf objects.
   The node cap is checked in the walk, not in the table: a walk that
   reaches t = _NODE_CAP raises whatever the table holds.
-- The integrand may return a tuple.  Its components share nodes and
-  levels, the call converges when every component does, and the result's
-  value is then a tuple too.
+- The integrand returns an mpf or a tuple of mpf.  The components of a
+  tuple share nodes and levels, the call converges when every component
+  does, and the result's value is then a tuple too.
+- Integrands and level sums run on raw libmp values.  The library's
+  integrands compute on the ``_mpf_``/``_mpc_`` tuples of their node and
+  kernel and build an mpf only for what they return.  A level's sums of
+  w*f stay raw ``_mpf_`` tuples, and the level driver turns them into mpf
+  once per level.  Each step is the libmp call (``mpf_mul``, ``mpf_add``,
+  ``mpf_div``, ``mpf_exp``, ``mpc_div``, ...) that mpmath's operator or
+  function on the same expression makes, in the same order, at the
+  working precision and rounding to nearest, so every value equals the
+  operators' bit for bit, without an mpf or mpc object per intermediate.
 - The exp-exp walk stops on the integrand's decay: three successive
   contributions below 10^-(dps+5), on the walk to infinity and on the walk
   to a.  A walk that reaches t = _NODE_CAP (20*2^level nodes) first
@@ -90,6 +99,7 @@ import math
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_abs, mpf_add, mpf_lt, mpf_mul, round_nearest
 
 from .precision import PrecisionContext, _coefficients, _node_lists
 from .special import _wp
@@ -228,22 +238,24 @@ def _exp_exp_walks(a: mpf, kernel, level: int):
     return nodes(1), nodes(-1)
 
 
-def _add_level(f, walks, kernel: bool, decays: bool, eps: mpf, total: list | None):
+def _add_level(f, walks, kernel: bool, decays: bool, eps: tuple, total: list | None):
     """Add w*f over the walks' nodes to the running sums; (sums, tuple-valued).
 
     A node is (x, w), or with kernel (x, w, k) and f is called as f(x, k).
-    With decays, a walk stops after three successive contributions below eps.
+    The sums and eps are raw _mpf_ tuples.  With decays, a walk stops after
+    three successive contributions below eps.
     """
+    prec, rnd = mpmath.mp.prec, round_nearest
     for nodes in walks:
         small = 0
         for node in nodes:
             fx = f(node[0], node[2]) if kernel else f(node[0])
-            w = node[1]
+            w = node[1]._mpf_
             is_tuple = isinstance(fx, tuple)
-            terms = [w * v for v in fx] if is_tuple else [w * fx]
-            total = terms if total is None else [s + c for s, c in zip(total, terms)]
+            terms = [mpf_mul(w, v._mpf_, prec, rnd) for v in (fx if is_tuple else (fx,))]
+            total = terms if total is None else [mpf_add(s, c, prec, rnd) for s, c in zip(total, terms)]
             if decays:
-                small = small + 1 if all(abs(c) < eps for c in terms) else 0
+                small = small + 1 if all(mpf_lt(mpf_abs(c, prec, rnd), eps) for c in terms) else 0
                 if small >= 3:
                     break
     return total, is_tuple
@@ -294,9 +306,9 @@ def integrate(
         for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
             if not exp_exp:
                 total = None
-            total, is_tuple = _add_level(f, walks(level), kernel is not None, exp_exp, eps, total)
+            total, is_tuple = _add_level(f, walks(level), kernel is not None, exp_exp, eps._mpf_, total)
             h = mpf(2) ** (-level) if exp_exp else 1
-            value = [s * h for s in total]
+            value = [mpmath.mp.make_mpf(s) * h for s in total]
             if prev is not None:
                 errs = [abs(v - p) for v, p in zip(value, prev)]
                 err = max(errs)

@@ -34,6 +34,7 @@ from functools import cache
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
 from .exact import bernoulli
 from .precision import PrecisionContext
@@ -89,11 +90,15 @@ def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[
     # half its length from H's first pole, at t = -1
     breaks = tuple(3**i for i in range(1, N.bit_length()) if 3**i < N)
     em = _em_coefficients()
+    # H(t) t^k by the libmp calls of mpf's * and ** with an int exponent,
+    # on raw tuples (quadrature's docstring)
+    prec, rnd = mpmath.mp.prec, round_nearest
     values = []
     for k, total in enumerate(sums):
 
         def f(t):
-            return hsmooth(t) * t**k
+            h = hsmooth(t)._mpf_
+            return mpmath.mp.make_mpf(mpf_mul(h, mpf_pow_int(t._mpf_, k, prec, rnd), prec, rnd))
 
         quad = integrate(f, 1, N, ctx, tol_offset=off, breaks=breaks)
         total -= quad.require_converged()

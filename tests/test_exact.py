@@ -135,10 +135,17 @@ def test_exact_layer_imports_no_numeric_layer():
 ELEMENTARY_MPMATH = set(
     "cos cos_sin cospi euler exp expm1 floor inf log log1p mp mpc mpf pi sin sinpi".split()
 )
+# libmp kernels src/ may call on raw _mpf_/_mpc_ tuples, the ones mpmath's
+# operators and elementary functions above call: arithmetic, exp and
+# cos_sin, compared and rounded to nearest.  libmp's mpf_zeta, mpf_psi,
+# mpf_gamma and mpf_bernoulli are the oracles' kernels and stay out.
+ELEMENTARY_LIBMP = set(
+    "mpc_div mpf_abs mpf_add mpf_cos_sin mpf_div mpf_exp mpf_lt mpf_mul mpf_mul_int mpf_pow mpf_pow_int round_nearest".split()
+)
 
 
 def test_library_uses_only_elementary_mpmath():
-    used = set()
+    used, used_libmp = set(), set()
     for path in Path(zetachain.exact.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         aliases = {"mpmath"}
@@ -149,8 +156,8 @@ def test_library_uses_only_elementary_mpmath():
                         assert a.name == "mpmath", f"{path.name} imports {a.name}"
                         aliases.add(a.asname or a.name)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
-                assert node.module == "mpmath", f"{path.name} imports from {node.module}"
-                used.update(a.name for a in node.names)
+                assert node.module in ("mpmath", "mpmath.libmp"), f"{path.name} imports from {node.module}"
+                (used if node.module == "mpmath" else used_libmp).update(a.name for a in node.names)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in aliases:
@@ -158,6 +165,7 @@ def test_library_uses_only_elementary_mpmath():
     assert used, "no mpmath use found; the scan is broken"
     # equal, not a subset: a name no module uses any more leaves the list
     assert used == ELEMENTARY_MPMATH, (sorted(used - ELEMENTARY_MPMATH), sorted(ELEMENTARY_MPMATH - used))
+    assert used_libmp == ELEMENTARY_LIBMP, (sorted(used_libmp - ELEMENTARY_LIBMP), sorted(ELEMENTARY_LIBMP - used_libmp))
 
 
 def _mpmath_rooted(node, roots):

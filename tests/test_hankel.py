@@ -91,16 +91,20 @@ def test_contour_node_transcendental_budget(monkeypatch):
     # start at t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
     # Warm, at the same radius and precision, the node lists hold log t,
     # e^t - 1 and e^-z - 1: a ray node makes only the exp of t^e, and a
-    # circle node only the cos_sin of (e+1) theta.
+    # circle node only the cos_sin of (e+1) theta.  The kernels call
+    # mpmath's functions, the integrands libmp's on raw tuples, and both
+    # count under the function's name.
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
     calls = {"exp": [], "expm1": [], "log": [], "cos_sin": []}
-    for name, seen in calls.items():
+    targets = [(mpmath, name, name) for name in calls]
+    targets += [(hankel, f"mpf_{name}", name) for name in ("exp", "cos_sin")]
+    for owner, attr, name in targets:
 
-        def counting(x, *args, _fn=getattr(mpmath, name), _seen=seen, **kwargs):
+        def counting(x, *args, _fn=getattr(owner, attr), _seen=calls[name], **kwargs):
             _seen.append(x)
             return _fn(x, *args, **kwargs)
 
-        monkeypatch.setattr(mpmath, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
     nodes, integrate = {"rays": [], "circle": []}, hankel.integrate
 
     def per_node(f, a, b, ctx, **kwargs):
