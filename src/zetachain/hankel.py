@@ -66,12 +66,12 @@ kernels are stored costs one exp, t^e = exp(e log t), on a ray, and one
 cos_sin, that of (e+1) theta, and one complex division on the circle.  A
 node not yet stored adds a log and an exp (or an expm1 below t = 1) on a
 ray, and an exp and two cos_sin pairs on the circle.  The two integrands
-run on raw libmp values, as ``quadrature`` describes: the kernels' stored
-tuples are read as they are, e, e + 1, sin(pi e), pi cos(pi e), log r
-and +-r^(e+1) are computed once per contour, and each node makes the
-libmp calls (``mpf_exp``, ``mpf_cos_sin``, ``mpc_div``, ...) of the mpf
-and mpc operators of the same expression, so every value equals theirs
-bit for bit.
+run on raw libmp values, as ``quadrature`` describes.  They read the
+kernels' stored tuples as they are, and e, e + 1, sin(pi e),
+pi cos(pi e), log r and +-r^(e+1) are computed once per contour.  Each
+node makes the libmp calls (``mpf_exp``, ``mpf_cos_sin``, ``mpc_div``,
+...) of the mpf and mpc operators of the same expression, so every value
+equals theirs bit for bit.
 
 Which quadrature rule integrates which piece:
 
