@@ -218,6 +218,11 @@ def run_oracle(kmax: int, precision: int) -> dict:
                 "ramanujan": str(r.value),
                 "stable": r.stable,
                 "spread": str(r.spread),
+                "closed_form": {
+                    "rational": str(r.closed_form.rational),
+                    "gamma": str(r.closed_form.gamma),
+                    "zeta_prime": [str(w) for w in r.closed_form.zeta_prime],
+                },
                 "scheme": {"N": scheme.N, "J": scheme.J, "lower_limit": 1},
             }
             for k, r in enumerate(values)

@@ -9,22 +9,21 @@ prescription with integration lower limit fixed at 1:
 with f(t) = (gamma + psi(t+1)) t^k.  The constant depends on the lower
 limit; 1 is the convention used throughout and is recorded in the output.
 Odd-order derivatives come from polygamma values and the product rule,
-never from numeric differentiation.  Stability is checked by recomputing
-at (2N, J+1); a result whose spread exceeds the tolerance is flagged but
-still returned.
+never from numeric differentiation.
 
-One request covers k = 0..kmax under the scheme (N, J) and its
-refinement (2N, J+1).  Under one scheme every k integrates over [1, N]
-on the same Gauss-Legendre panels, cut at the powers of 3 below N, and
-the two schemes share every panel but the base scheme's last, so one
-table of H(t) per request serves both: H(t) is evaluated once per
-distinct node, whatever kmax, and the nodes of the shared panels are read
-by both schemes.  The partial sums
-sum_{n<=N} H_n n^k build H_n once for every k, and the refined sum to 2N
-continues from the base sum at N by the same mpf operations in the same
-order, so it equals a sum started from n = 1 bit for bit.  Each k keeps
-its own integral, levels and convergence test, so no value depends on
-kmax.  The table lives for one request only.
+Each value is checked against its exact closed form
+R_k = r_k + g_k gamma + sum_j (-1)^j C(k,j) zeta'(-j), which
+``exact.ramanujan_closed_form`` derives; the closed form is evaluated with
+``zeta_prime_oracle``, so it shares no code with the integral.  A row whose
+spread from it exceeds the tolerance is flagged but still returned.
+
+One request covers k = 0..kmax under one scheme (N, J).  Every k
+integrates over [1, N] on the same Gauss-Legendre panels, cut at the
+powers of 3 below N, so one table of H(t) per request serves every k: H(t)
+is evaluated once per distinct node, whatever kmax.  The partial sums
+sum_{n<=N} H_n n^k build H_n once for every k.  Each k keeps its own
+integral, levels and convergence test, so no value depends on kmax.  The
+table lives for one request only.
 """
 
 from __future__ import annotations
@@ -36,11 +35,11 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
-from .exact import bernoulli
-from .precision import PrecisionContext
+from .exact import RamanujanClosedForm, bernoulli, ramanujan_closed_form
+from .precision import PrecisionContext, const_gamma
 from .quadrature import integrate
 from .special import _hsmooth, hsmooth_pow_derivs
-from .zeta import _em_coefficients
+from .zeta import _em_coefficients, zeta_prime_oracle
 
 MAX_EXPONENT = 8
 
@@ -54,28 +53,17 @@ class EMScheme:
         if self.N < 2 or self.J < 1:
             raise ValueError("scheme requires N >= 2 and J >= 1")
 
-    def refined(self) -> "EMScheme":
-        return EMScheme(2 * self.N, self.J + 1)
 
-
-def _partial_sums(kmax: int, cuts: tuple) -> list[list[mpf]]:
-    """sum_{n<=N} H_n n^k for k = 0..kmax at each N of the ascending cuts.
-
-    One pass over n builds H_n once for every k, and a later cut continues
-    from the state at the earlier one by the same mpf operations in the
-    same order, so every sum equals one started from n = 1 bit for bit.
-    """
+def _partial_sums(kmax: int, N: int) -> list[mpf]:
+    """sum_{n<=N} H_n n^k for k = 0..kmax, building H_n once for every k."""
     h = mpf(0)
     totals = [mpf(0)] * (kmax + 1)
-    sums = []
-    for n in range(1, cuts[-1] + 1):
+    for n in range(1, N + 1):
         h += mpf(1) / n
         p = mpf(n)
         for k in range(kmax + 1):
             totals[k] += h * p**k
-        if n in cuts:
-            sums.append(list(totals))
-    return sums
+    return totals
 
 
 def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[mpf]) -> list[mpf]:
@@ -115,14 +103,24 @@ def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[
 class RamanujanValue:
     value: mpf
     scheme: EMScheme
-    refined_value: mpf
+    closed_form: RamanujanClosedForm
     spread: mpf
     stable: bool
+
+
+def _closed_form_value(form: RamanujanClosedForm, zeta_primes: list[mpf], gamma: mpf) -> mpf:
+    # r + g gamma + sum_j w_j zeta'(-j), at the caller's working precision
+    r, g = form.rational, form.gamma
+    total = mpf(r.numerator) / r.denominator + mpf(g.numerator) / g.denominator * gamma
+    for w, zp in zip(form.zeta_prime, zeta_primes):
+        total += w * zp
+    return total
 
 
 def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[RamanujanValue]:
     """Ramanujan-regularized values of sum H_n n^k, k = 0..kmax, with stability flags.
 
+    spread is |value - closed form| and stable is spread < 10^(-digits//2).
     Row k depends only on k, not on kmax.  The Ramanujan constant does not
     depend on the chain's sum convention.
     """
@@ -130,7 +128,6 @@ def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[Ra
         raise ValueError("kmax must be non-negative")
     if kmax > MAX_EXPONENT:
         raise ValueError(f"derivative bookkeeping supports k <= {MAX_EXPONENT}")
-    fine = scheme.refined()
     rows = []
     with ctx.workdps():
 
@@ -138,13 +135,14 @@ def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[Ra
         def hsmooth(t):
             return _hsmooth(t, ctx)
 
-        base_sums, fine_sums = _partial_sums(kmax, (scheme.N, fine.N))
-        values = _ramanujan_raw(scheme, ctx, hsmooth, base_sums)
-        refined = _ramanujan_raw(fine, ctx, hsmooth, fine_sums)
-        for value, ref in zip(values, refined):
-            spread = ctx.round(abs(value - ref))
+        values = _ramanujan_raw(scheme, ctx, hsmooth, _partial_sums(kmax, scheme.N))
+        zeta_primes = [zeta_prime_oracle(-j, ctx) for j in range(kmax + 1)]
+        gamma = const_gamma(ctx)
+        for k, value in enumerate(values):
+            form = ramanujan_closed_form(k)
+            spread = ctx.round(abs(value - _closed_form_value(form, zeta_primes, gamma)))
             stable = spread < mpf(10) ** (-ctx.digits // 2)
-            rows.append(RamanujanValue(value, scheme, ref, spread, stable))
+            rows.append(RamanujanValue(value, scheme, form, spread, stable))
     return rows
 
 

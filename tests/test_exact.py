@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from zetachain.exact import (
     bernoulli_self_identity,
     binomial,
     harmonic,
+    ramanujan_closed_form,
 )
 
 PLUS = BernoulliConvention.PAPER_PLUS
@@ -101,6 +103,83 @@ def test_self_identity_rejects_small_n():
         bernoulli_self_identity(1, MINUS)
 
 
+# r_k for k = 0..8, found by PSLQ at 90 digits; the closed form is derived
+# in code and must reproduce them
+PSLQ_RATIONALS = [
+    Fraction(1, 2),
+    Fraction(7, 8),
+    Fraction(17, 24),
+    Fraction(169, 288),
+    Fraction(367, 720),
+    Fraction(667, 1440),
+    Fraction(134, 315),
+    Fraction(231101, 604800),
+    Fraction(51787, 151200),
+]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_ramanujan_closed_form_matches_pslq(k):
+    # R_k = r_k + g_k gamma + sum_j (-1)^j C(k, j) zeta'(-j), with
+    # g_0 = 3/2 and g_k = 1/(k+1) + zeta(-k) = 1/(k+1) - B_(k+1)/(k+1)
+    form = ramanujan_closed_form(k)
+    assert form.rational == PSLQ_RATIONALS[k]
+    assert form.gamma == (Fraction(3, 2) if k == 0 else (1 - bernoulli(k + 1)) / (k + 1))
+    assert form.zeta_prime == tuple((-1) ** j * math.comb(k, j) for j in range(k + 1))
+
+
+def test_ramanujan_closed_form_rejects_negative_k():
+    with pytest.raises(ValueError):
+        ramanujan_closed_form(-1)
+
+
+def _cold_moments(top):
+    return [zetachain.exact._log_gamma_moment(m) for m in range(top + 1)]
+
+
+def test_ramanujan_logarithms_cancel(monkeypatch):
+    # Each moment int_2^3 u^m ln Gamma(u) du carries ln 2 from zeta(w, 3) =
+    # zeta(w) - 1 - 2^(-w); no ln 3 enters, since the Hurwitz values are
+    # taken at u = 2 and 3 only.  The ln 2 of every c_s, s <= 41, cancels
+    # against the boundary term 2^s ln Gamma(3), so R_k for k <= 40 is of
+    # the closed form, from a cold cache.
+    monkeypatch.setattr(zetachain.exact, "_ramanujan_forms", [])
+    monkeypatch.setattr(zetachain.exact, "_moments", [])
+    moments = _cold_moments(40)
+    assert all(m.get(("log", 2)) for m in moments)
+    assert not any(key == ("log", 3) for m in moments for key in m)
+    for s in range(1, 42):
+        c = zetachain.exact._shift_constant(s, moments)
+        assert not [key for key in c if key[0] == "log"]
+    assert ramanujan_closed_form(40).zeta_prime == tuple((-1) ** j * math.comb(40, j) for j in range(41))
+
+
+def test_ramanujan_surviving_logarithm_raises(monkeypatch):
+    # a Hurwitz value at u = 3 without its 2^(-w) term leaves ln 2 in c_s
+    hurwitz = zetachain.exact._hurwitz_jet
+
+    def without_logs(i, a):
+        value, slope = hurwitz(i, a)
+        return value, {key: v for key, v in slope.items() if key[0] != "log"}
+
+    monkeypatch.setattr(zetachain.exact, "_hurwitz_jet", without_logs)
+    with pytest.raises(ArithmeticError, match="logarithms"):
+        zetachain.exact._shift_constant(1, _cold_moments(0))
+
+
+def test_shift_constant_zeta_prime_weights():
+    # the triangular system gives sum_{j<s} C(s, j) R_j = -zeta(1-s) + c_s,
+    # so the zeta'(-i) weight of c_s is sum_{i<=j<s} C(s, j) (-1)^i C(j, i) =
+    # (-1)^i C(s, i) (2^(s-i) - 1) for i < s, and zeta'(-s) drops out
+    moments = _cold_moments(20)
+    for s in range(1, 22):
+        c = zetachain.exact._shift_constant(s, moments)
+        for i in range(s + 1):
+            assert c.get(("zeta'", i), 0) == (-1) ** i * math.comb(s, i) * (2 ** (s - i) - 1), (s, i)
+        assert c["gamma"] == Fraction(2 ** (s + 1) - 1, s + 1)
+        assert set(c) <= {"1", "gamma"} | {("zeta'", i) for i in range(s)}
+
+
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
@@ -116,8 +195,8 @@ def test_rational_ring_axioms(x, y, z):
 
 
 def test_exact_layer_imports_no_numeric_layer():
-    # the exact layer is the independent oracle: it must not import mpmath
-    # or any other zetachain module
+    # the exact layer is the independent oracle, the Ramanujan closed forms
+    # included: it must not import mpmath or any other zetachain module
     tree = ast.parse(Path(zetachain.exact.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):

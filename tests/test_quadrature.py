@@ -254,9 +254,9 @@ def _contour_calls():
         "mellin_s2": (400, lambda: eulersums.mellin_fundamental_check(2, ctx)),
         "mellin_s3": (400, lambda: eulersums.mellin_fundamental_check(3, ctx)),
         "mellin_s1.01": (600, lambda: eulersums.mellin_fundamental_check("1.01", ctx)),
-        # Gauss-Legendre on the panels [1, 3, 9, 27, 50] and, refined,
-        # [1, 3, 9, 27, 81, 100]: 5 integrals of 384 evaluations and 5 of 480
-        "ramanujan_sum_4": (4400, lambda: ramanujan.ramanujan_sum(4, EMScheme(), ctx)),
+        # Gauss-Legendre on the panels [1, 3, 9, 27, 50]: 5 integrals of 384
+        # evaluations
+        "ramanujan_sum_4": (1920, lambda: ramanujan.ramanujan_sum(4, EMScheme(), ctx)),
     }
 
 

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mpf
 
 from zetachain import special
 from zetachain.chain import solve_chain
+from zetachain.exact import ramanujan_closed_form
 from zetachain.precision import PrecisionContext, const_gamma
 from zetachain.ramanujan import (
     EMScheme,
@@ -51,20 +54,48 @@ def test_convergent_selftest_scheme_independent():
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_stability_under_scheme_refinement(k):
+def test_stability_against_closed_form(k):
     r = ramanujan_sum(k, SCHEME, CTX)[k]
     assert r.stable
     assert r.spread < half_tol()
+    assert r.closed_form == ramanujan_closed_form(k)
+
+
+def _closed_form_mpmath(k, digits):
+    # the closed form at digits + 30 from mpmath's zeta' and gamma, which
+    # share no code with zeta_prime_oracle or the Ramanujan integral
+    form = ramanujan_closed_form(k)
+    with mpmath.workdps(digits + 30):
+        total = mpmath.mpf(form.rational.numerator) / form.rational.denominator
+        total += mpmath.mpf(form.gamma.numerator) / form.gamma.denominator * mpmath.euler
+        for j, w in enumerate(form.zeta_prime):
+            total += w * mpmath.zeta(-j, derivative=1)
+        return total
+
+
+def test_rows_match_closed_form_by_mpmath():
+    # the scheme's own error grows with k: 2.3e-46 at k = 0 to 6.5e-37 at
+    # k = 8 at 50 digits
+    rows = ramanujan_sum(8, SCHEME, CTX)
+    for k, r in enumerate(rows):
+        with mpmath.workdps(CTX.digits + 30):
+            error = abs(r.value - _closed_form_mpmath(k, CTX.digits))
+            assert error < mpf(10) ** -25, (k, error)
+            # spread measures the same distance, from the library's own zeta'
+            assert abs(error - r.spread) < mpf(10) ** (-CTX.digits + 5) * max(1, error)
 
 
 def test_k0_compared_to_chain_not_asserted_equal():
+    # the README's one-gamma finding is the k = 0 row of the closed form:
+    # R_0 = 1/2 + 3/2 gamma + zeta'(0), with zeta'(0) = -ln(2 pi)/2, and the
+    # chain's S_0 under A is exactly one gamma below it
+    form = ramanujan_closed_form(0)
+    assert form.zeta_prime == (1,)
+    s0 = solve_chain(1, SumConvention.A)[0]
+    assert (form.rational - s0.a, form.gamma - s0.b, Fraction(-1, 2) - s0.c) == (0, 1, 0)
     r = ramanujan_sum(0, SCHEME, CTX)[0]
     with CTX.workdps():
-        chain0 = solve_chain(1, SumConvention.A)[0].numeric(CTX)
-        diff = abs(r.value - chain0)
-        # a definite, reproducible difference is the documented finding;
-        # empirically it sits at exactly one Euler-Mascheroni constant
-        assert diff > mpf("0.5")
+        diff = abs(r.value - s0.numeric(CTX))
         assert abs(diff - const_gamma(CTX)) < half_tol()
 
 
@@ -90,30 +121,17 @@ def test_rows_do_not_depend_on_kmax(digits):
     assert len(long) == 9
     for a, b in zip(short, long[:5], strict=True):
         assert a.value == b.value
-        assert a.refined_value == b.refined_value
+        assert a.closed_form == b.closed_form
         assert a.spread == b.spread
         assert a.stable == b.stable
 
 
-@pytest.mark.parametrize("kmax, digits", [(8, 20), (4, 50)])
-def test_refined_value_is_the_refined_scheme_alone(kmax, digits):
-    # The refined scheme (2N, J+1) reads the H(t) table and the partial
-    # sums that the base scheme left; its values must be bit for bit those
-    # of a request that runs (2N, J+1) as its own base scheme.
-    ctx = PrecisionContext(digits)
-    shared = ramanujan_sum(kmax, EMScheme(), ctx)
-    alone = ramanujan_sum(kmax, EMScheme(100, 16), ctx)
-    for a, b in zip(shared, alone, strict=True):
-        assert a.refined_value == b.value
-
-
 def test_ramanujan_digamma_budget(monkeypatch):
-    # The k = 0..4 integrals of both schemes, N = 50 and the refined
-    # N = 100, read one H(t) table per request, so H(t) is evaluated once
-    # per distinct Gauss-Legendre node: 576 over both schemes (the 288 on
-    # [1, 27] are shared), plus one H(N) per k and scheme in
-    # hsmooth_pow_derivs, make 586 calls.  A table per scheme made 874, and
-    # evaluating H(t) again for every k would make 4,330.
+    # The k = 0..4 integrals over [1, 50] read one H(t) table per request,
+    # so H(t) is evaluated once per distinct Gauss-Legendre node, 384, plus
+    # one H(N) per k in hsmooth_pow_derivs: 389 calls.  Re-running the
+    # scheme at (2N, J+1) to estimate the spread made 586, and evaluating
+    # H(t) again for every k would make 1,925.
     calls, digamma = [], special.digamma
 
     def counting(x, ctx):
@@ -122,4 +140,4 @@ def test_ramanujan_digamma_budget(monkeypatch):
 
     monkeypatch.setattr(special, "digamma", counting)
     ramanujan_sum(4, EMScheme(), PrecisionContext(50))
-    assert 0 < len(calls) <= 586
+    assert 0 < len(calls) <= 389
