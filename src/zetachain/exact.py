@@ -207,7 +207,8 @@ def _extend_ramanujan(k: int) -> None:
     with _ramanujan_lock:
         for j in range(len(_ramanujan_forms), k + 1):
             s = j + 1
-            _moments.append(_log_gamma_moment(j))
+            if len(_moments) == j:  # else a raise below left it from an earlier growth
+                _moments.append(_log_gamma_moment(j))
             rhs = _combine(
                 (1, _shift_constant(s, _moments)),
                 (-_zeta_at_negative(j), {"1": 1}),

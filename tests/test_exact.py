@@ -167,6 +167,23 @@ def test_ramanujan_surviving_logarithm_raises(monkeypatch):
         zetachain.exact._shift_constant(1, _cold_moments(0))
 
 
+def test_ramanujan_cache_recovers_after_a_raise(monkeypatch):
+    # a growth that raises leaves the moment of its row behind; the next
+    # growth must reuse it, not append a second copy
+    monkeypatch.setattr(zetachain.exact, "_ramanujan_forms", [])
+    monkeypatch.setattr(zetachain.exact, "_moments", [])
+    shift = zetachain.exact._shift_constant
+
+    def failing(s, moments):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(zetachain.exact, "_shift_constant", failing)
+    with pytest.raises(ArithmeticError, match="injected"):
+        ramanujan_closed_form(3)
+    monkeypatch.setattr(zetachain.exact, "_shift_constant", shift)
+    assert ramanujan_closed_form(3).rational == PSLQ_RATIONALS[3]
+
+
 def test_shift_constant_zeta_prime_weights():
     # the triangular system gives sum_{j<s} C(s, j) R_j = -zeta(1-s) + c_s,
     # so the zeta'(-i) weight of c_s is sum_{i<=j<s} C(s, j) (-1)^i C(j, i) =
