@@ -147,10 +147,19 @@ def _suite_lemma4(ctx: PrecisionContext) -> list[dict]:
     return checks
 
 
+def _selftest_scheme(digits: int) -> EMScheme:
+    # the first omitted EM term caps the self-test: (50, 15) at about 1e-45,
+    # (150, 40) at 8e-123 and (400, 60) at 7e-214
+    if digits <= 50:
+        return EMScheme()
+    return EMScheme(150, 40) if digits <= 100 else EMScheme(400, 60)
+
+
 def _suite_ramanujan(ctx: PrecisionContext) -> list[dict]:
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits // 2)
-        return [_check("ramanujan_convergent_selftest", convergent_selftest(EMScheme(), ctx), tol)]
+        residual = convergent_selftest(_selftest_scheme(ctx.digits), ctx)
+        return [_check("ramanujan_convergent_selftest", residual, tol)]
 
 
 _SUITES = {

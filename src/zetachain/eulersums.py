@@ -112,7 +112,7 @@ def _smooth_tail(s, N: int, shift: int, partial: mpf, ctx: PrecisionContext) -> 
         table = hsmooth_pow_derivs(N, -sv, shift, 2 * jmax - 1, ctx)
         correction = table[0] / 2
         for j in range(1, jmax + 1):
-            term = em[j] * table[2 * j - 1]
+            term = em[j] * table[j]
             correction -= term
             if abs(term) < tol:
                 return total + correction

@@ -6,10 +6,12 @@ guard is a fixed 10 digits) and rounds its result back to digits.  There is
 no ambient global precision in the public API.
 
 mpmath's working precision is one process-wide global, and this module is
-the only one in zetachain that sets it: ``PrecisionContext.workdps()``,
-``PrecisionContext.round()`` and the private ``_working(dps)`` blocks that
-other modules enter all hold one re-entrant process-wide lock for the whole
-block, set the precision on entry and restore it on exit.  What this
+the only one in zetachain that sets it: ``PrecisionContext.workdps()`` and
+the private ``_working(dps)`` blocks that other modules enter all hold one
+re-entrant process-wide lock for the whole block, set the precision on
+entry and restore it on exit.  ``PrecisionContext.round()`` opens no such
+block: it is one libmp ``mpf_pos`` at the target precision, given
+explicitly, so it takes no lock and reads and sets no global.  What this
 guarantees and what it does not:
 
 - zetachain's own calls are serialized: a block of one thread never runs
@@ -57,6 +59,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
 
 GUARD = 10  # decimal digits carried beyond the target precision
 
@@ -120,9 +123,12 @@ class PrecisionContext:
             return mpf(10) ** (-self.digits + offset)
 
     def round(self, x: mpf) -> mpf:
-        """Round x to this context's target precision."""
-        with _working(self.digits):
-            return +x
+        """Round x to this context's target precision.
+
+        The libmp call behind +x under mp.dps = digits, at that precision
+        given explicitly: it takes no lock and leaves mpmath's precision alone.
+        """
+        return mpmath.mp.make_mpf(mpf_pos(x._mpf_, dps_to_prec(self.digits), round_nearest))
 
 
 def const_gamma(ctx: PrecisionContext) -> mpf:

@@ -94,7 +94,7 @@ def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[
         derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
         total -= derivs[0] / 2
         for j in range(1, scheme.J + 1):
-            total -= em[j] * derivs[2 * j - 1]
+            total -= em[j] * derivs[j]
         values.append(ctx.round(total))
     return values
 

@@ -8,7 +8,9 @@ m >= -1:
 
 and its derivatives, whose j-th term is (-1)^(m+1) B_2j (2j+m-1)!/(2j)! z^(-2j-m).
 Callers shift the argument upward by ``_shift`` until the series converges,
-call the kernel, add the leading terms and recur back down.
+call the kernel, add the leading terms and recur back down.  ``_shift``
+reads the argument as the exact ratio tn/td below, so no mpf arithmetic
+decides the shift.
 
 The inner loops run on Python integers in fixed point, as mpmath's own
 ``mpf_psi0`` does: an integer n stands for n * 2^-wp, wp = mpmath prec +
@@ -35,14 +37,22 @@ exploits that independence for cross-checks.
 psi^(m) for m >= 1 is summed in units of (m-1)!/t^m, which never exceed
 |psi^(m)(t)| = m! sum_k (t+k)^-(m+1) >= m! int_t^inf u^-(m+1) du: the
 downward recurrence adds m/t (t/(t+i))^(m+1) per step and the shifted
-series is scaled by (t/(t+shift))^m.  Terms too small to show in that unit
-drop out instead of underflowing.
+series is scaled by (t/(t+shift))^m, a factor skipped when the shift is 0,
+where it is exactly 1.  Terms too small to show in that unit drop out
+instead of underflowing.  The fixed-point sum s becomes psi^(m)(t) =
+-/+ mpf(s) (m-1)!/(t^m 2^wp), and psi(t) = mpf(s)/2^wp, through the libmp
+calls behind those mpf operators (``from_int``, ``mpf_mul_int``,
+``mpf_pow_int``, ``mpf_div``, ``mpf_neg``) on raw tuples, bit for bit, and
+is then rounded to the target digits by ``PrecisionContext.round``.
 
 H(t) = gamma + psi(t+1), the smooth extension of the harmonic numbers, is
-written once, in ``_hsmooth``; ``hsmooth_pow_derivs`` builds the
-derivatives of H(t) (t+shift)^a that the Euler-sum tails and the Ramanujan
-scheme need from it and from psi^(m), as a Cauchy product of Taylor
-coefficients in integers.
+written once, in ``_hsmooth``; ``hsmooth_pow_derivs`` builds f = H(t)
+(t+shift)^a and the odd-order derivatives f', f''', ... that the Euler-sum
+tails and the Ramanujan scheme read, from H and psi^(m), as a Cauchy
+product of Taylor coefficients in integers.  Its h^i/i! weights and output
+scaling run on the same libmp calls on raw tuples.  It takes psi^(i) at
+every order up to the highest, one polygamma call each, but sums and rounds
+only the orders it returns.
 
 Accuracy: the series stops on a relative 2^-(prec+6).  For Gamma (through
 exp of log Gamma) and for psi^(m), m >= 1, the error is relative: the tests
@@ -60,6 +70,7 @@ from operator import mul
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, round_nearest, to_int
 
 from .exact import bernoulli
 from .precision import PrecisionContext, _coefficients
@@ -95,10 +106,11 @@ def _fixed_pow(x: int, n: int, wp: int) -> int:
     return r
 
 
-def _shift(x: mpf, m: int, dps: int) -> int:
+def _shift(tn: int, td: int, m: int, dps: int) -> int:
     # The series tail behaves like (2j+m)! / ((2pi x)^(2j) x^m); x ~ 0.4*dps
     # plus the derivative order keeps the optimal term below 10^-dps with margin.
-    return max(0, int(math.ceil(int(0.4 * dps) + max(m, 0) + 5 - x)))
+    # x = tn/td exactly, and ceil(k - x) = k - floor(x) for an integer k.
+    return max(0, int(0.4 * dps) + max(m, 0) + 5 - tn // td)
 
 
 def _stirling_term(m: int, j: int) -> Fraction:
@@ -153,8 +165,8 @@ def gamma_fn(s, ctx: PrecisionContext) -> mpf:
             # reflection keeps the asymptotic argument positive
             refl = mpmath.pi / mpmath.sin(mpmath.pi * x)
             return ctx.round(refl / gamma_fn(1 - x, ctx))
-        shift = _shift(x, -1, ctx.dps)
         tn, td = _ratio(x)
+        shift = _shift(tn, td, -1, ctx.dps)
         zn = tn + shift * td
         z = mpf(zn) / td
         series = mpf(_stirling(-1, zn, td) * zn // td) / (1 << _wp())
@@ -183,20 +195,26 @@ def _psi(m: int, x, ctx: PrecisionContext) -> mpf:
         t = mpf(x)
         if t <= 0:
             raise DomainError(f"polygamma of order {m} requires x > 0")
-        shift = _shift(t, m, ctx.dps)
+        prec, rnd = mpmath.mp.prec, round_nearest
         wp = _wp()
         one = 1 << wp
         tn, td = _ratio(t)
+        shift = _shift(tn, td, m, ctx.dps)
         zn = tn + shift * td
         series = _stirling(m, zn, td)
         if m == 0:
             # psi(t) = log z - 1/(2z) + series - sum_{i<shift} 1/(t+i), absolute units
             s = int(mpmath.log(mpf(zn) / td) * one) - (td << wp) // (2 * zn) + series
             s -= sum((td << wp) // (tn + i * td) for i in range(shift))
-            return ctx.round(mpf(s) / one)
+            # mpf(s) / one
+            val = mpf_div(from_int(s, prec, rnd), from_int(one), prec, rnd)
+            return ctx.round(mpmath.mp.make_mpf(val))
         # (-1)^(m+1) psi^(m)(t) in units of (m-1)!/t^m: the shifted series
-        # 1 + m/(2z) + series scaled by (t/z)^m, plus m/t (t/(t+i))^(m+1) per step down
-        s = (one + (m * td << wp) // (2 * zn) + series) * _fixed_pow((tn << wp) // zn, m, wp) >> wp
+        # 1 + m/(2z) + series scaled by (t/z)^m, which is exactly 1 unshifted,
+        # plus m/t (t/(t+i))^(m+1) per step down
+        s = one + (m * td << wp) // (2 * zn) + series
+        if shift:
+            s = s * _fixed_pow((tn << wp) // zn, m, wp) >> wp
         rec = 0
         for i in range(shift):
             term = _fixed_pow((tn << wp) // (tn + i * td), m + 1, wp)
@@ -204,8 +222,11 @@ def _psi(m: int, x, ctx: PrecisionContext) -> mpf:
                 break
             rec += term
         s += rec * m * td // tn
-        val = mpf(s) * math.factorial(m - 1) / (t**m * one)
-        return ctx.round(val if m % 2 else -val)
+        # mpf(s) * (m-1)! / (t**m * one), negated at even m
+        num = mpf_mul_int(from_int(s, prec, rnd), math.factorial(m - 1), prec, rnd)
+        den = mpf_mul_int(mpf_pow_int(t._mpf_, m, prec, rnd), one, prec, rnd)
+        val = mpf_div(num, den, prec, rnd)
+        return ctx.round(mpmath.mp.make_mpf(val if m % 2 else mpf_neg(val)))
 
 
 def _hsmooth(t: mpf, ctx: PrecisionContext) -> mpf:
@@ -215,18 +236,22 @@ def _hsmooth(t: mpf, ctx: PrecisionContext) -> mpf:
 
 
 def hsmooth_pow_derivs(t, a, shift, max_order: int, ctx: PrecisionContext) -> list[mpf]:
-    """Derivatives d^m/dt^m [ H(t) * (t+shift)^a ] for m = 0..max_order.
+    """f = H(t) * (t+shift)^a and its odd-order derivatives up to max_order.
 
-    H(t) = gamma + psi(t+1); the power factor has real exponent a and an
-    integer offset (shift = 0 for n^a-type sums, 1 for (n+1)^a-type).
-    Used by the Euler-Maclaurin tails and the Ramanujan summation scheme,
-    where the odd-order derivatives at the cut point are needed exactly
-    via the product rule rather than by numeric differentiation.
+    Entry 0 is f(t) and entry j >= 1 is d^(2j-1)f/dt^(2j-1), for every odd
+    order up to max_order; each is rounded to ctx.digits.  H(t) = gamma +
+    psi(t+1); the power factor has real exponent a and an integer offset
+    (shift = 0 for n^a-type sums, 1 for (n+1)^a-type).  Used by the
+    Euler-Maclaurin tails and the Ramanujan summation scheme, which read f
+    and its odd-order derivatives at the cut point, built exactly by the
+    product rule rather than by numeric differentiation.
 
     The product rule is a Cauchy product of Taylor coefficients at scale
     h = t+1: with u_i = H^(i)(t) h^i/i! and v_q = C(a, q) (h/base)^q,
     base = t+shift, the m-th derivative is base^a m!/h^m sum_i u_i v_(m-i).
-    Every term is then O(1), so the O(max_order^2) sum runs in fixed point.
+    Every term is then O(1), so the sums run in fixed point.  Every order's
+    u_i, v_q and scale is built, one polygamma call per order; the sum is
+    taken only at the orders returned.
     """
     with ctx.workdps():
         tv = mpf(t)
@@ -235,25 +260,31 @@ def hsmooth_pow_derivs(t, a, shift, max_order: int, ctx: PrecisionContext) -> li
         base = tv + shift
         if base <= 0:
             raise DomainError("the power factor needs t + shift > 0")
+        prec, rnd = mpmath.mp.prec, round_nearest
         wp = _wp()
         one = 1 << wp
-        # u-side: H(t) and psi^(i)(t+1), scaled by h^i/i!
+        # u-side: H(t) and psi^(i)(t+1), scaled by h^i/i!, on the libmp calls
+        # of hpow = hpow * h / i and int(polygamma(...) * hpow)
         u = [int(_hsmooth(tv, ctx) * one)]
-        hpow = mpf(one)
+        hpow = from_int(one)
         for i in range(1, max_order + 1):
-            hpow = hpow * h / i
-            u.append(int(polygamma(i, h, ctx) * hpow))
+            hpow = mpf_div(mpf_mul(hpow, h._mpf_, prec, rnd), from_int(i), prec, rnd)
+            u.append(to_int(mpf_mul(polygamma(i, h, ctx)._mpf_, hpow, prec, rnd)))
         # v-side: C(a, q) (h/base)^q, h/base = num/den exactly
         hn, hd = _ratio(h)
         bn, bd = _ratio(base)
         num, den = hn * bd, hd * bn
-        afix = int(av * one)
+        afix = to_int(mpf_mul_int(av._mpf_, one, prec, rnd))
         v = [one]
         for q in range(1, max_order + 1):
             v.append(v[-1] * (afix - (q - 1 << wp)) * num // (den * q << wp))
+        # scale = base^a m!/h^m / one^2, stepped as scale * (m+1) / h through
+        # every order, so each order returned gets the same scale as in a full table
         out = []
-        scale = base**av / (one * one)
+        scale = mpf_div(mpf_pow(base._mpf_, av._mpf_, prec, rnd), from_int(one * one), prec, rnd)
         for m in range(max_order + 1):
-            out.append(ctx.round(mpf(sum(map(mul, u[: m + 1], v[m::-1]))) * scale))
-            scale = scale * (m + 1) / h
+            if m % 2 or not m:
+                f = mpf_mul(from_int(sum(map(mul, u[: m + 1], v[m::-1])), prec, rnd), scale, prec, rnd)
+                out.append(ctx.round(mpmath.mp.make_mpf(f)))
+            scale = mpf_div(mpf_mul_int(scale, m + 1, prec, rnd), h._mpf_, prec, rnd)
         return out

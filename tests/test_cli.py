@@ -33,6 +33,15 @@ def test_verify_fast_suites_pass(capsys):
     jsonschema.validate(doc, _schema())
 
 
+def test_verify_passes_every_suite_at_100_digits():
+    # the Ramanujan self-test takes its scheme from the digits: the fixed
+    # EMScheme() stops near 1e-45, short of the 1e-50 asked for here
+    doc = cli.run_verify(100, list(cli.SUITE_NAMES))
+    failed = [c["name"] for s in doc["suites"] for c in s["checks"] if c["status"] != "pass"]
+    assert doc["status"] == "pass", failed
+    jsonschema.validate(doc, _schema())
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(["verify", "--suites", "nonsense"], capsys)
     assert code == 2

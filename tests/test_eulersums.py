@@ -162,8 +162,8 @@ def test_euler_sum_tails_take_no_stirling_shift(monkeypatch, digits):
     # higher orders were shifted, by up to 23 steps at 100 digits
     shifts, shift = [], special._shift
 
-    def recording(x, m, dps):
-        shifts.append(shift(x, m, dps))
+    def recording(tn, td, m, dps):
+        shifts.append(shift(tn, td, m, dps))
         return shifts[-1]
 
     monkeypatch.setattr(special, "_shift", recording)

@@ -232,11 +232,13 @@ ELEMENTARY_MPMATH = set(
     "cos cos_sin cospi euler exp expm1 floor inf log log1p mp mpc mpf pi sin sinpi".split()
 )
 # libmp kernels src/ may call on raw _mpf_/_mpc_ tuples, the ones mpmath's
-# operators and elementary functions above call: arithmetic, exp and
-# cos_sin, compared and rounded to nearest.  libmp's mpf_zeta, mpf_psi,
+# operators, conversions and elementary functions above call: arithmetic,
+# sign, exp and cos_sin, conversion from and to int, compared, and rounded
+# to nearest at a precision in bits or digits.  libmp's mpf_zeta, mpf_psi,
 # mpf_gamma and mpf_bernoulli are the oracles' kernels and stay out.
 ELEMENTARY_LIBMP = set(
-    "mpc_div mpf_abs mpf_add mpf_cos_sin mpf_div mpf_exp mpf_lt mpf_mul mpf_mul_int mpf_pow mpf_pow_int round_nearest".split()
+    "dps_to_prec from_int mpc_div mpf_abs mpf_add mpf_cos_sin mpf_div mpf_exp mpf_lt mpf_mul mpf_mul_int "
+    "mpf_neg mpf_pos mpf_pow mpf_pow_int round_nearest to_int".split()
 )
 
 

@@ -216,6 +216,40 @@ def test_threads_at_different_precisions_match_serial(monkeypatch):
     assert wrong == []
 
 
+def test_round_under_another_threads_precision_block():
+    # ctx.round is one libmp call at its own precision: while another thread
+    # holds a 120-digit block it neither waits for that block nor changes
+    # the precision the block set
+    with mpmath.workdps(80):
+        values = [+mpmath.pi, -mpmath.e / 7, mpmath.mpf(1) + mpmath.mpf(2) ** -60]
+    ctx = PrecisionContext(15)
+    serial = [ctx.round(v)._mpf_ for v in values]
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        with precision._working(120):
+            held.set()
+            release.wait(timeout=60)
+
+    t = threading.Thread(target=holder)
+    t.start()
+    try:
+        assert held.wait(timeout=60)
+        prec = mpmath.mp.prec
+        seen = []
+        r = threading.Thread(
+            target=lambda: seen.append(([ctx.round(v)._mpf_ for v in values], mpmath.mp.prec)), daemon=True
+        )
+        r.start()
+        r.join(timeout=30)
+        assert seen, "round waited for another thread's precision block"
+        assert seen[0] == (serial, prec)
+        assert mpmath.mp.prec == prec == mpmath.libmp.dps_to_prec(120)
+    finally:
+        release.set()
+        t.join(timeout=60)
+
+
 def test_a_rejected_precision_leaves_the_lock_free():
     # a report's digits come from outside; mpmath rejecting them must not
     # leave the precision lock held against every other thread

@@ -162,7 +162,7 @@ def _psi_arguments(draw, digits):
             st.integers(min_value=1, max_value=199),
             st.decimals(min_value="0.000001", max_value="0.999999", places=6).map(str),
             # from here on the kernel needs no downward recurrence
-            st.integers(min_value=_shift(0, m, PrecisionContext(digits).dps), max_value=199),
+            st.integers(min_value=_shift(0, 1, m, PrecisionContext(digits).dps), max_value=199),
         )
     )
     return m, x
@@ -189,7 +189,7 @@ def test_psi_differential_against_mpmath(digits):
 
 # The derivative table at the shapes the Euler-sum tails ask for at 15, 50
 # and 100 digits, against the plain product rule on mpmath's psi at 40 more
-# digits.  Every order is held to a relative bound.
+# digits.  f and every odd order returned are held to a relative bound.
 @pytest.mark.parametrize("digits, t, max_order", [(15, 30, 25), (50, 37, 71), (100, 59, 135)])
 def test_hsmooth_pow_derivs_match_mpmath_product_rule(digits, t, max_order):
     ctx = PrecisionContext(digits)
@@ -204,9 +204,11 @@ def test_hsmooth_pow_derivs_match_mpmath_product_rule(digits, t, max_order):
                 for q in range(max_order + 1):
                     v.append(falling * base ** (av - q))
                     falling *= av - q
-                for m in range(max_order + 1):
+                orders = [0, *range(1, max_order + 1, 2)]
+                assert len(got) == len(orders)
+                for m, value in zip(orders, got):
                     ref = mpmath.fsum(math.comb(m, i) * u[i] * v[m - i] for i in range(m + 1))
-                    assert abs(got[m] - ref) <= mpf(10) ** (-digits + 3) * abs(ref), (a, shift, m)
+                    assert abs(value - ref) <= mpf(10) ** (-digits + 3) * abs(ref), (a, shift, m)
 
 
 @pytest.mark.parametrize("digits", [15, 50, 120])
