@@ -211,6 +211,18 @@ def test_hsmooth_pow_derivs_match_mpmath_product_rule(digits, t, max_order):
                     assert abs(value - ref) <= mpf(10) ** (-digits + 3) * abs(ref), (a, shift, m)
 
 
+def test_psi_past_float_range():
+    # the Stirling shift is worked out from the argument's exact ratio; taken
+    # through a float it overflowed past about 1.8e308
+    ctx = PrecisionContext(30)
+    x = "1e400"
+    got = (digamma(x, ctx), polygamma(1, x, ctx), polygamma(3, x, ctx))
+    with mpmath.workdps(50):
+        ref = (mpmath.psi(0, mpf(x)), mpmath.psi(1, mpf(x)), mpmath.psi(3, mpf(x)))
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= mpf(10) ** -28 * abs(r)
+
+
 @pytest.mark.parametrize("digits", [15, 50, 120])
 def test_gamma_matches_mpmath(digits):
     ctx = PrecisionContext(digits)
