@@ -55,7 +55,9 @@ every order up to the highest, one polygamma call each, but sums and rounds
 only the orders it returns.
 
 Accuracy: the series stops on a relative 2^-(prec+6).  For Gamma (through
-exp of log Gamma) and for psi^(m), m >= 1, the error is relative: the tests
+exp of log Gamma, with about log10(x ln x) more working digits once that
+passes 3, the digits before log Gamma's point that exp turns into relative
+error) and for psi^(m), m >= 1, the error is relative: the tests
 hold psi^(m) within a relative 10^(-digits+2) of mpmath for m up to 140 at
 15, 50 and 120 digits.  For psi the guarantee is absolute, so near its zero
 at x ~ 1.46 psi keeps fewer relative digits.
@@ -73,10 +75,11 @@ from mpmath import mpf
 from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, round_nearest, to_int
 
 from .exact import bernoulli
-from .precision import PrecisionContext, _coefficients
+from .precision import PrecisionContext, _coefficients, _working
 
 _GUARD_BITS = 24  # fixed-point bits carried beyond mpmath's working precision
 _TOL = 1 << (_GUARD_BITS - 6)  # 2^-(prec+6) in units of 2^-wp
+_LOG_GAMMA_SPARE = 3  # digits of log Gamma(x) before the point that GUARD absorbs
 
 
 class DomainError(ValueError):
@@ -165,8 +168,11 @@ def gamma_fn(s, ctx: PrecisionContext) -> mpf:
             # reflection keeps the asymptotic argument positive
             refl = mpmath.pi / mpmath.sin(mpmath.pi * x)
             return ctx.round(refl / gamma_fn(1 - x, ctx))
+        dps = ctx.dps + _log_gamma_extra(*_ratio(x))
+    with _working(dps):
+        x = mpf(s)
         tn, td = _ratio(x)
-        shift = _shift(tn, td, -1, ctx.dps)
+        shift = _shift(tn, td, -1, dps)
         zn = tn + shift * td
         z = mpf(zn) / td
         series = mpf(_stirling(-1, zn, td) * zn // td) / (1 << _wp())
@@ -174,6 +180,19 @@ def gamma_fn(s, ctx: PrecisionContext) -> mpf:
         # Gamma(x) = Gamma(z) / (x (x+1) ... (x+shift-1))
         val = mpmath.exp(lg) * td**shift / math.prod(tn + i * td for i in range(shift))
         return ctx.round(val)
+
+
+def _log_gamma_extra(tn: int, td: int) -> int:
+    """Decimal digits gamma_fn adds to its working precision at x = tn/td >= 1/2.
+
+    log Gamma(x) ~ x ln x has about log10(x ln x) digits before the point,
+    and exp turns each of them into a relative digit lost from Gamma(x).  The
+    guard absorbs _LOG_GAMMA_SPARE of them, which covers x up to about 190.
+    """
+    if tn < 100 * td:  # x ln x < 10^3: nothing to add, and ln x may be negative
+        return 0
+    log10_x = math.log10(tn) - math.log10(td)
+    return max(0, math.ceil(log10_x + math.log10(log10_x * math.log(10))) - _LOG_GAMMA_SPARE)
 
 
 def digamma(x, ctx: PrecisionContext) -> mpf:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import mpmath
 from mpmath import mpf
+from mpmath.libmp import dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .precision import PrecisionContext, const_gamma, const_log2pi
 
@@ -57,13 +59,21 @@ class SymbolicValue:
         return self.scale(q)
 
     def numeric(self, ctx: PrecisionContext) -> mpf:
-        with ctx.workdps():
-            val = (
-                mpf(self.a.numerator) / self.a.denominator
-                + mpf(self.b.numerator) / self.b.denominator * const_gamma(ctx)
-                + mpf(self.c.numerator) / self.c.denominator * const_log2pi(ctx)
-            )
-            return ctx.round(val)
+        """a + b*gamma + c*ln(2pi) at ctx's working precision, rounded to ctx.digits.
+
+        The libmp calls behind mpf(p) / q for each part, the two products and
+        the two sums, in the operators' order, on raw values at the working
+        precision given explicitly.
+        """
+        prec = dps_to_prec(ctx.dps)
+        a, b, c = (
+            mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator), prec, round_nearest)
+            for q in (self.a, self.b, self.c)
+        )
+        b = mpf_mul(b, const_gamma(ctx)._mpf_, prec, round_nearest)
+        c = mpf_mul(c, const_log2pi(ctx)._mpf_, prec, round_nearest)
+        val = mpf_add(mpf_add(a, b, prec, round_nearest), c, prec, round_nearest)
+        return ctx.round(mpmath.mp.make_mpf(val))
 
     def __str__(self) -> str:
         return f"{self.a} + ({self.b})*gamma + ({self.c})*log(2*pi)"

@@ -24,10 +24,19 @@ prime factor from a sieve, the fixed-point product p^-s m^-s; pi(N) mpf
 powers, not N - 1.  The Euler sums (``eulersums._h_sum``) build their
 partial sums from the same routine.  s and (s)_(2j-1) are fixed point in
 units of 2^-wp, or exact integers at those integer s, and B_2j/(2j)! is
-the exact rational of ``exact.bernoulli``: every EM term is one floor
-division.  zeta' groups its logs by prime, taking the primes from the same
-sieve, sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n}
-n^-s: pi(N) + 1 logarithms at wp bits, not N - 2.
+the exact rational of ``exact.bernoulli``, read as far as the last term
+taken: every EM term is one floor division.  The power N^(1-s-2j) is
+carried from term to term, multiplied or divided by N^2, as a numerator
+factor while its exponent is at least 0 (integer s <= -1) and as a factor
+of the divisor after; at integer s <= 0 (s)_(2j-1) is exactly 0 from
+j = 1 - s/2 on, and zeta's term is then 0 without a division.  zeta' groups
+its logs by prime, taking the primes from the same sieve, sum_{n<N} log n
+n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1
+logarithms, each one libmp ``mpf_log`` at the precision of a dps + 8 block
+(no fewer than wp bits), shifted to units of 2^-wp, not N - 2.  These are
+the calls behind mpmath.log(p) * 2^wp there, bit for bit, with no
+precision block and no mpf built.  The odd-zeta bridges make the libmp
+calls behind their mpf operator expressions, in the same order.
 Corrections are added until one falls below 10^-(dps+5) relative to
 max(1, |running sum|), compared as binary magnitudes (int.bit_length); a
 sum still short of that after 4 dps terms raises ArithmeticError.
@@ -48,6 +57,18 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_shift,
+    round_nearest,
+    to_int,
+)
 
 from .exact import BernoulliConvention, bernoulli
 from .precision import PrecisionContext, _coefficients, _working
@@ -151,8 +172,9 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
         # sum_{n<N} log n n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s
         lpf = _least_prime_factors(N)
         primes = [p for p in range(2, N) if lpf[p] == p]
-        with _working(mpmath.mp.dps + 8):  # log at no fewer than wp bits
-            logs = [int(mpmath.log(p) * (1 << wp)) for p in primes + [N]]
+        # log p at the prec of a dps + 8 block, no fewer than wp bits, shifted to units of 2^-wp
+        prec = dps_to_prec(mpmath.mp.dps + 8)
+        logs = [to_int(mpf_shift(mpf_log(from_int(p), prec, round_nearest), wp)) for p in primes + [N]]
         total = 0
         for p, log_p in zip(primes, logs):
             q, c = p, 0
@@ -176,24 +198,40 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     lead = rational(one, sn - one, 1) + rational(1, 2, 0)  # N^(1-s)/(s-1) + N^-s/2
     total += rational(-one * one, (sn - one) ** 2, 1) - (lead * log_n >> wp) if derivative else lead
     tol_mag = 1 - (10 ** (ctx.dps + 5)).bit_length()  # mpmath.mag(10^-(dps+5))
-    prod, dprod, fact = one, 0, 1  # (s)_(2j-1), its s-derivative, (2j)!
+    # Term j is B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) in units of 2^-up, one floor
+    # division.  N^-s is pw_N at non-integer s; at integer s it is 1 << up with
+    # s in N's exponent e.  N^e is npow while e >= 0, and a factor of the divisor
+    # dn = (2j)! 2^k N^-e after; either is stepped by N^2.
+    e = -1 if k else -1 - s
+    npow, dn = (N**e, 1 << k) if e >= 0 else (1, N**-e << k)
+    n2 = N * N
+    prod, dprod = one, 0  # (s)_(2j-1) and its s-derivative
     for j in range(1, 4 * ctx.dps + 1):
         for i in (2 * j - 3, 2 * j - 2) if j > 1 else (0,):
             f = sn + (i << k)
             if derivative:
                 dprod = (dprod * f >> k) + prod
             prod = prod * f >> k
-        fact *= (2 * j - 1) * 2 * j
+        dn *= (2 * j - 1) * 2 * j
         b = bernoulli(2 * j)
-        term = rational(b.numerator * prod, b.denominator * fact << k, 1 - 2 * j)
+        bn, den = b.numerator * npow, b.denominator * dn
+        # (s)_(2j-1) is exactly 0 from j = 1 - s/2 on at integer s <= 0
+        term = (bn * prod * pw_N if k else bn * prod << up) // den if prod else 0
         if derivative:
-            term_d = rational(b.numerator * dprod, b.denominator * fact << k, 1 - 2 * j) - (term * log_n >> wp)
+            term_d = (bn * dprod * pw_N if k else bn * dprod << up) // den - (term * log_n >> wp)
         else:
             term_d = term
         total += term_d
         lim = tol_mag + max(0, total.bit_length() - up)
         if max(term_d.bit_length(), term.bit_length()) - up < lim:
             return ctx.round(mpf((total, -up)))
+        if e >= 2:
+            npow //= n2
+        elif e >= 0:
+            npow, dn = 1, dn * (n2 // npow)  # N^-1 from N, N^-2 from 1
+        else:
+            dn *= n2
+        e -= 2
     raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 
@@ -204,14 +242,23 @@ def zeta_neg_int_exact(k: int) -> Fraction:
     return -bernoulli(k, BernoulliConvention.PAPER_PLUS) / k
 
 
+def _two_pi_pow(k: int, prec: int) -> tuple:
+    # (2 pi)^(2k) as the libmp calls behind (2 * mpmath.pi) ** (2k) at prec
+    two_pi = mpf_mul_int(mpmath.pi._mpf_, 2, prec, round_nearest)
+    return mpf_pow_int(two_pi, 2 * k, prec, round_nearest)
+
+
 def zeta_odd_from_zprime(k: int, zprime, ctx: PrecisionContext) -> mpf:
     """zeta(2k+1) = (-1)^k 2 (2pi)^(2k)/(2k)! * zeta'(-2k), k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1 (zeta(1) diverges)")
     with ctx.workdps():
-        two_pi = 2 * mpmath.pi
-        val = (-1) ** k * 2 * two_pi ** (2 * k) / mpf(math.factorial(2 * k)) * mpf(zprime)
-        return ctx.round(val)
+        prec = mpmath.mp.prec
+        # the libmp calls behind (-1)^k 2 (2 pi)^(2k) / mpf((2k)!) * mpf(zprime)
+        val = mpf_mul_int(_two_pi_pow(k, prec), (-1) ** k * 2, prec, round_nearest)
+        val = mpf_div(val, from_int(math.factorial(2 * k), prec, round_nearest), prec, round_nearest)
+        val = mpf_mul(val, mpf(zprime)._mpf_, prec, round_nearest)
+        return ctx.round(mpmath.mp.make_mpf(val))
 
 
 def zeta_odd_from_bprime(k: int, bprime, ctx: PrecisionContext) -> mpf:
@@ -233,9 +280,12 @@ def zprime_from_zeta_odd(k: int, zeta_odd, ctx: PrecisionContext) -> mpf:
     if k < 1:
         raise ValueError("k must be >= 1")
     with ctx.workdps():
-        two_pi = 2 * mpmath.pi
-        val = (-1) ** k * mpf(math.factorial(2 * k)) * mpf(zeta_odd) / (2 * two_pi ** (2 * k))
-        return ctx.round(val)
+        prec = mpmath.mp.prec
+        # the libmp calls behind (-1)^k mpf((2k)!) * mpf(zeta_odd) / (2 (2 pi)^(2k))
+        val = mpf_mul_int(from_int(math.factorial(2 * k), prec, round_nearest), (-1) ** k, prec, round_nearest)
+        val = mpf_mul(val, mpf(zeta_odd)._mpf_, prec, round_nearest)
+        den = mpf_mul_int(_two_pi_pow(k, prec), 2, prec, round_nearest)
+        return ctx.round(mpmath.mp.make_mpf(mpf_div(val, den, prec, round_nearest)))
 
 
 def zeta_prime_oracle(a, ctx: PrecisionContext) -> mpf:

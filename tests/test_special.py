@@ -233,6 +233,18 @@ def test_gamma_matches_mpmath(digits):
             assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), s
 
 
+@pytest.mark.parametrize("digits", [15, 50])
+def test_gamma_keeps_its_digits_at_large_arguments(digits):
+    # exp(log Gamma(x)) loses the log10(x ln x) digits before log Gamma's
+    # point: without extra working digits 1e20 kept 4 of 15 and 1e40 none
+    ctx = PrecisionContext(digits)
+    for s in ("1e3", "1e12", "1e20", "1e40"):
+        got = gamma_fn(s, ctx)
+        with mpmath.workdps(digits + 80):
+            ref = mpmath.gamma(mpf(s))
+            assert abs(got - ref) <= mpf(10) ** (-digits + 2) * abs(ref), s
+
+
 # Points drawn on a four-decimal grid over [-40, 60).  The poles at 0, -1,
 # -2, ... are left out; near them Gamma is large, not small, so points may
 # come as close to them as the grid allows.
