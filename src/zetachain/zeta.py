@@ -32,11 +32,11 @@ of the divisor after; at integer s <= 0 (s)_(2j-1) is exactly 0 from
 j = 1 - s/2 on, and zeta's term is then 0 without a division.  zeta' groups
 its logs by prime, taking the primes from the same sieve, sum_{n<N} log n
 n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1
-logarithms, each one libmp ``mpf_log`` at the precision of a dps + 8 block
-(no fewer than wp bits), shifted to units of 2^-wp, not N - 2.  These are
-the calls behind mpmath.log(p) * 2^wp there, bit for bit, with no
-precision block and no mpf built.  The odd-zeta bridges make the libmp
-calls behind their mpf operator expressions, in the same order.
+logarithms, not N - 2.  Each is one libmp ``mpf_log`` at the precision a
+dps + 8 block would set (no fewer than wp bits), shifted to units of
+2^-wp: the calls behind mpmath.log(p) * 2^wp in such a block, bit for bit,
+with no block entered and no mpf built.  The odd-zeta bridges make the
+libmp calls behind their mpf operator expressions, in the same order.
 Corrections are added until one falls below 10^-(dps+5) relative to
 max(1, |running sum|), compared as binary magnitudes (int.bit_length); a
 sum still short of that after 4 dps terms raises ArithmeticError.
