@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from mpmath import mpf
 
@@ -132,25 +130,6 @@ def _encode(value):
     if is_dataclass(value):
         return {f.name: _encode(v) for f in fields(value) if (v := getattr(value, f.name)) is not None}
     return value
-
-
-def _decode(tp, data):
-    # inverse of _encode, driven by the annotation tp
-    args = get_args(tp)
-    if get_origin(tp) is tuple:
-        return tuple(_decode(args[0], d) for d in data)
-    if get_origin(tp) is UnionType:  # X | None
-        (tp,) = (a for a in args if a is not type(None))
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(tp) if f.name in data})
-    return tp(data)
-
-
-def chain_report_from_dict(d: dict) -> ChainReport:
-    # parse numerics at the precision they were serialized with
-    with _working(d["digits"]):
-        return _decode(ChainReport, d)
 
 
 def discrepancy_report(

@@ -175,44 +175,31 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _status(items: list[dict]) -> str:
+    # a suite passes when all its checks pass, a document when all its suites do
+    return "pass" if all(i["status"] == "pass" for i in items) else "fail"
+
+
+def _document(kind: str, precision: int, **body) -> dict:
+    return {"tool": "zetachain", "version": __version__, "kind": kind, "precision_digits": precision, **body}
+
+
 def run_verify(precision: int, suites: list[str]) -> dict:
     ctx = PrecisionContext(precision)
-    doc = {
-        "tool": "zetachain",
-        "version": __version__,
-        "kind": "verify",
-        "precision_digits": precision,
-        "suites": [],
-        "timing": {},
-    }
+    done, timing = [], {}
     for name in suites:
         t0 = time.perf_counter()
         checks = _SUITES[name](ctx)
-        doc["timing"][name] = round(time.perf_counter() - t0, 3)
-        doc["suites"].append(
-            {
-                "name": name,
-                "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
-                "checks": checks,
-            }
-        )
-    doc["status"] = "pass" if all(s["status"] == "pass" for s in doc["suites"]) else "fail"
-    return doc
+        timing[name] = round(time.perf_counter() - t0, 3)
+        done.append({"name": name, "status": _status(checks), "checks": checks})
+    return _document("verify", precision, suites=done, timing=timing, status=_status(done))
 
 
 def run_chain(kmax: int, conventions: tuple[SumConvention, ...], precision: int) -> dict:
     ctx = PrecisionContext(precision)
     t0 = time.perf_counter()
-    report = discrepancy_report(kmax, conventions, ctx)
-    doc = {
-        "tool": "zetachain",
-        "version": __version__,
-        "kind": "chain",
-        "precision_digits": precision,
-        "report": report.to_dict(),
-        "timing": {"chain": round(time.perf_counter() - t0, 3)},
-    }
-    return doc
+    report = discrepancy_report(kmax, conventions, ctx).to_dict()
+    return _document("chain", precision, report=report, timing={"chain": round(time.perf_counter() - t0, 3)})
 
 
 def run_oracle(kmax: int, precision: int) -> dict:
@@ -243,14 +230,7 @@ def run_oracle(kmax: int, precision: int) -> dict:
                 num = chain[k].numeric(ctx)
                 row[f"chain_{conv.value}"] = str(num)
                 row[f"diff_{conv.value}"] = str(ctx.round(abs(r.value - num)))
-    return {
-        "tool": "zetachain",
-        "version": __version__,
-        "kind": "oracle",
-        "precision_digits": precision,
-        "rows": rows,
-        "timing": {"oracle": round(time.perf_counter() - t0, 3)},
-    }
+    return _document("oracle", precision, rows=rows, timing={"oracle": round(time.perf_counter() - t0, 3)})
 
 
 def chain_csv(doc: dict) -> str:
@@ -284,65 +264,67 @@ def _emit(doc: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_suites(arg: str) -> list[str]:
+    return [s.strip() for s in arg.split(",") if s.strip()]
+
+
 def _parse_conventions(arg: str) -> tuple[SumConvention, ...]:
     # --convention is one of A, B and all
     return (SumConvention.A, SumConvention.B) if arg == "all" else (SumConvention(arg),)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--precision", type=int, default=50)
+    common.add_argument("--out")
     p = argparse.ArgumentParser(prog="zetachain")
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run the verification suites")
-    v.add_argument("--precision", type=int, default=50)
-    v.add_argument("--suites", default=",".join(SUITE_NAMES))
+    v = sub.add_parser("verify", parents=[common], help="run the verification suites")
+    v.add_argument("--suites", type=_parse_suites, default=",".join(SUITE_NAMES))
     v.add_argument("--format", choices=("json",), default="json")
-    v.add_argument("--out")
 
-    c = sub.add_parser("chain", help="solve the heuristic chain and report discrepancies")
+    c = sub.add_parser("chain", parents=[common], help="solve the heuristic chain and report discrepancies")
     c.add_argument("--kmax", type=int, default=8)
     c.add_argument("--convention", default="all", choices=("A", "B", "all"))
-    c.add_argument("--precision", type=int, default=50)
     c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.add_argument("--out")
 
-    o = sub.add_parser("oracle", help="Ramanujan-summation values side by side with the chain")
+    o = sub.add_parser("oracle", parents=[common], help="Ramanujan-summation values side by side with the chain")
     o.add_argument("--kmax", type=int, default=4)
-    o.add_argument("--precision", type=int, default=50)
     o.add_argument("--format", choices=("json",), default="json")
-    o.add_argument("--out")
     return p
+
+
+def _usage_error(args: argparse.Namespace) -> str | None:
+    if args.precision < 15:
+        return "precision must be at least 15 digits"
+    if args.command == "verify":
+        if not args.suites:
+            return "--suites must name at least one suite"
+        unknown = [s for s in args.suites if s not in _SUITES]
+        if unknown:
+            return f"unknown suite(s): {', '.join(unknown)}"
+    if args.command == "chain" and args.kmax < 1:
+        return "kmax must be >= 1"
+    if args.command == "oracle" and not 0 <= args.kmax <= MAX_EXPONENT:
+        return f"kmax must be in 0..{MAX_EXPONENT}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision < 15:
-        print("precision must be at least 15 digits", file=sys.stderr)
+    error = _usage_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     if args.command == "verify":
-        suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-        unknown = [s for s in suites if s not in _SUITES]
-        if unknown:
-            print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        doc = run_verify(args.precision, suites)
-        _emit(doc, args.format, args.out)
-        return 0 if doc["status"] == "pass" else 1
-    if args.command == "chain":
-        if args.kmax < 1:
-            print("kmax must be >= 1", file=sys.stderr)
-            return 2
+        doc = run_verify(args.precision, args.suites)
+    elif args.command == "chain":
         doc = run_chain(args.kmax, _parse_conventions(args.convention), args.precision)
-        _emit(doc, args.format, args.out)
-        return 0
-    if args.command == "oracle":
-        if not 0 <= args.kmax <= MAX_EXPONENT:
-            print(f"kmax must be in 0..{MAX_EXPONENT}", file=sys.stderr)
-            return 2
+    else:
         doc = run_oracle(args.kmax, args.precision)
-        _emit(doc, args.format, args.out)
-        return 0
-    return 2
+    _emit(doc, args.format, args.out)
+    return 1 if doc.get("status") == "fail" else 0
 
 
 if __name__ == "__main__":

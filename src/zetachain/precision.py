@@ -105,6 +105,8 @@ class PrecisionContext:
     digits: int = 50
 
     def __post_init__(self) -> None:
+        if not isinstance(self.digits, int):
+            raise TypeError(f"digits must be an int, not {type(self.digits).__name__}")
         if self.digits < 15:
             raise ValueError("working precision must be at least 15 digits")
 

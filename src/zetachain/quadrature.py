@@ -86,7 +86,7 @@ rules are refined the same way:
 The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
 panels cut at the powers of 3 below N, without a kernel: its caller
 evaluates H(t) once per distinct node from a table of its own request, for
-all k and for both the scheme and its refinement at 2N.
+all k.
 """
 
 from __future__ import annotations

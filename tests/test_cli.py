@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 from importlib import resources
 from pathlib import Path
@@ -45,6 +48,38 @@ def test_verify_passes_every_suite_at_100_digits():
 def test_verify_unknown_suite(capsys):
     code, _ = run(["verify", "--suites", "nonsense"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("suites", [",", " ", " , "])
+def test_verify_empty_suite_list_rejected(suites, capsys):
+    # a list that names no suite would check nothing and still pass
+    code = cli.main(["verify", "--suites", suites])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "--suites must name at least one suite\n"
+
+
+def test_verify_document_needs_a_suite():
+    doc = cli.run_verify(15, [])
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, _schema())
+
+
+def test_module_entry_point_runs_verify():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetachain.cli", "verify", "--suites", "bernoulli", "--precision", "15"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "pass"
+    assert [s["name"] for s in doc["suites"]] == ["bernoulli"]
 
 
 def test_verify_low_precision_rejected(capsys):

@@ -16,7 +16,6 @@ import mpmath
 import pytest
 
 from zetachain import exact, hankel, precision, quadrature, special, zeta
-from zetachain.chain import chain_report_from_dict
 from zetachain.eulersums import h_euler, mellin_fundamental_check
 from zetachain.hankel import ContourSpec, bernoulli_interp, bernoulli_prime_interp
 from zetachain.precision import PrecisionContext, _coefficients
@@ -251,10 +250,11 @@ def test_round_under_another_threads_precision_block():
 
 
 def test_a_rejected_precision_leaves_the_lock_free():
-    # a report's digits come from outside; mpmath rejecting them must not
+    # mpmath rejecting the digits a precision block is entered at must not
     # leave the precision lock held against every other thread
     with pytest.raises(ValueError):
-        chain_report_from_dict({"digits": "x"})
+        with precision._working("x"):
+            pass
     done = []
     t = threading.Thread(target=lambda: done.append(PrecisionContext(15).tolerance()), daemon=True)
     t.start()
