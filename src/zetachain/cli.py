@@ -184,7 +184,20 @@ def _document(kind: str, precision: int, **body) -> dict:
     return {"tool": "zetachain", "version": __version__, "kind": kind, "precision_digits": precision, **body}
 
 
+def _suites_error(suites: list[str]) -> str | None:
+    if not suites:
+        return "--suites must name at least one suite"
+    unknown = [s for s in suites if s not in _SUITES]
+    if unknown:
+        return f"unknown suite(s): {', '.join(unknown)}"
+    return None
+
+
 def run_verify(precision: int, suites: list[str]) -> dict:
+    """The verify document of the named suites; ValueError if none is named or one is unknown."""
+    error = _suites_error(suites)
+    if error:
+        raise ValueError(error)
     ctx = PrecisionContext(precision)
     done, timing = [], {}
     for name in suites:
@@ -299,11 +312,7 @@ def _usage_error(args: argparse.Namespace) -> str | None:
     if args.precision < 15:
         return "precision must be at least 15 digits"
     if args.command == "verify":
-        if not args.suites:
-            return "--suites must name at least one suite"
-        unknown = [s for s in args.suites if s not in _SUITES]
-        if unknown:
-            return f"unknown suite(s): {', '.join(unknown)}"
+        return _suites_error(args.suites)
     if args.command == "chain" and args.kmax < 1:
         return "kmax must be >= 1"
     if args.command == "oracle" and not 0 <= args.kmax <= MAX_EXPONENT:

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_div, mpf_mul, mpf_pow, round_nearest
+from mpmath.libmp import mpf_mul, mpf_pow, round_nearest
 
 from .exact import _rational_sum, bernoulli, harmonic
 from .precision import GUARD, PrecisionContext, _coefficients, _working
@@ -173,6 +173,9 @@ def sum_lm(k: int, conv: SumConvention) -> Fraction:
     lmax = k if conv is SumConvention.A else k - 1
     terms = []
     for l in range(1, lmax + 1):
+        # B_n = 0 at odd n >= 3
+        if any(n % 2 and n >= 3 for n in (l, k - l)):
+            continue
         bl, bm = bernoulli(l), bernoulli(k - l)
         terms.append((math.comb(k, l) * bl.numerator * bm.numerator, l * bl.denominator * bm.denominator))
     return _rational_sum(terms)
@@ -267,7 +270,7 @@ class MellinCheck:
 
 
 def _mellin_kernels(x) -> tuple:
-    """The _mpf_ of e^-x, 1 - e^-x and log(1 - e^-x).
+    """The _mpf_ of e^-x/(1 - e^-x), 1/(1 - e^-x) and log(1 - e^-x).
 
     log1p keeps log(1 - e^-x) relatively accurate once e^-x < 10^-dps.
     """
@@ -278,7 +281,7 @@ def _mellin_kernels(x) -> tuple:
     else:
         one_minus = 1 - ex
         log_om = mpmath.log1p(-ex)
-    return ex._mpf_, one_minus._mpf_, log_om._mpf_
+    return (ex / one_minus)._mpf_, (1 / one_minus)._mpf_, log_om._mpf_
 
 
 def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
@@ -302,20 +305,21 @@ def mellin_fundamental_check(s, ctx: PrecisionContext) -> MellinCheck:
         s1 = (sv - 1)._mpf_
 
         def integrands(x, kernels):
-            # (I1, I2, I3) integrands sharing x^(s-1), 1 - e^-x and log(1 - e^-x):
-            # i3 = x^(s-1) log(1 - e^-x), i3/(1 - e^-x) and e^-x i3/(1 - e^-x)
-            ex, one_minus, log_om = kernels
+            # (I1, I2, I3) integrands sharing x^(s-1) and the node's kernels:
+            # i3 = x^(s-1) log(1 - e^-x), i3/(1 - e^-x) and e^-x i3/(1 - e^-x),
+            # the last two as products with the stored quotients
+            ex_over, inv_om, log_om = kernels
             i3 = mpf_mul(mpf_pow(x._mpf_, s1, prec, rnd), log_om, prec, rnd)
-            i1 = mpf_div(i3, one_minus, prec, rnd)
-            i2 = mpf_div(mpf_mul(ex, i3, prec, rnd), one_minus, prec, rnd)
+            i1 = mpf_mul(i3, inv_om, prec, rnd)
+            i2 = mpf_mul(i3, ex_over, prec, rnd)
             return make_mpf(i1), make_mpf(i2), make_mpf(i3)
 
         off = -(GUARD - 3)
-        # e^-x, 1 - e^-x and log(1 - e^-x) depend only on the node, which the
-        # exp-exp walk puts at the same x for every s: they are kept beside
-        # the nodes in quadrature's per-precision exp-exp kernel series, keyed
-        # by the walk and bounded like every node list, and only x^(s-1) is
-        # computed per s
+        # e^-x/(1 - e^-x), 1/(1 - e^-x) and log(1 - e^-x) depend only on the
+        # node, which the exp-exp walk puts at the same x for every s: they are
+        # kept beside the nodes in quadrature's per-precision exp-exp kernel
+        # series, keyed by the walk and bounded like every node list, and a
+        # node makes only x^(s-1) and three multiplies per s
         i1, i2, i3 = integrate(
             integrands, 0, mpmath.inf, ctx, tol_offset=off, kernel=(_mellin_kernels,)
         ).require_converged()

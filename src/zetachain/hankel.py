@@ -44,11 +44,12 @@ pass over the contour.
 Each node is written to need few transcendental kernels.  On the circle
 z = r e^(i theta), and e^z/(1 - e^z) = 1/(e^-z - 1) gives
 
-    val = i z^(e+1)/(e^-z - 1),
-    z^(e+1) = r^(e+1) (cos((e+1) theta) + i sin((e+1) theta)),
+    val = i z^(e+1) K,  K = 1/(e^-z - 1) = kr + i ki,
+    z^(e+1) = r^(e+1) (ca + i sa),  ca + i sa = cos((e+1) theta) + i sin((e+1) theta),
     e^-z = e^(-r cos theta) (cos(r sin theta) - i sin(r sin theta)),
 
-with log r and r^(e+1) computed once per contour, and
+so Im val = r^(e+1) (ca kr - sa ki) and Re val = -r^(e+1) (sa kr + ca ki),
+with log r and 2 r^(e+1) computed once per contour, and
 Im(-log z val) is -(log r Im val + theta Re val).  On the rays,
 e^t - 1 is exp(t) - 1 at t >= 1, where it exceeds 1.7 and the
 subtraction loses under one bit, and expm1(t) below 1, where it would
@@ -56,22 +57,23 @@ cancel: at a radius of 1e-10 the subtraction would lose about 33 bits,
 more than the working precision's 10-digit guard.
 
 Most of that work depends on neither u nor the log factor: log t and
-e^t - 1 on the rays, and e^-z - 1 on the circle.  These are the node
-kernels that ``quadrature.integrate`` keeps beside its Gauss-Legendre
-nodes (``kernel=``): the rays' per (panel edges, level), the edges
-following from the radius and the precision, and the circle's per
-(radius, level), while the circle's [0, pi] nodes themselves are shared
-by every radius.  A node whose
-kernels are stored costs one exp, t^e = exp(e log t), on a ray, and one
-cos_sin, that of (e+1) theta, and one complex division on the circle.  A
-node not yet stored adds a log and an exp (or an expm1 below t = 1) on a
-ray, and an exp and two cos_sin pairs on the circle.  The two integrands
-run on raw libmp values, as ``quadrature`` describes.  They read the
-kernels' stored tuples as they are, and e, e + 1, sin(pi e),
-pi cos(pi e), log r and +-r^(e+1) are computed once per contour.  Each
-node makes the libmp calls (``mpf_exp``, ``mpf_cos_sin``, ``mpc_div``,
-...) of the mpf and mpc operators of the same expression, so every value
-equals theirs bit for bit.
+1/(e^t - 1) on the rays, and K = 1/(e^-z - 1) on the circle, each
+reciprocal taken once when its node is stored, so that the integrands
+multiply where they would divide.  These are the node kernels that
+``quadrature.integrate`` keeps beside its Gauss-Legendre nodes
+(``kernel=``): the rays' per (panel edges, level), the edges following
+from the radius and the precision, and the circle's per (radius, level),
+while the circle's [0, pi] nodes themselves are shared by every radius.  A
+node whose kernels are stored costs one exp, t^e = exp(e log t), on a ray,
+and one cos_sin, that of (e+1) theta, on the circle, and neither divides.
+A node not yet stored adds a log, an exp (or an expm1 below t = 1) and a
+division on a ray, and an exp, two cos_sin pairs and a complex division on
+the circle.  The two integrands run on raw libmp values, as ``quadrature``
+describes.  They read the kernels' stored tuples as they are, and e, e + 1,
+sin(pi e), pi cos(pi e), log r and +-2 r^(e+1) are computed once per
+contour.  Each node makes the libmp calls (``mpf_exp``, ``mpf_cos_sin``,
+``mpf_mul``, ``mpf_sub``, ...) of the mpf operators of the same
+expression, so every value equals theirs bit for bit.
 
 Which quadrature rule integrates which piece:
 
@@ -101,7 +103,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpc_div, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, round_nearest
+from mpmath.libmp import mpf_add, mpf_cos_sin, mpf_exp, mpf_mul, mpf_sub, round_nearest
 
 from .precision import PrecisionContext
 from .quadrature import integrate
@@ -124,20 +126,20 @@ def _ray_cutoff(ctx: PrecisionContext) -> mpf:
 
 
 def _ray_kernels(t) -> tuple:
-    """The _mpf_ of log t and of e^t - 1, with expm1 only below t = 1, where e^t - 1 cancels."""
+    """The _mpf_ of log t and of 1/(e^t - 1), with expm1 only below t = 1, where e^t - 1 cancels."""
     em1 = mpmath.exp(t) - 1 if t >= 1 else mpmath.expm1(t)
-    return mpmath.log(t)._mpf_, em1._mpf_
+    return mpmath.log(t)._mpf_, (1 / em1)._mpf_
 
 
 def _circle_kernel(r, theta) -> tuple:
-    """The _mpc_ of e^-z - 1 at z = r e^(i theta).
+    """The _mpc_ of K = 1/(e^-z - 1) at z = r e^(i theta).
 
     e^-z = e^(-r cos theta) (cos(r sin theta) - i sin(r sin theta)).
     """
     c, s = mpmath.cos_sin(theta)
     cb, sb = mpmath.cos_sin(r * s)
     m = mpmath.exp(-r * c)
-    return mpmath.mpc(m * cb - 1, -m * sb)._mpc_
+    return (1 / mpmath.mpc(m * cb - 1, -m * sb))._mpc_
 
 
 def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContext) -> tuple:
@@ -156,18 +158,18 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
         # their expressions, on raw tuples (quadrature's docstring)
         prec, rnd = mpmath.mp.prec, round_nearest
         make_mpf = mpmath.mp.make_mpf
-        # per contour: e, e + 1, sin(pi e), pi cos(pi e), log r and r^(e+1)
+        # per contour: e, e + 1, sin(pi e), pi cos(pi e), log r and +-2 r^(e+1)
         e, e1 = expo._mpf_, (expo + 1)._mpf_
         sin, neg_sin, pi_cos = sin_e._mpf_, (-sin_e)._mpf_, (mpmath.pi * cos_e)._mpf_
-        r_e1 = r ** (expo + 1)
-        log_r, pos_r_e1, neg_r_e1 = mpmath.log(r)._mpf_, r_e1._mpf_, (-r_e1)._mpf_
+        twice_r_e1 = 2 * r ** (expo + 1)
+        log_r, pos_scale, neg_scale = mpmath.log(r)._mpf_, twice_r_e1._mpf_, (-twice_r_e1)._mpf_
 
         def rays(t, kernels):
             # Im of the lower ray's integrand, which is (lower - upper)/2i:
-            # v = exp(e log t)/(e^t - 1), then -sin(pi e) v and, with the
-            # log factor, v (sin(pi e) log t + pi cos(pi e))
-            logt, em1 = kernels
-            v = mpf_div(mpf_exp(mpf_mul(e, logt, prec, rnd), prec, rnd), em1, prec, rnd)
+            # v = exp(e log t) times the stored 1/(e^t - 1), then -sin(pi e) v
+            # and, with the log factor, v (sin(pi e) log t + pi cos(pi e))
+            logt, inv_em1 = kernels
+            v = mpf_mul(mpf_exp(mpf_mul(e, logt, prec, rnd), prec, rnd), inv_em1, prec, rnd)
             ray = make_mpf(mpf_mul(neg_sin, v, prec, rnd))
             if with_log:
                 factor = mpf_add(mpf_mul(sin, logt, prec, rnd), pi_cos, prec, rnd)
@@ -176,16 +178,19 @@ def _contour_integral(u, with_log: bool, spec: ContourSpec, ctx: PrecisionContex
 
         def circle(theta, kernel):
             # (val(theta) + val(-theta))/i = 2 Im val(theta), the full circle's
-            # two points +-theta in one, with val = i z^(e+1)/(e^-z - 1)
+            # two points +-theta in one, with val = i z^(e+1) K and
+            # z^(e+1) = r^(e+1) (ca + i sa): Im val = r^(e+1) (ca kr - sa ki)
+            # and Re val = -r^(e+1) (sa kr + ca ki)
             th = theta._mpf_
+            kr, ki = kernel
             ca, sa = mpf_cos_sin(mpf_mul(e1, th, prec, rnd), prec, rnd)
-            num = (mpf_mul(neg_r_e1, sa, prec, rnd), mpf_mul(pos_r_e1, ca, prec, rnd))
-            re, im = mpc_div(num, kernel, prec, rnd)
-            twice_im = make_mpf(mpf_mul_int(im, 2, prec, rnd))
+            im = mpf_sub(mpf_mul(ca, kr, prec, rnd), mpf_mul(sa, ki, prec, rnd), prec, rnd)
+            twice_im = make_mpf(mpf_mul(pos_scale, im, prec, rnd))
             if with_log:
                 # Im(-log z val) = -(log r Im val + theta Re val), log z = log r + i theta
-                inner = mpf_add(mpf_mul(log_r, im, prec, rnd), mpf_mul(th, re, prec, rnd), prec, rnd)
-                return twice_im, make_mpf(mpf_mul_int(inner, -2, prec, rnd))
+                re = mpf_add(mpf_mul(sa, kr, prec, rnd), mpf_mul(ca, ki, prec, rnd), prec, rnd)
+                inner = mpf_sub(mpf_mul(log_r, im, prec, rnd), mpf_mul(th, re, prec, rnd), prec, rnd)
+                return twice_im, make_mpf(mpf_mul(neg_scale, inner, prec, rnd))
             return (twice_im,)
 
         if sin_e == 0 and not with_log:

@@ -11,7 +11,10 @@ the private ``_working(dps)`` blocks that other modules enter all hold one
 re-entrant process-wide lock for the whole block, set the precision on
 entry and restore it on exit.  ``PrecisionContext.round()`` opens no such
 block: it is one libmp ``mpf_pos`` at the target precision, given
-explicitly, so it takes no lock and reads and sets no global.  What this
+explicitly, so it takes no lock and reads and sets no global.  The
+constants open no block either: ``const_gamma`` is libmp's ``mpf_euler``
+at a precision given explicitly, under the lock for its memo, and
+``const_log2pi`` reads its stored entry with no lock.  What this
 guarantees and what it does not:
 
 - zetachain's own calls are serialized: a block of one thread never runs
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
+from mpmath.libmp import dps_to_prec, mpf_euler, mpf_pos, round_nearest
 
 GUARD = 10  # decimal digits carried beyond the target precision
 
@@ -134,9 +137,13 @@ class PrecisionContext:
 
 
 def const_gamma(ctx: PrecisionContext) -> mpf:
-    """Euler-Mascheroni constant."""
-    with ctx.workdps():
-        return +mpmath.euler
+    """Euler-Mascheroni constant, bit for bit +mpmath.euler at the working precision.
+
+    The libmp call behind it, at that precision given explicitly, with no
+    precision block; the lock guards mpf_euler's process-wide memo.
+    """
+    with _lock:
+        return mpmath.mp.make_mpf(mpf_euler(dps_to_prec(ctx.dps), round_nearest))
 
 
 def _log2pi() -> mpf:
@@ -144,9 +151,16 @@ def _log2pi() -> mpf:
 
 
 def const_log2pi(ctx: PrecisionContext) -> mpf:
-    """log(2 pi), built once per precision."""
-    with ctx.workdps():
-        return _table(_log2pi, _log2pi)
+    """log(2 pi), built once per precision.
+
+    A stored entry is read without a precision block or the lock, and so
+    without refreshing its precision's place in the LRU.
+    """
+    value = _coeff_tables.get(dps_to_prec(ctx.dps), {}).get(_log2pi)
+    if value is None:
+        with ctx.workdps():
+            value = _table(_log2pi, _log2pi)
+    return value
 
 
 class _Coefficients:

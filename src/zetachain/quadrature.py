@@ -71,7 +71,7 @@ rules are refined the same way:
   kernel and build an mpf only for what they return.  A level's sums of
   w*f stay raw ``_mpf_`` tuples, and the level driver turns them into mpf
   once per level.  Each step is the libmp call (``mpf_mul``, ``mpf_add``,
-  ``mpf_div``, ``mpf_exp``, ``mpc_div``, ...) that mpmath's operator or
+  ``mpf_sub``, ``mpf_exp``, ``mpf_cos_sin``, ...) that mpmath's operator or
   function on the same expression makes, in the same order, at the
   working precision and rounding to nearest, so every value equals the
   operators' bit for bit, without an mpf or mpc object per intermediate.

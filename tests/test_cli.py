@@ -61,9 +61,17 @@ def test_verify_empty_suite_list_rejected(suites, capsys):
 
 
 def test_verify_document_needs_a_suite():
-    doc = cli.run_verify(15, [])
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(doc, _schema())
+    # run_verify refuses what main's usage check refuses, with its messages
+    with pytest.raises(ValueError, match="^--suites must name at least one suite$"):
+        cli.run_verify(15, [])
+    with pytest.raises(ValueError, match=r"^unknown suite\(s\): nope$"):
+        cli.run_verify(15, ["bernoulli", "nope"])
+    # and the schema still refuses a verify document without suites
+    doc = cli.run_verify(15, ["bernoulli"])
+    jsonschema.validate(doc, _schema())
+    with pytest.raises(jsonschema.ValidationError) as refused:
+        jsonschema.validate({**doc, "suites": []}, _schema())
+    assert refused.value.validator == "minItems"
 
 
 def test_module_entry_point_runs_verify():

@@ -255,6 +255,19 @@ def test_sum_lm_examples():
     assert sum_lm(1, SumConvention.B) == 0
 
 
+@pytest.mark.parametrize("conv", list(SumConvention))
+def test_sum_lm_skips_only_zero_terms(conv):
+    # sum_lm skips the odd indices >= 3, where B is 0; the full sum over
+    # l + m = k, written with Fraction, agrees
+    bernoulli = eulersums.bernoulli
+    for k in range(1, 61):
+        lmax = k if conv is SumConvention.A else k - 1
+        full = sum(
+            (math.comb(k, l) * bernoulli(l) / l * bernoulli(k - l) for l in range(1, lmax + 1)), Fraction(0)
+        )
+        assert sum_lm(k, conv) == full, k
+
+
 def test_bprime_conversion_k1():
     # B'_1 = -zeta(0) + zeta'(0) = 1/2 - (1/2) ln(2pi)
     with CTX.workdps():

@@ -234,12 +234,13 @@ ELEMENTARY_MPMATH = set(
 # libmp kernels src/ may call on raw _mpf_/_mpc_ tuples, the ones mpmath's
 # operators, conversions and elementary functions above call: arithmetic,
 # sign, exp, log and cos_sin, scaling by a power of two, conversion from and
-# to int, compared, and rounded to nearest at a precision in bits or digits.
-# libmp's mpf_zeta, mpf_psi, mpf_gamma and mpf_bernoulli are the oracles'
-# kernels and stay out.
+# to int, compared, rounded to nearest at a precision in bits or digits, and
+# Euler's gamma (mpf_euler, the kernel behind mpmath.euler).  libmp's
+# mpf_zeta, mpf_psi, mpf_gamma and mpf_bernoulli are the oracles' kernels and
+# stay out.
 ELEMENTARY_LIBMP = set(
-    "dps_to_prec from_int mpc_div mpf_abs mpf_add mpf_cos_sin mpf_div mpf_exp mpf_log mpf_lt mpf_mul "
-    "mpf_mul_int mpf_neg mpf_pos mpf_pow mpf_pow_int mpf_shift round_nearest to_int".split()
+    "dps_to_prec from_int mpf_abs mpf_add mpf_cos_sin mpf_div mpf_euler mpf_exp mpf_log mpf_lt mpf_mul "
+    "mpf_mul_int mpf_neg mpf_pos mpf_pow mpf_pow_int mpf_shift mpf_sub round_nearest to_int".split()
 )
 
 

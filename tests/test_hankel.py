@@ -90,14 +90,18 @@ def test_contour_node_transcendental_budget(monkeypatch):
     # real exp and cos_sin pairs, not from complex exps, and the rays, which
     # start at t = r = 1, take e^t - 1 as exp(t) - 1 with nothing to cancel.
     # Warm, at the same radius and precision, the node lists hold log t,
-    # e^t - 1 and e^-z - 1: a ray node makes only the exp of t^e, and a
-    # circle node only the cos_sin of (e+1) theta.  The kernels call
-    # mpmath's functions, the integrands libmp's on raw tuples, and both
-    # count under the function's name.
+    # 1/(e^t - 1) and 1/(e^-z - 1): a ray node makes only the exp of t^e,
+    # and a circle node only the cos_sin of (e+1) theta, and neither
+    # divides.  The kernels call mpmath's functions, the integrands libmp's
+    # on raw tuples, and both count under the function's name; a division
+    # counts whether it is an mpf or mpc operator or a libmp division that
+    # the hankel module binds.
     monkeypatch.setattr(precision, "_coeff_tables", OrderedDict())
-    calls = {"exp": [], "expm1": [], "log": [], "cos_sin": []}
-    targets = [(mpmath, name, name) for name in calls]
+    calls = {"exp": [], "expm1": [], "log": [], "cos_sin": [], "div": []}
+    targets = [(mpmath, name, name) for name in ("exp", "expm1", "log", "cos_sin")]
     targets += [(hankel, f"mpf_{name}", name) for name in ("exp", "cos_sin")]
+    targets += [(cls, op, "div") for cls in (mpmath.mpf, mpmath.mpc) for op in ("__truediv__", "__rtruediv__")]
+    targets += [(hankel, name, "div") for name in vars(hankel) if name.startswith(("mpf_", "mpc_")) and "div" in name]
     for owner, attr, name in targets:
 
         def counting(x, *args, _fn=getattr(owner, attr), _seen=calls[name], **kwargs):
@@ -132,8 +136,8 @@ def test_contour_node_transcendental_budget(monkeypatch):
     circle.clear()
     bernoulli_interp("1.5", ContourSpec(), PrecisionContext(50))
     assert (len(nodes["rays"]), len(circle)) == (384, 96)
-    assert all(n == {"exp": 1, "expm1": 0, "log": 0, "cos_sin": 0} for n in nodes["rays"])
-    assert all(n == {"exp": 0, "expm1": 0, "log": 0, "cos_sin": 1} for n in circle)
+    assert all(n == {"exp": 1, "expm1": 0, "log": 0, "cos_sin": 0, "div": 0} for n in nodes["rays"])
+    assert all(n == {"exp": 0, "expm1": 0, "log": 0, "cos_sin": 1, "div": 0} for n in circle)
 
 
 def test_radius_validation():

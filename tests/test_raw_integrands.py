@@ -50,20 +50,23 @@ def _same(got, ref) -> None:
 def _rays(kernels, expo, with_log):
     sin_e, cos_e = mpmath.sinpi(expo), mpmath.cospi(expo)
     pi_cos_e = mpmath.pi * cos_e
-    logt, em1 = map(mpmath.mp.make_mpf, kernels)
-    v = mpmath.exp(expo * logt) / em1
+    logt, inv_em1 = map(mpmath.mp.make_mpf, kernels)
+    v = mpmath.exp(expo * logt) * inv_em1
     if with_log:
         return -sin_e * v, v * (sin_e * logt + pi_cos_e)
     return (-sin_e * v,)
 
 
 def _circle(theta, kernel, expo, r, with_log):
-    log_r, r_e1 = mpmath.log(r), r ** (expo + 1)
+    # val = i z^(e+1) K, z^(e+1) = r^(e+1) (ca + i sa), K = kr + i ki
+    log_r, twice_r_e1 = mpmath.log(r), 2 * r ** (expo + 1)
     ca, sa = mpmath.cos_sin((expo + 1) * theta)
-    val = mpmath.mpc(-r_e1 * sa, r_e1 * ca) / mpmath.mp.make_mpc(kernel)
+    kr, ki = map(mpmath.mp.make_mpf, kernel)
+    im = ca * kr - sa * ki
     if with_log:
-        return 2 * val.imag, -2 * (log_r * val.imag + theta * val.real)
-    return (2 * val.imag,)
+        re = sa * kr + ca * ki
+        return twice_r_e1 * im, -twice_r_e1 * (log_r * im - theta * re)
+    return (twice_r_e1 * im,)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -111,14 +114,54 @@ def test_mellin_integrands_match_operators(monkeypatch, digits):
             sv = mpf(s)
             for x in (mpf("1e-6"), mpf("0.3"), mpf("0.999"), mpf(1), mpf(5), mpf(80)):
                 k = build(*args, x)
-                ex, one_minus, log_om = map(mpmath.mp.make_mpf, k)
+                ex_over, inv_om, log_om = map(mpmath.mp.make_mpf, k)
                 i3 = x ** (sv - 1) * log_om
-                _same(f(x, k), (i3 / one_minus, ex * i3 / one_minus, i3))
+                _same(f(x, k), (i3 * inv_om, i3 * ex_over, i3))
 
         calls = _probe(
             monkeypatch, eulersums, lambda: eulersums.mellin_fundamental_check(s, ctx), (mpf(0),) * 3, check
         )
         assert calls == 1
+
+
+def _near_one(product, prec) -> bool:
+    # |product - 1| <= 2^(-prec+2), called at four times prec, where the
+    # product and the difference round far below that bound
+    return abs(product - 1) <= mpf(2) ** (-prec + 2)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_node_kernels_invert_what_they_stand_for(digits):
+    # each stored reciprocal times the value it inverts, built as the
+    # kernel builds it, is 1 to within two units of the last place
+    ctx = PrecisionContext(digits)
+    with ctx.workdps():
+        prec = mpmath.mp.prec
+        T = hankel._ray_cutoff(ctx)
+        # expm1 below t = 1, from t = r = 0.05, and exp(t) - 1 up to T
+        for t in (mpf("0.05"), mpf("0.999"), mpf(1), T):
+            _, inv_em1 = hankel._ray_kernels(t)
+            em1 = mpmath.exp(t) - 1 if t >= 1 else mpmath.expm1(t)
+            with mpmath.workprec(4 * prec):
+                assert _near_one(mpmath.mp.make_mpf(inv_em1) * em1, prec), t
+        # theta near 0 and near pi, at the smallest and the largest radius
+        for radius in (mpf("0.05"), mpf(6)):
+            for theta in (mpf("1e-6"), mpf("1e-3"), mpmath.pi - mpf("1e-3"), mpmath.pi - mpf("1e-6")):
+                c, s = mpmath.cos_sin(theta)
+                cb, sb = mpmath.cos_sin(radius * s)
+                m = mpmath.exp(-radius * c)
+                kernel = mpmath.mp.make_mpc(hankel._circle_kernel(radius, theta))
+                e_z1 = mpmath.mpc(m * cb - 1, -m * sb)
+                with mpmath.workprec(4 * prec):
+                    assert _near_one(kernel * e_z1, prec), (radius, theta)
+        # the Mellin quotients, on both sides of x = 1 and where e^-x is tiny
+        for x in (mpf("1e-6"), mpf("0.999"), mpf(1), mpf(80)):
+            ex_over, inv_om, _ = map(mpmath.mp.make_mpf, eulersums._mellin_kernels(x))
+            ex = mpmath.exp(-x)
+            one_minus = -mpmath.expm1(-x) if x < 1 else 1 - ex
+            with mpmath.workprec(4 * prec):
+                assert _near_one(inv_om * one_minus, prec), x
+                assert _near_one(ex_over * one_minus / ex, prec), x
 
 
 @pytest.mark.parametrize("digits", DIGITS)
