@@ -136,6 +136,7 @@ RACE_CALLS = {
     "quad": lambda ctx: integrate(lambda x: mpmath.exp(x) / (1 + x * x), 0, 2, ctx).value,
     "quad_half_line": lambda ctx: integrate(lambda x: mpmath.exp(-x) / (1 + x), 0, mpmath.inf, ctx).value,
     "log2pi": precision.const_log2pi,
+    "gamma": precision.const_gamma,
 }
 
 
