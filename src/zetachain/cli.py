@@ -29,7 +29,7 @@ from .eulersums import (
 from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
-from .ramanujan import MAX_EXPONENT, EMScheme, convergent_selftest, ramanujan_sum
+from .ramanujan import MAX_EXPONENT, convergent_selftest, ramanujan_sum
 from .values import SumConvention
 from .zeta import (
     functional_equation_residual,
@@ -147,18 +147,10 @@ def _suite_lemma4(ctx: PrecisionContext) -> list[dict]:
     return checks
 
 
-def _selftest_scheme(digits: int) -> EMScheme:
-    # the first omitted EM term caps the self-test: (50, 15) at about 1e-45,
-    # (150, 40) at 8e-123 and (400, 60) at 7e-214
-    if digits <= 50:
-        return EMScheme()
-    return EMScheme(150, 40) if digits <= 100 else EMScheme(400, 60)
-
-
 def _suite_ramanujan(ctx: PrecisionContext) -> list[dict]:
     with ctx.workdps():
         tol = mpf(10) ** (-ctx.digits // 2)
-        residual = convergent_selftest(_selftest_scheme(ctx.digits), ctx)
+        residual = convergent_selftest(ctx)
         return [_check("ramanujan_convergent_selftest", residual, tol)]
 
 
@@ -217,9 +209,8 @@ def run_chain(kmax: int, conventions: tuple[SumConvention, ...], precision: int)
 
 def run_oracle(kmax: int, precision: int) -> dict:
     ctx = PrecisionContext(precision)
-    scheme = EMScheme()
     t0 = time.perf_counter()
-    values = ramanujan_sum(kmax, scheme, ctx)
+    values = ramanujan_sum(kmax, ctx)
     with ctx.workdps():
         rows = [
             {
@@ -232,7 +223,7 @@ def run_oracle(kmax: int, precision: int) -> dict:
                     "gamma": str(r.closed_form.gamma),
                     "zeta_prime": [str(w) for w in r.closed_form.zeta_prime],
                 },
-                "scheme": {"N": scheme.N, "J": scheme.J, "lower_limit": 1},
+                "scheme": {"N": r.scheme.N, "J": r.scheme.J, "lower_limit": 1},
             }
             for k, r in enumerate(values)
         ]

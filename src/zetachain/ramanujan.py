@@ -17,13 +17,13 @@ R_k = r_k + g_k gamma + sum_j (-1)^j C(k,j) zeta'(-j), which
 ``zeta_prime_oracle``, so it shares no code with the integral.  A row whose
 spread from it exceeds the tolerance is flagged but still returned.
 
-One request covers k = 0..kmax under one scheme (N, J).  Every k
-integrates over [1, N] on the same Gauss-Legendre panels, cut at the
-powers of 3 below N, so one table of H(t) per request serves every k: H(t)
-is evaluated once per distinct node, whatever kmax.  The partial sums
-sum_{n<=N} H_n n^k build H_n once for every k.  Each k keeps its own
-integral, levels and convergence test, so no value depends on kmax.  The
-table lives for one request only.
+One request covers k = 0..kmax under one scheme (N, J), which ``_scheme``
+takes from the digits.  Every k integrates over [1, N] on the same
+Gauss-Legendre panels, cut at the powers of 3 below N, so one table of H(t)
+per request serves every k: H(t) is evaluated once per distinct node,
+whatever kmax.  The partial sums sum_{n<=N} H_n n^k build H_n once for
+every k.  Each k keeps its own integral, levels and convergence test, so no
+value depends on kmax.  The table lives for one request only.
 """
 
 from __future__ import annotations
@@ -46,12 +46,18 @@ MAX_EXPONENT = 8
 
 @dataclass(frozen=True)
 class EMScheme:
-    N: int = 50
-    J: int = 15
+    N: int
+    J: int
 
-    def __post_init__(self) -> None:
-        if self.N < 2 or self.J < 1:
-            raise ValueError("scheme requires N >= 2 and J >= 1")
+
+def _scheme(digits: int) -> EMScheme:
+    # the first omitted EM term caps a value; the self-test on sum n^-2
+    # stops at 1.3e-46 with (50, 15), 5.8e-111 with (150, 40), 2.9e-211
+    # with (400, 60), used up to 200 digits, and 3.3e-310 with (600, 90)
+    if digits <= 100:
+        return EMScheme(50, 15) if digits <= 50 else EMScheme(150, 40)
+    d = max(digits, 200)
+    return EMScheme(2 * d, 3 * d // 10)
 
 
 def _partial_sums(kmax: int, N: int) -> list[mpf]:
@@ -117,10 +123,11 @@ def _closed_form_value(form: RamanujanClosedForm, zeta_primes: list[mpf], gamma:
     return total
 
 
-def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[RamanujanValue]:
+def ramanujan_sum(kmax: int, ctx: PrecisionContext) -> list[RamanujanValue]:
     """Ramanujan-regularized values of sum H_n n^k, k = 0..kmax, with stability flags.
 
-    spread is |value - closed form| and stable is spread < 10^(-digits//2).
+    Every row runs ``_scheme(ctx.digits)`` and reports it.  spread is
+    |value - closed form| and stable is spread < 10^(-digits//2).
     Row k depends only on k, not on kmax.  The Ramanujan constant does not
     depend on the chain's sum convention.
     """
@@ -128,6 +135,7 @@ def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[Ra
         raise ValueError("kmax must be non-negative")
     if kmax > MAX_EXPONENT:
         raise ValueError(f"derivative bookkeeping supports k <= {MAX_EXPONENT}")
+    scheme = _scheme(ctx.digits)
     rows = []
     with ctx.workdps():
 
@@ -146,12 +154,13 @@ def ramanujan_sum(kmax: int, scheme: EMScheme, ctx: PrecisionContext) -> list[Ra
     return rows
 
 
-def convergent_selftest(scheme: EMScheme, ctx: PrecisionContext) -> mpf:
-    """|sum^R n^-2 - (zeta(2) - 1)|: the scheme applied to a convergent series.
+def convergent_selftest(ctx: PrecisionContext) -> mpf:
+    """|sum^R n^-2 - (zeta(2) - 1)|: ``_scheme(ctx.digits)`` on a convergent series.
 
     For convergent f the Ramanujan constant equals the ordinary sum minus
     int_1^inf f, here zeta(2) - 1; everything evaluates in closed form.
     """
+    scheme = _scheme(ctx.digits)
     with ctx.workdps():
         N = scheme.N
         total = mpf(0)

@@ -23,7 +23,7 @@ from zetachain.eulersums import (
 from zetachain.exact import BernoulliConvention, bernoulli, bernoulli_self_identity, binomial
 from zetachain.hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from zetachain.precision import PrecisionContext, const_gamma, const_log2pi
-from zetachain.ramanujan import EMScheme, convergent_selftest, ramanujan_sum
+from zetachain.ramanujan import convergent_selftest, ramanujan_sum
 from zetachain.values import SumConvention, SymbolicValue
 from zetachain.zeta import (
     functional_equation_residual,
@@ -178,10 +178,9 @@ def test_09_odd_zeta_two_forms():
 
 def test_10_ramanujan_oracle():
     with criterion(10, "Ramanujan-summation oracle"):
-        scheme = EMScheme()
         half = mpf(10) ** (-P // 2)
-        assert convergent_selftest(scheme, CTX) < half
-        r0 = ramanujan_sum(0, scheme, CTX)[0]
+        assert convergent_selftest(CTX) < half
+        r0 = ramanujan_sum(0, CTX)[0]
         assert r0.stable and r0.spread < half
         with CTX.workdps():
             for conv in (A, B):

@@ -37,8 +37,8 @@ def test_verify_fast_suites_pass(capsys):
 
 
 def test_verify_passes_every_suite_at_100_digits():
-    # the Ramanujan self-test takes its scheme from the digits: the fixed
-    # EMScheme() stops near 1e-45, short of the 1e-50 asked for here
+    # the Ramanujan self-test takes its scheme from the digits, (150, 40)
+    # here: the (50, 15) of 50 digits stops near 1e-46, short of 1e-50
     doc = cli.run_verify(100, list(cli.SUITE_NAMES))
     failed = [c["name"] for s in doc["suites"] for c in s["checks"] if c["status"] != "pass"]
     assert doc["status"] == "pass", failed
@@ -141,14 +141,20 @@ def test_oracle_document(capsys):
     row = doc["rows"][0]
     assert row["scheme"] == {"N": 50, "J": 15, "lower_limit": 1}
     assert "chain_A" in row and "chain_B" in row
+    # the schema states the range of an Euler-Maclaurin scheme
+    for key, low in (("N", 1), ("J", 0)):
+        bad = json.loads(out)
+        bad["rows"][0]["scheme"][key] = low
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, _schema())
 
 
 def test_oracle_documents_pinned():
     # run_oracle(4, 50), run_oracle(8, 20) and run_oracle(4, 100), recorded
     # with timing removed; a change that moves an oracle value on purpose
-    # records them again and says so.  At 100 digits the scheme runs on the
-    # 60-node Gauss-Legendre rule, and every row reports stable: false: the
-    # fixed scheme (N, J) = (50, 15) is about 1e-46 from the closed form.
+    # records them again and says so.  At 100 digits the scheme is
+    # (N, J) = (150, 40), taken from the digits, and every row reports
+    # stable: true, within 1.5e-91 of the closed form.
     pins = json.loads((Path(__file__).parent / "oracle_documents.json").read_text())
     for pin in pins:
         doc = cli.run_oracle(pin["kmax"], pin["precision"])

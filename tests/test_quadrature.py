@@ -20,7 +20,6 @@ from zetachain import eulersums, hankel, precision, quadrature, ramanujan
 from zetachain.hankel import ContourSpec
 from zetachain.precision import PrecisionContext
 from zetachain.quadrature import integrate
-from zetachain.ramanujan import EMScheme
 
 # one precision revisited after others, so a table cached at one precision
 # serving another would show
@@ -256,7 +255,7 @@ def _contour_calls():
         "mellin_s1.01": (600, lambda: eulersums.mellin_fundamental_check("1.01", ctx)),
         # Gauss-Legendre on the panels [1, 3, 9, 27, 50]: 5 integrals of 384
         # evaluations
-        "ramanujan_sum_4": (1920, lambda: ramanujan.ramanujan_sum(4, EMScheme(), ctx)),
+        "ramanujan_sum_4": (1920, lambda: ramanujan.ramanujan_sum(4, ctx)),
     }
 
 

@@ -4,20 +4,15 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from zetachain import special
+from zetachain import cli, special
 from zetachain.chain import solve_chain
 from zetachain.exact import ramanujan_closed_form
 from zetachain.precision import PrecisionContext, const_gamma
-from zetachain.ramanujan import (
-    EMScheme,
-    convergent_selftest,
-    ramanujan_sum,
-)
+from zetachain.ramanujan import EMScheme, _scheme, convergent_selftest, ramanujan_sum
 from zetachain.special import hsmooth_pow_derivs
 from zetachain.values import SumConvention
 
 CTX = PrecisionContext(50)
-SCHEME = EMScheme()
 
 
 def half_tol():
@@ -38,24 +33,35 @@ def test_hsmooth_values():
         assert abs(hsmooth(mpf(1) / 2) - expected) < mpf(10) ** (-CTX.digits + 3)
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        EMScheme(N=1)
+@pytest.mark.parametrize(
+    "digits, N, J",
+    [
+        (15, 50, 15),
+        (50, 50, 15),
+        (51, 150, 40),
+        (100, 150, 40),
+        (101, 400, 60),
+        (200, 400, 60),
+        (201, 402, 60),
+        (500, 1000, 150),
+    ],
+)
+def test_scheme_from_digits(digits, N, J):
+    assert _scheme(digits) == EMScheme(N, J)
 
 
-def test_convergent_selftest():
-    assert convergent_selftest(SCHEME, CTX) < half_tol()
-
-
-def test_convergent_selftest_scheme_independent():
-    # the Ramanujan constant of a convergent series does not depend on N
-    for scheme in (EMScheme(N=30, J=12), EMScheme(N=80, J=18)):
-        assert convergent_selftest(scheme, CTX) < half_tol()
+@pytest.mark.parametrize("digits", [15, 50, 100, 200, 300, 500])
+def test_convergent_selftest(digits):
+    # four distinct schemes: (50, 15), (150, 40), (400, 60), then (2d, 3d/10);
+    # the first omitted EM term of each lies below the target
+    ctx = PrecisionContext(digits)
+    with ctx.workdps():
+        assert convergent_selftest(ctx) < mpf(10) ** (-digits // 2)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_stability_against_closed_form(k):
-    r = ramanujan_sum(k, SCHEME, CTX)[k]
+    r = ramanujan_sum(k, CTX)[k]
     assert r.stable
     assert r.spread < half_tol()
     assert r.closed_form == ramanujan_closed_form(k)
@@ -76,7 +82,7 @@ def _closed_form_mpmath(k, digits):
 def test_rows_match_closed_form_by_mpmath():
     # the scheme's own error grows with k: 2.3e-46 at k = 0 to 6.5e-37 at
     # k = 8 at 50 digits
-    rows = ramanujan_sum(8, SCHEME, CTX)
+    rows = ramanujan_sum(8, CTX)
     for k, r in enumerate(rows):
         with mpmath.workdps(CTX.digits + 30):
             error = abs(r.value - _closed_form_mpmath(k, CTX.digits))
@@ -93,7 +99,7 @@ def test_k0_compared_to_chain_not_asserted_equal():
     assert form.zeta_prime == (1,)
     s0 = solve_chain(1, SumConvention.A)[0]
     assert (form.rational - s0.a, form.gamma - s0.b, Fraction(-1, 2) - s0.c) == (0, 1, 0)
-    r = ramanujan_sum(0, SCHEME, CTX)[0]
+    r = ramanujan_sum(0, CTX)[0]
     with CTX.workdps():
         diff = abs(r.value - s0.numeric(CTX))
         assert diff > mpf("0.5")
@@ -101,7 +107,7 @@ def test_k0_compared_to_chain_not_asserted_equal():
 
 
 def test_k1_reported_alongside_chain():
-    r = ramanujan_sum(1, SCHEME, CTX)[1]
+    r = ramanujan_sum(1, CTX)[1]
     with CTX.workdps():
         chain1 = solve_chain(2, SumConvention.A)[1].numeric(CTX)
         assert r.value != chain1
@@ -109,16 +115,16 @@ def test_k1_reported_alongside_chain():
 
 def test_exponent_bound():
     with pytest.raises(ValueError):
-        ramanujan_sum(9, SCHEME, CTX)
+        ramanujan_sum(9, CTX)
     with pytest.raises(ValueError):
-        ramanujan_sum(-1, SCHEME, CTX)
+        ramanujan_sum(-1, CTX)
 
 
 @pytest.mark.parametrize("digits", [15, 50, 100])
 def test_rows_do_not_depend_on_kmax(digits):
     ctx = PrecisionContext(digits)
-    assert len(ramanujan_sum(0, SCHEME, ctx)) == 1
-    short, long = ramanujan_sum(4, SCHEME, ctx), ramanujan_sum(8, SCHEME, ctx)
+    assert len(ramanujan_sum(0, ctx)) == 1
+    short, long = ramanujan_sum(4, ctx), ramanujan_sum(8, ctx)
     assert len(long) == 9
     for a, b in zip(short, long[:5], strict=True):
         assert a.value == b.value
@@ -140,5 +146,18 @@ def test_ramanujan_digamma_budget(monkeypatch):
         return digamma(x, ctx)
 
     monkeypatch.setattr(special, "digamma", counting)
-    ramanujan_sum(4, EMScheme(), PrecisionContext(50))
+    ramanujan_sum(4, PrecisionContext(50))
     assert 0 < len(calls) <= 389
+
+
+@pytest.mark.parametrize("digits", [100, 200])
+def test_oracle_stable_above_50_digits(digits):
+    # with the scheme taken from the digits no row stops at the 1e-46 of
+    # (50, 15); the integral, asked for about half the digits, bounds the
+    # spread (1.4e-91 at 100 digits, 5.0e-166 at 200)
+    doc = cli.run_oracle(4, digits)
+    for row in doc["rows"]:
+        assert row["stable"], row["k"]
+        with mpmath.workdps(digits + 30):
+            error = abs(mpmath.mpf(row["ramanujan"]) - _closed_form_mpmath(row["k"], digits))
+            assert error < mpf(10) ** (-digits // 2), (row["k"], error)
