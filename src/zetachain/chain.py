@@ -10,9 +10,9 @@ values are compared against the classical oracle.
 The solve runs on Python integers: each S_j is kept as three integer
 numerators over one positive denominator, a row of the system costs
 integer multiplies over a running lcm and one gcd, and each S_j becomes a
-SymbolicValue (three reduced Fractions) once.  The binomial coefficients and right-hand sides
+SymbolicValue of three reduced Fractions once.  The binomial coefficients and right-hand sides
 come from ``build_relation``, the one definition of the relations.
-``relation_residual`` checks a solved chain on SymbolicValue arithmetic,
+``relation_residual`` checks a solved chain on LinearForm arithmetic,
 sharing no arithmetic with the solve.
 
 The s = 1 relation is excluded: at s = 1 the naive continuation reads
@@ -75,16 +75,13 @@ def solve_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
         a, b, c, den = a // g, b // g, c // g, den // g
         rows.append(((a, b, c), den))
         rows_den = math.lcm(rows_den, den)
-        values.append(SymbolicValue(Fraction(a, den), Fraction(b, den), Fraction(c, den)))
+        values.append(SymbolicValue.of(Fraction(a, den), Fraction(b, den), Fraction(c, den)))
     return values
 
 
 def relation_residual(rel: RecurrenceRelation, chain: list[SymbolicValue]) -> SymbolicValue:
     """sum_j C(s,j) S_j - rhs as an exact triple; the zero triple iff satisfied."""
-    acc = SymbolicValue.of(-rel.rhs)
-    for j in range(rel.s):
-        acc = acc + chain[j] * rel.coefficients[j]
-    return acc
+    return sum((chain[j] * coeff for j, coeff in enumerate(rel.coefficients)), SymbolicValue.of(-rel.rhs))
 
 
 def extract_zprime_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
@@ -120,9 +117,11 @@ class ChainReport:
 
 
 def _encode(value):
-    # mpf and Fraction as strings, dataclasses field by field with None fields left out
+    # mpf and Fraction as strings, a SymbolicValue as {a, b, c}, dataclasses field by field, None fields left out
     if isinstance(value, (mpf, Fraction)):
         return str(value)
+    if isinstance(value, SymbolicValue):
+        return {"a": str(value.a), "b": str(value.b), "c": str(value.c)}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if isinstance(value, SumConvention):

@@ -26,7 +26,7 @@ from .eulersums import (
     h_euler_shifted,
     mellin_fundamental_check,
 )
-from .exact import BernoulliConvention, bernoulli, bernoulli_self_identity
+from .exact import GAMMA, LOG_2PI, ONE, BernoulliConvention, bernoulli, bernoulli_self_identity
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from .precision import PrecisionContext
 from .ramanujan import MAX_EXPONENT, convergent_selftest, ramanujan_sum
@@ -219,9 +219,10 @@ def run_oracle(kmax: int, precision: int) -> dict:
                 "stable": r.stable,
                 "spread": str(r.spread),
                 "closed_form": {
-                    "rational": str(r.closed_form.rational),
-                    "gamma": str(r.closed_form.gamma),
-                    "zeta_prime": [str(w) for w in r.closed_form.zeta_prime],
+                    "rational": str(r.closed_form.get(ONE, 0)),
+                    "gamma": str(r.closed_form.get(GAMMA, 0)),
+                    "zeta_prime": [str(-2 * r.closed_form.get(LOG_2PI, 0))]  # w_0 zeta'(0) as -w_0/2 ln 2pi
+                    + [str(r.closed_form.get(("zeta'", j), 0)) for j in range(1, k + 1)],
                 },
                 "scheme": {"N": r.scheme.N, "J": r.scheme.J, "lower_limit": 1},
             }

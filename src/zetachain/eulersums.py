@@ -8,8 +8,8 @@ regularized sum S_{k-1} for sum H_n n^(k-1) and back.  The closed form
 takes B_1 = +1/2 throughout, the convention of zeta(1-k) = -B_k/k.  Its
 constants, sum_lm(k) and (-zeta(1-k) + k B_(k-1) - sum_lm(k) - B_k H_k)/k,
 are sums of integer numerators over the lcm of their denominators, each
-reduced once to a Fraction; the conversion itself is two Fraction
-additions on a SymbolicValue and, at even k, a sign flip.
+reduced once to a Fraction; the conversion adds or subtracts them as one
+SymbolicValue, two Fraction additions, and at even k flips the sign.
 
 Both Euler sums are a partial sum to a cut N plus an Euler-Maclaurin tail
 on H(t) = gamma + psi(t+1).  N is ``_cut``, 3 dps, not the max(20, dps) of
@@ -189,10 +189,10 @@ def bprime_from_zprime(k: int, zprime) -> mpf:
     return mpf(zprime) * k - mpf(zneg.numerator) / zneg.denominator
 
 
-def _closed_form_rationals(k: int, conv: SumConvention) -> tuple[Fraction, Fraction]:
+def _closed_form_part(k: int, conv: SumConvention) -> SymbolicValue:
     # the closed form's pieces that do not involve zeta'(1-k), divided by k:
     #   (-zeta(1-k) + k B_(k-1) - sum_lm - B_k H_k) / k = q/k + B_(k-1) - sum_lm/k - q H_k
-    # and B_k / k = q, with q = -zeta(1-k)
+    # and gamma B_k / k = q gamma, with q = -zeta(1-k)
     q = -zeta_neg_int_exact(k)
     b, lm, h = bernoulli(k - 1), sum_lm(k, conv), harmonic(k)
     const = _rational_sum(
@@ -203,7 +203,7 @@ def _closed_form_rationals(k: int, conv: SumConvention) -> tuple[Fraction, Fract
             (-q.numerator * h.numerator, q.denominator * h.denominator),
         )
     )
-    return const, q
+    return SymbolicValue.of(const, q)
 
 
 def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> SymbolicValue:
@@ -214,17 +214,13 @@ def s_from_zprime(k: int, zprime: SymbolicValue, conv: SumConvention) -> Symboli
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    const, q = _closed_form_rationals(k, conv)
-    s_val = SymbolicValue(zprime.a + const, zprime.b + q, zprime.c)
+    s_val = zprime + _closed_form_part(k, conv)
     return s_val if k % 2 else -s_val
 
 
 def zprime_from_s(k: int, s_val: SymbolicValue, conv: SumConvention) -> SymbolicValue:
     """Invert the closed form: recover zeta'(1-k) from an exact S_(k-1)."""
-    const, q = _closed_form_rationals(k, conv)
-    if k % 2 == 0:
-        s_val = -s_val
-    return SymbolicValue(s_val.a - const, s_val.b - q, s_val.c)
+    return (s_val if k % 2 else -s_val) - _closed_form_part(k, conv)
 
 
 @dataclass(frozen=True)

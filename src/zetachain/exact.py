@@ -3,18 +3,18 @@
 Everything here is exact by construction and returned as
 :class:`fractions.Fraction`; harmonic and Bernoulli numbers are built on
 Python integers and reduced once.  No floating arithmetic ever enters.
-The Ramanujan constants are exact linear forms in 1, gamma and the
-zeta'(-j), with rational coefficients.  This module is the independent
-oracle the numeric layers are checked against, so it must not import any
-of them.
+``LinearForm`` holds the exact values over 1, gamma, ln 2pi = -2 zeta'(0),
+zeta'(-j) and ln n: the chain's on the first three, the Ramanujan
+constants' on all but ln n.  This module is the independent oracle the
+numeric layers are checked against, so it must not import any of them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -107,18 +107,64 @@ def bernoulli_self_identity(n: int, conv: BernoulliConvention) -> Fraction:
     return s
 
 
-# Exact Ramanujan constants R_k = sum^R H_n n^k (lower limit 1).  A linear
-# form is a dict {basis key: nonzero Fraction} over the basis "1", "gamma",
-# ("log", n) for ln n and ("zeta'", j) for zeta'(-j); ln 2 pi is -2 zeta'(0).
+ONE, GAMMA, LOG_2PI = "1", "gamma", "log(2*pi)"
 
 
-def _combine(*terms) -> dict:
-    # sum of c * form over the (c, form) pairs, zero coefficients dropped
-    out = {}
-    for c, form in terms:
-        for key, v in form.items():
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+class LinearForm(dict):
+    """An exact linear form, the dict {basis vector: nonzero rational coefficient}.
+
+    The basis: ONE, GAMMA, LOG_2PI (ln 2pi = -2 zeta'(0)), ("zeta'", j) for
+    zeta'(-j), j >= 1, and ("log", n) for ln n.  Immutable, so not hashable;
+    copied and pickled whole.  +, - and negation combine forms and * scales
+    by a rational, each into a new form of the left operand's class, with a
+    coefficient kept as it came (an int stays an int).  The string shows 1,
+    gamma and ln 2pi, zero parts included, then the other terms.
+    """
+
+    def __init__(self, terms=()):
+        super().__init__({key: q for key, q in dict(terms).items() if q})
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> LinearForm:
+        # a form of terms that hold no zero, without __init__'s filtering copy
+        form = dict.__new__(cls)
+        dict.update(form, terms)
+        return form
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _merge(self, other: LinearForm, op) -> LinearForm:
+        terms = dict(self)
+        for key, q in other.items():
+            if total := op(terms.get(key, 0), q):
+                terms[key] = total
+            else:
+                del terms[key]
+        return self._wrap(terms)
+
+    def __add__(self, other: LinearForm) -> LinearForm:
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: LinearForm) -> LinearForm:
+        return self._merge(other, operator.sub)
+
+    def __neg__(self) -> LinearForm:
+        return self._wrap({key: -q for key, q in self.items()})
+
+    def __mul__(self, q) -> LinearForm:
+        return self._wrap({key: v * q for key, v in self.items()} if q else {})
+
+    def __str__(self) -> str:
+        rest = sorted(key for key in self if isinstance(key, tuple))
+        parts = [f"({self.get(key, 0)})*{key}" for key in (GAMMA, LOG_2PI)]
+        parts += [f"({self[kind, n]})*" + (f"zeta'(-{n})" if kind == "zeta'" else f"log({n})") for kind, n in rest]
+        return " + ".join([str(self.get(ONE, 0)), *parts])
 
 
 def _zeta_at_negative(i: int) -> Fraction:
@@ -126,15 +172,14 @@ def _zeta_at_negative(i: int) -> Fraction:
     return -bernoulli(i + 1) / (i + 1)
 
 
-def _hurwitz_jet(i: int, a: int) -> tuple[Fraction, dict]:
+def _hurwitz_jet(i: int, a: int) -> tuple[Fraction, LinearForm]:
     # zeta(z - i, a) = zeta(z - i) - sum_{n<a} n^(i - z) to first order in z
-    # at 0, for integer a >= 2: (value, slope)
+    # at 0, for integers i >= 1 and a >= 2: (value, slope)
     value = _zeta_at_negative(i) - sum(n**i for n in range(1, a))
-    slope = {("zeta'", i): Fraction(1)} | {("log", n): Fraction(n**i) for n in range(2, a)}
-    return value, slope
+    return value, LinearForm({("zeta'", i): 1} | {("log", n): n**i for n in range(2, a)})
 
 
-def _log_gamma_moment(m: int) -> dict:
+def _log_gamma_moment(m: int) -> LinearForm:
     """int_2^3 u^m ln Gamma(u) du as a linear form.
 
     Lerch's formula ln Gamma(u) = d/dz zeta(z, u) at z = 0, minus zeta'(0),
@@ -147,21 +192,21 @@ def _log_gamma_moment(m: int) -> dict:
     so only Hurwitz values at u = 2 and 3 remain.  Each J_i is carried as a
     first-order jet in z, from J_m down to J_0.
     """
-    value, slope = Fraction(0), {}
+    value, slope = Fraction(0), LinearForm()
     for i in range(m, -1, -1):
         q = m - i
         v3, s3 = _hurwitz_jet(i + 1, 3)
         v2, s2 = _hurwitz_jet(i + 1, 2)
         bracket = 3**q * v3 - 2**q * v2 - q * value
-        bracket_slope = _combine((3**q, s3), (-(2**q), s2), (-q, slope))
         # 1/(c - z) = 1/c + z/c^2 + O(z^2)
         c = i + 1
-        slope = _combine((Fraction(1, c), bracket_slope), (bracket / c**2, {"1": 1}))
+        slope = (s3 * 3**q - s2 * 2**q - slope * q) * Fraction(1, c) + LinearForm({ONE: bracket / c**2})
         value = bracket / c
-    return _combine((1, slope), (Fraction(2 ** (m + 1) - 3 ** (m + 1), m + 1), {("zeta'", 0): 1}))
+    # -zeta'(0) = ln(2pi)/2 times int_2^3 u^m du
+    return slope + LinearForm({LOG_2PI: Fraction(3 ** (m + 1) - 2 ** (m + 1), 2 * (m + 1))})
 
 
-def _shift_constant(s: int, moments: list[dict]) -> dict:
+def _shift_constant(s: int, moments: list[LinearForm]) -> LinearForm:
     """c_s = int_1^2 H(t) t^s dt - 2^s/s with H(t) = gamma + psi(t+1), s >= 1.
 
     Parts with psi(t+1) = d/dt ln Gamma(t+1) give
@@ -169,31 +214,17 @@ def _shift_constant(s: int, moments: list[dict]) -> dict:
     and moments[m] is int_2^3 u^m ln Gamma(u) du.  The ln n parts must
     cancel; an ArithmeticError says they did not.
     """
-    form = _combine(
-        (Fraction(2 ** (s + 1) - 1, s + 1), {"gamma": 1}),
-        (2**s, {("log", 2): 1}),
-        (-Fraction(2**s, s), {"1": 1}),
-        *((-s * math.comb(s - 1, m) * (-1) ** (s - 1 - m), moments[m]) for m in range(s)),
-    )
-    logs = {key: v for key, v in form.items() if key[0] == "log"}
-    if logs:
+    form = LinearForm({GAMMA: Fraction(2 ** (s + 1) - 1, s + 1), ("log", 2): 2**s, ONE: -Fraction(2**s, s)})
+    form = sum((moments[m] * (s * math.comb(s - 1, m) * (-1) ** (s - m)) for m in range(s)), form)
+    if logs := {key: q for key, q in form.items() if isinstance(key, tuple) and key[0] == "log"}:
         raise ArithmeticError(f"c_{s} keeps logarithms {logs}")
     return form
 
 
-@dataclass(frozen=True)
-class RamanujanClosedForm:
-    """R_k = rational + gamma * euler + sum_j zeta_prime[j] * zeta'(-j), j = 0..k."""
-
-    rational: Fraction
-    gamma: Fraction
-    zeta_prime: tuple[int, ...]
-
-
 # Linear forms of R_0, R_1, ... and of the moments int_2^3 u^m ln Gamma(u) du,
 # grown under a lock as the Bernoulli cache is
-_ramanujan_forms: list[dict] = []
-_moments: list[dict] = []
+_ramanujan_forms: list[LinearForm] = []
+_moments: list[LinearForm] = []
 _ramanujan_lock = threading.Lock()
 
 
@@ -209,28 +240,23 @@ def _extend_ramanujan(k: int) -> None:
             s = j + 1
             if len(_moments) == j:  # else a raise below left it from an earlier growth
                 _moments.append(_log_gamma_moment(j))
-            rhs = _combine(
-                (1, _shift_constant(s, _moments)),
-                (-_zeta_at_negative(j), {"1": 1}),
-                *((-math.comb(s, i), _ramanujan_forms[i]) for i in range(j)),
-            )
-            _ramanujan_forms.append(_combine((Fraction(1, s), rhs)))
+            rhs = _shift_constant(s, _moments) - LinearForm({ONE: _zeta_at_negative(j)})
+            rhs = sum((_ramanujan_forms[i] * -math.comb(s, i) for i in range(j)), rhs)
+            _ramanujan_forms.append(rhs * Fraction(1, s))
 
 
-def ramanujan_closed_form(k: int) -> RamanujanClosedForm:
-    """Exact R_k = sum^R H_n n^k with lower limit 1, derived, not fitted.
+def ramanujan_closed_form(k: int) -> LinearForm:
+    """Exact R_k = sum^R H_n n^k with lower limit 1, derived, not fitted; one cached form per k.
 
-    Raises ArithmeticError if the derivation leaves a term outside
-    1, gamma and zeta'(-j) for j <= k, or a non-integer zeta' weight.
+    R_k = r_k + g_k gamma + sum_{j<=k} w_j zeta'(-j) with integers w_j, and
+    w_0 zeta'(0) held as -w_0/2 ln 2pi.  Raises ArithmeticError if the
+    derivation leaves any other term, or a non-integer zeta' weight.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     _extend_ramanujan(k)
     form = _ramanujan_forms[k]
-    weights = [form.get(("zeta'", j), Fraction(0)) for j in range(k + 1)]
-    stray = set(form) - {"1", "gamma"} - {("zeta'", j) for j in range(k + 1)}
-    if stray or any(w.denominator != 1 for w in weights):
+    units = {LOG_2PI: -2} | {("zeta'", j): 1 for j in range(1, k + 1)}  # a zeta' weight per unit of the term
+    if form.keys() - {ONE, GAMMA, *units} or any((form.get(key, 0) * u).denominator != 1 for key, u in units.items()):
         raise ArithmeticError(f"R_{k} is not of the closed form: {form}")
-    return RamanujanClosedForm(
-        form.get("1", Fraction(0)), form.get("gamma", Fraction(0)), tuple(int(w) for w in weights)
-    )
+    return form

@@ -13,9 +13,9 @@ never from numeric differentiation.
 
 Each value is checked against its exact closed form
 R_k = r_k + g_k gamma + sum_j (-1)^j C(k,j) zeta'(-j), which
-``exact.ramanujan_closed_form`` derives; the closed form is evaluated with
-``zeta_prime_oracle``, so it shares no code with the integral.  A row whose
-spread from it exceeds the tolerance is flagged but still returned.
+``exact.ramanujan_closed_form`` derives; ``values._evaluate`` evaluates it at
+``zeta_prime_oracle``'s values, so it shares no code with the integral.  A
+row whose spread from it exceeds the tolerance is flagged but still returned.
 
 One request covers k = 0..kmax under one scheme (N, J), which ``_scheme``
 takes from the digits.  Every k integrates over [1, N] on the same
@@ -35,10 +35,11 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
-from .exact import RamanujanClosedForm, bernoulli, ramanujan_closed_form
+from .exact import GAMMA, LOG_2PI, LinearForm, bernoulli, ramanujan_closed_form
 from .precision import PrecisionContext, const_gamma
 from .quadrature import integrate
 from .special import _hsmooth, hsmooth_pow_derivs
+from .values import _evaluate
 from .zeta import _em_coefficients, zeta_prime_oracle
 
 MAX_EXPONENT = 8
@@ -109,18 +110,9 @@ def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[
 class RamanujanValue:
     value: mpf
     scheme: EMScheme
-    closed_form: RamanujanClosedForm
+    closed_form: LinearForm
     spread: mpf
     stable: bool
-
-
-def _closed_form_value(form: RamanujanClosedForm, zeta_primes: list[mpf], gamma: mpf) -> mpf:
-    # r + g gamma + sum_j w_j zeta'(-j), at the caller's working precision
-    r, g = form.rational, form.gamma
-    total = mpf(r.numerator) / r.denominator + mpf(g.numerator) / g.denominator * gamma
-    for w, zp in zip(form.zeta_prime, zeta_primes):
-        total += w * zp
-    return total
 
 
 def ramanujan_sum(kmax: int, ctx: PrecisionContext) -> list[RamanujanValue]:
@@ -144,11 +136,12 @@ def ramanujan_sum(kmax: int, ctx: PrecisionContext) -> list[RamanujanValue]:
             return _hsmooth(t, ctx)
 
         values = _ramanujan_raw(scheme, ctx, hsmooth, _partial_sums(kmax, scheme.N))
-        zeta_primes = [zeta_prime_oracle(-j, ctx) for j in range(kmax + 1)]
-        gamma = const_gamma(ctx)
+        # ln 2pi as -2 zeta'(0), exactly: the ln 2pi term is still w_0 zeta'(0)
+        basis = {GAMMA: const_gamma(ctx), LOG_2PI: -2 * zeta_prime_oracle(0, ctx)}
+        basis |= {("zeta'", j): zeta_prime_oracle(-j, ctx) for j in range(1, kmax + 1)}
         for k, value in enumerate(values):
             form = ramanujan_closed_form(k)
-            spread = ctx.round(abs(value - _closed_form_value(form, zeta_primes, gamma)))
+            spread = ctx.round(abs(value - _evaluate(form, basis, ctx)))
             stable = spread < mpf(10) ** (-ctx.digits // 2)
             rows.append(RamanujanValue(value, scheme, form, spread, stable))
     return rows

@@ -1,25 +1,22 @@
-"""Exact symbolic values in the field Q + Q*gamma + Q*ln(2pi).
+"""Exact symbolic values in the field Q + Q*gamma + Q*ln(2pi), and the evaluator of exact forms.
 
 Every quantity produced by the zeta'(0)-seeded recurrence chain lives in
 this three-dimensional rational vector space, so the chain can be solved
-with no floating arithmetic at all; numerics enter only when a triple is
-evaluated against a precision context.
+with no floating arithmetic at all; numerics enter only when ``_evaluate``
+evaluates a form, for ``SymbolicValue.numeric`` and the Ramanujan spread.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
 
+from .exact import GAMMA, LOG_2PI, ONE, LinearForm
 from .precision import PrecisionContext, const_gamma, const_log2pi
-
-RationalLike = Union[int, Fraction]
 
 
 class SumConvention(enum.Enum):
@@ -33,47 +30,34 @@ class SumConvention(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class SymbolicValue:
-    """a + b*gamma + c*ln(2pi) with exact rational components."""
+class SymbolicValue(LinearForm):
+    """a + b*gamma + c*ln(2pi) with exact rational components: the LinearForm on ONE, GAMMA and LOG_2PI."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a = property(lambda self: self.get(ONE, 0))
+    b = property(lambda self: self.get(GAMMA, 0))
+    c = property(lambda self: self.get(LOG_2PI, 0))
 
     @staticmethod
-    def of(a: RationalLike = 0, b: RationalLike = 0, c: RationalLike = 0) -> "SymbolicValue":
-        return SymbolicValue(Fraction(a), Fraction(b), Fraction(c))
-
-    def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
-        return SymbolicValue(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __neg__(self) -> "SymbolicValue":
-        return SymbolicValue(-self.a, -self.b, -self.c)
-
-    def scale(self, q: RationalLike) -> "SymbolicValue":
-        q = Fraction(q)
-        return SymbolicValue(self.a * q, self.b * q, self.c * q)
-
-    def __mul__(self, q: RationalLike) -> "SymbolicValue":
-        return self.scale(q)
+    def of(a: int | Fraction = 0, b: int | Fraction = 0, c: int | Fraction = 0) -> SymbolicValue:
+        return SymbolicValue._wrap({key: q for key, q in ((ONE, a), (GAMMA, b), (LOG_2PI, c)) if q})
 
     def numeric(self, ctx: PrecisionContext) -> mpf:
-        """a + b*gamma + c*ln(2pi) at ctx's working precision, rounded to ctx.digits.
+        """a + b*gamma + c*ln(2pi) at ctx's working precision, rounded to ctx.digits; ValueError on any other term."""
+        return ctx.round(_evaluate(self, {GAMMA: const_gamma(ctx), LOG_2PI: const_log2pi(ctx)}, ctx))
 
-        The libmp calls behind mpf(p) / q for each part, the two products and
-        the two sums, in the operators' order, on raw values at the working
-        precision given explicitly.
-        """
-        prec = dps_to_prec(ctx.dps)
-        a, b, c = (
-            mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator), prec, round_nearest)
-            for q in (self.a, self.b, self.c)
-        )
-        b = mpf_mul(b, const_gamma(ctx)._mpf_, prec, round_nearest)
-        c = mpf_mul(c, const_log2pi(ctx)._mpf_, prec, round_nearest)
-        val = mpf_add(mpf_add(a, b, prec, round_nearest), c, prec, round_nearest)
-        return ctx.round(mpmath.mp.make_mpf(val))
 
-    def __str__(self) -> str:
-        return f"{self.a} + ({self.b})*gamma + ({self.c})*log(2*pi)"
+def _evaluate(form: LinearForm, basis: dict, ctx: PrecisionContext) -> mpf:
+    """form at ctx's working precision, given the value of each basis vector but 1.
+
+    The term of 1 first, then those of basis in its order: the libmp calls of
+    mpf(p) / q times the basis value, added, on raw values at the working
+    precision given explicitly.  ValueError on a term basis has no value for.
+    """
+    if stray := form.keys() - {ONE, *basis}:
+        raise ValueError(f"no basis value for {stray} in {form}")
+    prec, rnd, total = dps_to_prec(ctx.dps), round_nearest, from_int(0)
+    for key, value in ((ONE, None), *basis.items()):
+        if (q := form.get(key)) is not None:
+            term = mpf_div(from_int(q.numerator, prec, rnd), from_int(q.denominator), prec, rnd)
+            total = mpf_add(total, term if value is None else mpf_mul(term, value._mpf_, prec, rnd), prec, rnd)
+    return mpmath.mp.make_mpf(total)

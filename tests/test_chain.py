@@ -12,7 +12,7 @@ from zetachain.chain import (
     relation_residual,
     solve_chain,
 )
-from zetachain.exact import bernoulli, harmonic
+from zetachain.exact import LinearForm, bernoulli, harmonic
 from zetachain.precision import PrecisionContext
 from zetachain.values import SumConvention, SymbolicValue
 from zetachain.zeta import zeta_odd_from_zprime
@@ -90,6 +90,17 @@ def test_zprime_chain_numeric_value():
     with CTX.workdps():
         val = extract_zprime_chain(1, A)[0].numeric(CTX)
         assert abs(val - mpf("-0.2799333224520809")) < 1e-14
+
+
+def test_symbolic_value_with_a_zeta_prime_term_is_not_evaluated():
+    # a chain value that picks up a zeta'(-1) term stays a SymbolicValue and
+    # shows the term, and numeric raises rather than evaluate it without it
+    value = extract_zprime_chain(1, A)[0] + LinearForm({("zeta'", 1): 1})
+    assert isinstance(value, SymbolicValue)
+    assert str(value) == "1/12 + (1/6)*gamma + (-1/4)*log(2*pi) + (1)*zeta'(-1)"
+    with pytest.raises(ValueError, match="zeta'"):
+        value.numeric(CTX)
+    assert (value - LinearForm({("zeta'", 1): 1})).numeric(CTX) == extract_zprime_chain(1, A)[0].numeric(CTX)
 
 
 def test_discrepancy_report_delta1():

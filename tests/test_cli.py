@@ -36,10 +36,12 @@ def test_verify_fast_suites_pass(capsys):
     jsonschema.validate(doc, _schema())
 
 
-def test_verify_passes_every_suite_at_100_digits():
+@pytest.mark.parametrize("digits", [100, 200])
+def test_verify_passes_every_suite_at(digits):
     # the Ramanujan self-test takes its scheme from the digits, (150, 40)
-    # here: the (50, 15) of 50 digits stops near 1e-46, short of 1e-50
-    doc = cli.run_verify(100, list(cli.SUITE_NAMES))
+    # at 100 and (400, 60) at 200: the (50, 15) of 50 digits stops near
+    # 1e-46, short of 1e-50
+    doc = cli.run_verify(digits, list(cli.SUITE_NAMES))
     failed = [c["name"] for s in doc["suites"] for c in s["checks"] if c["status"] != "pass"]
     assert doc["status"] == "pass", failed
     jsonschema.validate(doc, _schema())

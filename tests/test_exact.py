@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,11 @@ from hypothesis import strategies as st
 
 import zetachain.exact
 from zetachain.exact import (
+    GAMMA,
+    LOG_2PI,
+    ONE,
     BernoulliConvention,
+    LinearForm,
     bernoulli,
     bernoulli_self_identity,
     binomial,
@@ -122,15 +128,65 @@ PSLQ_RATIONALS = [
 def test_ramanujan_closed_form_matches_pslq(k):
     # R_k = r_k + g_k gamma + sum_j (-1)^j C(k, j) zeta'(-j), with
     # g_0 = 3/2 and g_k = 1/(k+1) + zeta(-k) = 1/(k+1) - B_(k+1)/(k+1)
+    # the form holds the zeta'(0) weight w as -w/2 ln(2 pi)
     form = ramanujan_closed_form(k)
-    assert form.rational == PSLQ_RATIONALS[k]
-    assert form.gamma == (Fraction(3, 2) if k == 0 else (1 - bernoulli(k + 1)) / (k + 1))
-    assert form.zeta_prime == tuple((-1) ** j * math.comb(k, j) for j in range(k + 1))
+    gamma = Fraction(3, 2) if k == 0 else (1 - bernoulli(k + 1)) / (k + 1)
+    weights = {("zeta'", j): (-1) ** j * math.comb(k, j) for j in range(1, k + 1)}
+    assert form == {ONE: PSLQ_RATIONALS[k], GAMMA: gamma, LOG_2PI: Fraction(-1, 2)} | weights
+
+
+def test_linear_form_is_immutable():
+    # a cached closed form handed to a caller cannot be changed through it
+    form = ramanujan_closed_form(3)
+    before = dict(form)
+    mutations = [
+        lambda: form.__setitem__(GAMMA, 0),
+        lambda: form.__delitem__(ONE),
+        lambda: form.update({ONE: 0}),
+        lambda: form.setdefault(("zeta'", 4), 1),
+        lambda: form.pop(ONE),
+        lambda: form.popitem(),
+        lambda: form.clear(),
+        lambda: form.__ior__({ONE: 0}),
+        lambda: setattr(form, "terms", {}),
+        lambda: hash(form),
+    ]
+    for mutate in mutations:
+        with pytest.raises(TypeError):
+            mutate()
+    assert ramanujan_closed_form(3) is form
+    assert dict(ramanujan_closed_form(3)) == before
+    # a copy is a new form of the same class and terms
+    for twin in (copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+        assert type(twin) is LinearForm and twin == form and twin is not form
+
+
+def test_linear_form_arithmetic():
+    # zero coefficients drop out and coefficients are kept as given (an int
+    # stays an int); the string shows 1, gamma and ln(2 pi) always
+    x = LinearForm({ONE: Fraction(1, 2), GAMMA: 0, ("zeta'", 1): 3})
+    y = LinearForm({ONE: Fraction(-1, 2), LOG_2PI: 1})
+    assert x == {ONE: Fraction(1, 2), ("zeta'", 1): 3}
+    assert x + y == {("zeta'", 1): 3, LOG_2PI: 1}
+    assert x - y == {ONE: 1, ("zeta'", 1): 3, LOG_2PI: -1}
+    assert -x == x * -1 == {ONE: Fraction(-1, 2), ("zeta'", 1): -3}
+    assert x * 0 == {} and x - x == {}
+    assert type((x + y)[LOG_2PI]) is int
+    assert str(x) == "1/2 + (0)*gamma + (0)*log(2*pi) + (3)*zeta'(-1)"
+    assert str(LinearForm({("log", 2): -1, ("zeta'", 2): 1})) == (
+        "0 + (0)*gamma + (0)*log(2*pi) + (-1)*log(2) + (1)*zeta'(-2)"
+    )
 
 
 def test_ramanujan_closed_form_rejects_negative_k():
     with pytest.raises(ValueError):
         ramanujan_closed_form(-1)
+
+
+def _zeta_prime_weights(form, k):
+    # the zeta'(-j) weights of a closed form for j = 0..k, the zeta'(0)
+    # weight -2 times the ln(2 pi) part
+    return (-2 * form.get(LOG_2PI, 0), *(form.get(("zeta'", j), 0) for j in range(1, k + 1)))
 
 
 def _cold_moments(top):
@@ -151,7 +207,7 @@ def test_ramanujan_logarithms_cancel(monkeypatch):
     for s in range(1, 42):
         c = zetachain.exact._shift_constant(s, moments)
         assert not [key for key in c if key[0] == "log"]
-    assert ramanujan_closed_form(40).zeta_prime == tuple((-1) ** j * math.comb(40, j) for j in range(41))
+    assert _zeta_prime_weights(ramanujan_closed_form(40), 40) == tuple((-1) ** j * math.comb(40, j) for j in range(41))
 
 
 def test_ramanujan_surviving_logarithm_raises(monkeypatch):
@@ -160,7 +216,7 @@ def test_ramanujan_surviving_logarithm_raises(monkeypatch):
 
     def without_logs(i, a):
         value, slope = hurwitz(i, a)
-        return value, {key: v for key, v in slope.items() if key[0] != "log"}
+        return value, LinearForm({key: v for key, v in slope.items() if key[0] != "log"})
 
     monkeypatch.setattr(zetachain.exact, "_hurwitz_jet", without_logs)
     with pytest.raises(ArithmeticError, match="logarithms"):
@@ -181,7 +237,7 @@ def test_ramanujan_cache_recovers_after_a_raise(monkeypatch):
     with pytest.raises(ArithmeticError, match="injected"):
         ramanujan_closed_form(3)
     monkeypatch.setattr(zetachain.exact, "_shift_constant", shift)
-    assert ramanujan_closed_form(3).rational == PSLQ_RATIONALS[3]
+    assert ramanujan_closed_form(3)[ONE] == PSLQ_RATIONALS[3]
 
 
 def test_shift_constant_zeta_prime_weights():
@@ -191,10 +247,10 @@ def test_shift_constant_zeta_prime_weights():
     moments = _cold_moments(20)
     for s in range(1, 22):
         c = zetachain.exact._shift_constant(s, moments)
-        for i in range(s + 1):
-            assert c.get(("zeta'", i), 0) == (-1) ** i * math.comb(s, i) * (2 ** (s - i) - 1), (s, i)
-        assert c["gamma"] == Fraction(2 ** (s + 1) - 1, s + 1)
-        assert set(c) <= {"1", "gamma"} | {("zeta'", i) for i in range(s)}
+        for i, w in enumerate(_zeta_prime_weights(c, s)):
+            assert w == (-1) ** i * math.comb(s, i) * (2 ** (s - i) - 1), (s, i)
+        assert c[GAMMA] == Fraction(2 ** (s + 1) - 1, s + 1)
+        assert set(c) <= {ONE, GAMMA, LOG_2PI} | {("zeta'", i) for i in range(1, s)}
 
 
 small_fractions = st.fractions(
@@ -211,6 +267,20 @@ def test_rational_ring_axioms(x, y, z):
     assert x + 0 == x and x * 1 == x
 
 
+small_triples = st.lists(small_fractions, min_size=3, max_size=3)
+
+
+@given(small_triples, small_triples, small_fractions)
+def test_linear_form_vector_space_axioms(xs, ys, q):
+    basis = (ONE, GAMMA, ("zeta'", 1))
+    x, y = LinearForm(zip(basis, xs)), LinearForm(zip(basis, ys))
+    assert x + y == y + x
+    assert (x + y) - y == x
+    assert x - y == x + -y
+    assert (x + y) * q == x * q + y * q
+    assert x + LinearForm() == x
+
+
 def test_exact_layer_imports_no_numeric_layer():
     # the exact layer is the independent oracle, the Ramanujan closed forms
     # included: it must not import mpmath or any other zetachain module
@@ -223,6 +293,22 @@ def test_exact_layer_imports_no_numeric_layer():
             imported.add("." * node.level + (node.module or ""))
     bad = {n for n in imported if n.startswith((".", "mpmath", "zetachain"))}
     assert not bad, bad
+
+
+def test_src_parses_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python the package supports; every
+    # module must parse with that version's grammar, which at 3.10 has
+    # neither except* (3.11) nor PEP 695's type parameters (3.12)
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = tuple(int(v) for v in re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    assert floor == (3, 10)
+    paths = sorted(Path(zetachain.exact.__file__).parent.glob("*.py"))
+    assert len(paths) > 10, "too few modules found; the scan is broken"
+    for path in paths:
+        ast.parse(path.read_text(), filename=path.name, feature_version=floor)
+    for newer in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "def f[T](x: T) -> T:\n    return x\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(newer, feature_version=floor)
 
 
 # mpmath names src/ may use: elementary functions and constants, the number
