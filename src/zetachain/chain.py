@@ -29,9 +29,10 @@ from fractions import Fraction
 from mpmath import mpf
 
 from .eulersums import s_from_zprime, zprime_from_s
+from .exact import zeta_neg_int_exact
 from .precision import PrecisionContext, _working
 from .values import SumConvention, SymbolicValue
-from .zeta import _zeta_prime_routed, zeta_neg_int_exact, zeta_odd_from_zprime
+from .zeta import _zeta_prime_routed, zeta_odd_from_zprime
 
 _SEED = SymbolicValue.of(0, 0, Fraction(-1, 2))  # zeta'(0) = -(1/2) ln(2pi), exactly
 

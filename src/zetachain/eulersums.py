@@ -49,12 +49,12 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import mpf_mul, mpf_pow, round_nearest
 
-from .exact import _rational_sum, bernoulli, harmonic
+from .exact import _rational_sum, bernoulli, harmonic, zeta_neg_int_exact
 from .precision import GUARD, PrecisionContext, _coefficients, _working
 from .quadrature import integrate
 from .special import _GUARD_BITS, DomainError, _stirling_term, gamma_fn, hsmooth_pow_derivs
 from .values import SumConvention, SymbolicValue
-from .zeta import _em_coefficients, _inverse_powers, zeta_em, zeta_neg_int_exact
+from .zeta import _em_coefficients, _inverse_powers, zeta_em
 
 
 def _tail_coefficient(j: int) -> mpf:

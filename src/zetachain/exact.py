@@ -1,4 +1,4 @@
-"""Exact rational layer: binomials, harmonic and Bernoulli numbers, Ramanujan constants.
+"""Exact rational layer: binomials, harmonic and Bernoulli numbers, zeta(1-k), Ramanujan constants.
 
 Everything here is exact by construction and returned as
 :class:`fractions.Fraction`; harmonic and Bernoulli numbers are built on
@@ -92,6 +92,13 @@ def bernoulli(n: int, conv: BernoulliConvention = BernoulliConvention.PAPER_PLUS
     return _bernoulli_cache[n]
 
 
+def zeta_neg_int_exact(k: int) -> Fraction:
+    """Exact rational zeta(1-k) = -B_k/k for k >= 1 (B1 = +1/2 convention)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return -bernoulli(k) / k
+
+
 def bernoulli_self_identity(n: int, conv: BernoulliConvention) -> Fraction:
     """Residual of the self-identity B_n = sum_{k=0}^{n} C(n,k) B_k for n >= 2.
 
@@ -167,15 +174,10 @@ class LinearForm(dict):
         return " + ".join([str(self.get(ONE, 0)), *parts])
 
 
-def _zeta_at_negative(i: int) -> Fraction:
-    # zeta(-i) = -B_(i+1)/(i+1) for i >= 0, with B1 = +1/2
-    return -bernoulli(i + 1) / (i + 1)
-
-
 def _hurwitz_jet(i: int, a: int) -> tuple[Fraction, LinearForm]:
     # zeta(z - i, a) = zeta(z - i) - sum_{n<a} n^(i - z) to first order in z
     # at 0, for integers i >= 1 and a >= 2: (value, slope)
-    value = _zeta_at_negative(i) - sum(n**i for n in range(1, a))
+    value = zeta_neg_int_exact(i + 1) - sum(n**i for n in range(1, a))
     return value, LinearForm({("zeta'", i): 1} | {("log", n): n**i for n in range(2, a)})
 
 
@@ -240,7 +242,7 @@ def _extend_ramanujan(k: int) -> None:
             s = j + 1
             if len(_moments) == j:  # else a raise below left it from an earlier growth
                 _moments.append(_log_gamma_moment(j))
-            rhs = _shift_constant(s, _moments) - LinearForm({ONE: _zeta_at_negative(j)})
+            rhs = _shift_constant(s, _moments) - LinearForm({ONE: zeta_neg_int_exact(s)})
             rhs = sum((_ramanujan_forms[i] * -math.comb(s, i) for i in range(j)), rhs)
             _ramanujan_forms.append(rhs * Fraction(1, s))
 

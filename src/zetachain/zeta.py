@@ -2,8 +2,9 @@
 
 This is the oracle layer: everything here rests on rigorously valid
 machinery (Euler-Maclaurin with explicit truncation control, the exact
-rational values zeta(1-k) = -B_k/k, and the functional equation), so chain
-values produced by the heuristic recurrence can be judged against it.
+rational values zeta(1-k) = -B_k/k of ``exact.zeta_neg_int_exact``, and the
+functional equation), so chain values produced by the heuristic recurrence
+can be judged against it.
 
 Euler-Maclaurin form used, valid for real s != 1 once 2J + s > 1:
 
@@ -35,8 +36,7 @@ n^-s = sum_{p<N} log p sum_{a>=1} sum_{p^a | n} n^-s: pi(N) + 1
 logarithms, not N - 2.  Each is one libmp ``mpf_log`` at the precision a
 dps + 8 block would set (no fewer than wp bits), shifted to units of
 2^-wp: the calls behind mpmath.log(p) * 2^wp in such a block, bit for bit,
-with no block entered and no mpf built.  The odd-zeta bridges make the
-libmp calls behind their mpf operator expressions, in the same order.
+with no block entered and no mpf built.
 Corrections are added until one falls below 10^-(dps+5) relative to
 max(1, |running sum|), compared as binary magnitudes (int.bit_length); a
 sum still short of that after 4 dps terms raises ArithmeticError.
@@ -53,24 +53,19 @@ At negative even integers zeta_em returns the exact trivial zero.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
     dps_to_prec,
     from_int,
-    mpf_div,
     mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pow_int,
     mpf_shift,
     round_nearest,
     to_int,
 )
 
-from .exact import BernoulliConvention, bernoulli
+from .exact import bernoulli
 from .precision import PrecisionContext, _coefficients, _working
 from .special import _GUARD_BITS, DomainError, gamma_fn
 
@@ -235,30 +230,12 @@ def _em(sv: mpf, N: int, ctx: PrecisionContext, derivative: bool) -> mpf:
     raise ArithmeticError("Euler-Maclaurin corrections did not converge")
 
 
-def zeta_neg_int_exact(k: int) -> Fraction:
-    """Exact rational zeta(1-k) = -B_k/k for k >= 1 (B1 = +1/2 convention)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return -bernoulli(k, BernoulliConvention.PAPER_PLUS) / k
-
-
-def _two_pi_pow(k: int, prec: int) -> tuple:
-    # (2 pi)^(2k) as the libmp calls behind (2 * mpmath.pi) ** (2k) at prec
-    two_pi = mpf_mul_int(mpmath.pi._mpf_, 2, prec, round_nearest)
-    return mpf_pow_int(two_pi, 2 * k, prec, round_nearest)
-
-
 def zeta_odd_from_zprime(k: int, zprime, ctx: PrecisionContext) -> mpf:
     """zeta(2k+1) = (-1)^k 2 (2pi)^(2k)/(2k)! * zeta'(-2k), k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1 (zeta(1) diverges)")
     with ctx.workdps():
-        prec = mpmath.mp.prec
-        # the libmp calls behind (-1)^k 2 (2 pi)^(2k) / mpf((2k)!) * mpf(zprime)
-        val = mpf_mul_int(_two_pi_pow(k, prec), (-1) ** k * 2, prec, round_nearest)
-        val = mpf_div(val, from_int(math.factorial(2 * k), prec, round_nearest), prec, round_nearest)
-        val = mpf_mul(val, mpf(zprime)._mpf_, prec, round_nearest)
-        return ctx.round(mpmath.mp.make_mpf(val))
+        return ctx.round((-1) ** k * 2 * (2 * mpmath.pi) ** (2 * k) / mpf(math.factorial(2 * k)) * mpf(zprime))
 
 
 def zeta_odd_from_bprime(k: int, bprime, ctx: PrecisionContext) -> mpf:
@@ -280,12 +257,7 @@ def zprime_from_zeta_odd(k: int, zeta_odd, ctx: PrecisionContext) -> mpf:
     if k < 1:
         raise ValueError("k must be >= 1")
     with ctx.workdps():
-        prec = mpmath.mp.prec
-        # the libmp calls behind (-1)^k mpf((2k)!) * mpf(zeta_odd) / (2 (2 pi)^(2k))
-        val = mpf_mul_int(from_int(math.factorial(2 * k), prec, round_nearest), (-1) ** k, prec, round_nearest)
-        val = mpf_mul(val, mpf(zeta_odd)._mpf_, prec, round_nearest)
-        den = mpf_mul_int(_two_pi_pow(k, prec), 2, prec, round_nearest)
-        return ctx.round(mpmath.mp.make_mpf(mpf_div(val, den, prec, round_nearest)))
+        return ctx.round((-1) ** k * mpf(math.factorial(2 * k)) * mpf(zeta_odd) / (2 * (2 * mpmath.pi) ** (2 * k)))
 
 
 def zeta_prime_oracle(a, ctx: PrecisionContext) -> mpf:

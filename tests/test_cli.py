@@ -1,4 +1,3 @@
-import copy
 import json
 import os
 import subprocess
@@ -202,6 +201,15 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["kind"] == "chain"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a directory as --out: one stderr line naming the path, nothing on stdout
+    code = cli.main(["verify", "--suites", "bernoulli", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(tmp_path) in captured.err, captured.err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -9,11 +9,11 @@ import pytest
 
 from zetachain.chain import discrepancy_report, solve_chain
 from zetachain.eulersums import bprime_from_zprime, mellin_fundamental_check, s_from_zprime, sum_lm
-from zetachain.exact import bernoulli
+from zetachain.exact import bernoulli, zeta_neg_int_exact
 from zetachain.precision import PrecisionContext
 from zetachain.special import DomainError, polygamma
 from zetachain.values import SumConvention, SymbolicValue
-from zetachain.zeta import zeta_neg_int_exact, zeta_odd_from_bprime, zeta_prime_em, zprime_from_zeta_odd
+from zetachain.zeta import zeta_odd_from_bprime, zeta_prime_em, zprime_from_zeta_odd
 
 CTX = PrecisionContext(15)
 A = SumConvention.A

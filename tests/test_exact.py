@@ -627,3 +627,21 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
     # a README line may also name a dataclass field (the test above)
     fields = {f"{mod}.{cls}.{name}" for cls, (mod, names) in _dataclass_fields(trees).items() for name in names}
     assert test_only <= defined | fields, f"README lists names src/ does not define: {sorted(test_only - defined - fields)}"
+
+
+def test_every_import_in_src_is_read():
+    # a name a src/ module imports must appear as a name in that module (read,
+    # or the root of an attribute); one that only the tests or perfbench's
+    # tracer reach through the module is a dead import
+    imported, unread = 0, []
+    for mod, tree in sorted(_src_trees().items()):
+        seen = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    imported += 1
+                    if name not in seen:
+                        unread.append(f"{mod}.{name}")
+    assert imported > 50, "too few imports found; the scan is broken"
+    assert not unread, f"imported and never read: {unread}"

@@ -1,14 +1,13 @@
-"""The EM zeta/zeta' sum, SymbolicValue.numeric and the odd-zeta bridges equal the expressions they replaced, bit for bit.
+"""The EM zeta/zeta' sum and SymbolicValue.numeric equal the expressions they replaced, bit for bit.
 
 zeta_em and zeta_prime_em take their prime logs from libmp calls and carry
 the power of N from one correction to the next; they are held to the EM
 routine as it was written before, with mpmath.log in a precision block and
-N**e computed for every term.  numeric and the bridges make the libmp calls
-behind mpf operators; they are held to the operator expressions.  The two
-must give the same _mpf_ tuples, not merely close values.
+N**e computed for every term.  numeric makes the libmp calls behind mpf
+operators; it is held to the operator expression.  The two must give the
+same _mpf_ tuples, not merely close values.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -30,9 +29,7 @@ from zetachain.zeta import (
     _inverse_powers,
     _least_prime_factors,
     zeta_em,
-    zeta_odd_from_zprime,
     zeta_prime_em,
-    zprime_from_zeta_odd,
 )
 
 DIGITS = (15, 50, 100, 200)
@@ -159,30 +156,6 @@ def test_numeric_matches_operators(digits):
         values += solve_chain(8, conv)
     for value in values:
         assert value.numeric(ctx)._mpf_ == _operator_numeric(value, ctx)._mpf_, value
-
-
-def _operator_zeta_odd(k, zprime, ctx):
-    with ctx.workdps():
-        two_pi = 2 * mpmath.pi
-        return _operator_round((-1) ** k * 2 * two_pi ** (2 * k) / mpf(math.factorial(2 * k)) * mpf(zprime), ctx)
-
-
-def _operator_zprime(k, zeta_odd, ctx):
-    with ctx.workdps():
-        two_pi = 2 * mpmath.pi
-        return _operator_round((-1) ** k * mpf(math.factorial(2 * k)) * mpf(zeta_odd) / (2 * two_pi ** (2 * k)), ctx)
-
-
-@pytest.mark.parametrize("digits", DIGITS)
-def test_odd_zeta_bridges_match_operators(digits):
-    ctx = PrecisionContext(digits)
-    with ctx.workdps():
-        points = [mpf(1) / 3, -mpf(10) ** -5 / 7, mpmath.pi ** 5]
-    points += ["-0.0079838", 3]
-    for k in (1, 2, 4, 7, 12):
-        for x in points:
-            assert zeta_odd_from_zprime(k, x, ctx)._mpf_ == _operator_zeta_odd(k, x, ctx)._mpf_, (k, x)
-            assert zprime_from_zeta_odd(k, x, ctx)._mpf_ == _operator_zprime(k, x, ctx)._mpf_, (k, x)
 
 
 def test_chain_sweep_leaves_the_bernoulli_cache_at_its_size():

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from zetachain import zeta
+from zetachain.exact import zeta_neg_int_exact
 from zetachain.precision import PrecisionContext
 from zetachain.special import DomainError
 from zetachain.zeta import (
     functional_equation_residual,
     functional_equation_sides,
     zeta_em,
-    zeta_neg_int_exact,
     zeta_odd_from_zprime,
     zeta_prime_em,
     zeta_prime_oracle,
@@ -191,6 +191,21 @@ def test_odd_bridge_linearity():
 def test_odd_bridge_rejects_k0():
     with pytest.raises(ValueError):
         zeta_odd_from_zprime(0, mpf(1), CTX)
+
+
+@pytest.mark.parametrize("digits", [20, 50, 200])
+def test_odd_bridges_against_mpmath(digits):
+    # each bridge is fed mpmath's value of the other side, taken at digits + 40
+    # and passed as a string, and held to mpmath's value of its own side
+    ctx = PrecisionContext(digits)
+    with mpmath.workdps(digits + 40):
+        refs = {k: (mpmath.zeta(2 * k + 1), mpmath.zeta(-2 * k, derivative=1)) for k in range(1, 11)}
+        sides = {k: (str(odd), str(zprime)) for k, (odd, zprime) in refs.items()}
+    for k, (odd, zprime) in sides.items():
+        got = zeta_odd_from_zprime(k, zprime, ctx), zprime_from_zeta_odd(k, odd, ctx)
+        with mpmath.workdps(digits + 40):
+            for value, ref in zip(got, refs[k]):
+                assert abs(value - ref) <= mpf(10) ** (-digits + 1) * abs(ref), (k, ref)
 
 
 # zeta(s) and zeta'(s) against mpmath's independent zeta(s, derivative=m).
