@@ -7,13 +7,10 @@ the exact S_0 derived from zeta'(0), the chain is solved entirely in
 Q + Q*gamma + Q*ln(2pi); floating arithmetic enters only when the chain
 values are compared against the classical oracle.
 
-The solve runs on Python integers: each S_j is kept as three integer
-numerators over one positive denominator, a row of the system costs
-integer multiplies over a running lcm and one gcd, and each S_j becomes a
-SymbolicValue of three reduced Fractions once.  The binomial coefficients and right-hand sides
-come from ``build_relation``, the one definition of the relations.
-``relation_residual`` checks a solved chain on LinearForm arithmetic,
-sharing no arithmetic with the solve.
+The solve is ``exact.solve_binomial``, the one solve of this system: the
+Ramanujan constants run it too, with right-hand sides -zeta(1-s) + c_s.
+``relation_residual`` re-derives relation s with math.comb on LinearForm
+arithmetic, so the check shares no coefficient with the solve.
 
 The s = 1 relation is excluded: at s = 1 the naive continuation reads
 S_0 - S_0 = -zeta(0), which is false (0 != 1/2), a boundary defect of the
@@ -29,7 +26,7 @@ from fractions import Fraction
 from mpmath import mpf
 
 from .eulersums import s_from_zprime, zprime_from_s
-from .exact import zeta_neg_int_exact
+from .exact import solve_binomial, zeta_neg_int_exact
 from .precision import PrecisionContext, _working
 from .values import SumConvention, SymbolicValue
 from .zeta import _zeta_prime_routed, zeta_odd_from_zprime
@@ -37,52 +34,22 @@ from .zeta import _zeta_prime_routed, zeta_odd_from_zprime
 _SEED = SymbolicValue.of(0, 0, Fraction(-1, 2))  # zeta'(0) = -(1/2) ln(2pi), exactly
 
 
-@dataclass(frozen=True)
-class RecurrenceRelation:
-    """sum_{j=0}^{s-1} C(s,j) S_j = rhs, with rhs = -zeta(1-s) exact."""
-
-    s: int
-    coefficients: tuple[int, ...]
-    rhs: Fraction
-
-
-def build_relation(s: int) -> RecurrenceRelation:
-    if s < 2:
-        raise ValueError("the chain starts at s = 2; s = 1 is the defective boundary case")
-    coeffs = tuple(math.comb(s, j) for j in range(s))
-    return RecurrenceRelation(s, coeffs, -zeta_neg_int_exact(s))
-
-
 def solve_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:
     """S_0..S_kmax, exact, seeded by zeta'(0) and solved triangularly."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    s0 = s_from_zprime(1, _SEED, conv)
-    parts = (s0.a, s0.b, s0.c)
-    den = math.lcm(*(q.denominator for q in parts))
-    # row j is S_j = (a, b, c) / d with d > 0; rows_den is the lcm of every d so far
-    rows = [(tuple(q.numerator * (den // q.denominator) for q in parts), den)]
-    rows_den = den
-    values = [s0]
-    for s in range(2, kmax + 2):
-        rel = build_relation(s)
-        common = math.lcm(rows_den, rel.rhs.denominator)
-        a, b, c = rel.rhs.numerator * (common // rel.rhs.denominator), 0, 0
-        for coeff, ((ra, rb, rc), d) in zip(rel.coefficients, rows):
-            f = coeff * (common // d)
-            a, b, c = a - f * ra, b - f * rb, c - f * rc
-        den = common * rel.coefficients[s - 1]
-        g = math.gcd(a, b, c, den)
-        a, b, c, den = a // g, b // g, c // g, den // g
-        rows.append(((a, b, c), den))
-        rows_den = math.lcm(rows_den, den)
-        values.append(SymbolicValue.of(Fraction(a, den), Fraction(b, den), Fraction(c, den)))
-    return values
+    rhs = (SymbolicValue.of(-zeta_neg_int_exact(s)) for s in range(2, kmax + 2))
+    return solve_binomial([s_from_zprime(1, _SEED, conv)], rhs)
 
 
-def relation_residual(rel: RecurrenceRelation, chain: list[SymbolicValue]) -> SymbolicValue:
-    """sum_j C(s,j) S_j - rhs as an exact triple; the zero triple iff satisfied."""
-    return sum((chain[j] * coeff for j, coeff in enumerate(rel.coefficients)), SymbolicValue.of(-rel.rhs))
+def relation_residual(s: int, chain: list[SymbolicValue]) -> SymbolicValue:
+    """sum_{j<s} C(s,j) S_j + zeta(1-s) as an exact triple; the zero triple iff relation s holds.
+
+    ValueError at s < 2: the s = 1 relation is the defective boundary.
+    """
+    if s < 2:
+        raise ValueError("the chain starts at s = 2; s = 1 is the defective boundary case")
+    return sum((chain[j] * math.comb(s, j) for j in range(s)), SymbolicValue.of(zeta_neg_int_exact(s)))
 
 
 def extract_zprime_chain(kmax: int, conv: SumConvention) -> list[SymbolicValue]:

@@ -29,7 +29,7 @@ from .eulersums import (
 )
 from .exact import GAMMA, LOG_2PI, ONE, BernoulliConvention, bernoulli, bernoulli_self_identity, zeta_neg_int_exact
 from .hankel import ContourSpec, bernoulli_interp, lemma3_residual
-from .precision import PrecisionContext
+from .precision import PrecisionContext, const_log2pi
 from .ramanujan import MAX_EXPONENT, convergent_selftest, ramanujan_sum
 from .values import SumConvention
 from .zeta import (
@@ -76,7 +76,7 @@ def _suite_zeta(ctx: PrecisionContext) -> list[dict]:
             diff = abs(zeta_em(1 - k, ctx) - mpf(ex.numerator) / ex.denominator)
             worst = max(worst, diff)
         checks.append(_check("zeta_neg_int_k1..12", worst, tol))
-        zp0 = abs(zeta_prime_em(0, ctx) + mpmath.log(2 * mpmath.pi) / 2)
+        zp0 = abs(zeta_prime_em(0, ctx) + const_log2pi(ctx) / 2)
         checks.append(_check("zeta_prime_zero", zp0, ctx.tolerance(8)))
     return checks
 
@@ -182,6 +182,9 @@ def _suites_error(suites: list[str]) -> str | None:
     unknown = [s for s in suites if s not in _SUITES]
     if unknown:
         return f"unknown suite(s): {', '.join(unknown)}"
+    twice = list(dict.fromkeys(s for s in suites if suites.count(s) > 1))
+    if twice:
+        return f"suite(s) named twice: {', '.join(twice)}"
     return None
 
 
@@ -327,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(doc, args.format, args.out)
     except OSError as exc:
-        print(f"cannot write --out: {exc}", file=sys.stderr)
+        # a failed write's OSError carries no filename, so the path is printed here
+        print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 1 if doc.get("status") == "fail" else 0
 

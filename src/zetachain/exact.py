@@ -5,8 +5,11 @@ Everything here is exact by construction and returned as
 Python integers and reduced once.  No floating arithmetic ever enters.
 ``LinearForm`` holds the exact values over 1, gamma, ln 2pi = -2 zeta'(0),
 zeta'(-j) and ln n: the chain's on the first three, the Ramanujan
-constants' on all but ln n.  This module is the independent oracle the
-numeric layers are checked against, so it must not import any of them.
+constants' on all but ln n.  ``solve_binomial`` is the one solve of the
+paper's system sum_{j<s} C(s,j) X_j = b_s, for the chain (b_s = -zeta(1-s))
+and the Ramanujan constants (b_s = -zeta(1-s) + c_s).  This module is the
+independent oracle the numeric layers are checked against, so it must not
+import any of them.
 """
 
 from __future__ import annotations
@@ -174,6 +177,37 @@ class LinearForm(dict):
         return " + ".join([str(self.get(ONE, 0)), *parts])
 
 
+def solve_binomial(xs: list[LinearForm], rhs) -> list[LinearForm]:
+    """The one solve of sum_{j<s} C(s, j) X_j = b_s: appends X_(s-1) to xs for each b_s of rhs, s = len(xs) + 1.
+
+    X_(s-1) = (b_s - sum_{j<s-1} C(s, j) X_j) / s is a form of b_s's class.
+    The solve runs on Python integers, each X_j held as numerators over one
+    positive denominator: a row costs integer multiplies over the lcm of the
+    denominators and one gcd, and its Fractions are built once.  Returns xs.
+    """
+    rows = [_over_lcm(x) for x in xs]
+    for b in rhs:
+        s = len(xs) + 1
+        nums, den = _over_lcm(b)
+        common = math.lcm(den, *(d for _, d in rows))
+        total = {key: n * (common // den) for key, n in nums.items()}
+        for j, (row, d) in enumerate(rows):
+            f = -math.comb(s, j) * (common // d)
+            for key, n in row.items():
+                total[key] = total.get(key, 0) + f * n
+        g = math.gcd(common * s, *total.values())
+        row, d = {key: n // g for key, n in total.items() if n}, common * s // g
+        rows.append((row, d))
+        xs.append(b._wrap({key: Fraction(n, d) for key, n in row.items()}))
+    return xs
+
+
+def _over_lcm(form: LinearForm) -> tuple[dict, int]:
+    # ({key: integer numerator}, d): form's coefficients over their lcm d
+    d = math.lcm(*(q.denominator for q in form.values()))
+    return {key: q.numerator * (d // q.denominator) for key, q in form.items()}, d
+
+
 def _hurwitz_jet(i: int, a: int) -> tuple[Fraction, LinearForm]:
     # zeta(z - i, a) = zeta(z - i) - sum_{n<a} n^(i - z) to first order in z
     # at 0, for integers i >= 1 and a >= 2: (value, slope)
@@ -242,9 +276,7 @@ def _extend_ramanujan(k: int) -> None:
             s = j + 1
             if len(_moments) == j:  # else a raise below left it from an earlier growth
                 _moments.append(_log_gamma_moment(j))
-            rhs = _shift_constant(s, _moments) - LinearForm({ONE: zeta_neg_int_exact(s)})
-            rhs = sum((_ramanujan_forms[i] * -math.comb(s, i) for i in range(j)), rhs)
-            _ramanujan_forms.append(rhs * Fraction(1, s))
+            solve_binomial(_ramanujan_forms, [_shift_constant(s, _moments) - LinearForm({ONE: zeta_neg_int_exact(s)})])
 
 
 def ramanujan_closed_form(k: int) -> LinearForm:

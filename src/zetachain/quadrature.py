@@ -67,10 +67,10 @@ rules are refined the same way:
   tuple share nodes and levels, the call converges when every component
   does, and the result's value is then a tuple too.
 - Integrands and level sums run on raw libmp values.  The library's
-  integrands compute on the ``_mpf_``/``_mpc_`` tuples of their node and
-  kernel and build an mpf only for what they return.  A level's sums of
-  w*f stay raw ``_mpf_`` tuples, and the level driver turns them into mpf
-  once per level.  Each step is the libmp call (``mpf_mul``, ``mpf_add``,
+  integrands, but the Ramanujan one, compute on the ``_mpf_``/``_mpc_``
+  tuples of their node and kernel and build an mpf only for what they
+  return.  A level's sums of w*f stay raw ``_mpf_`` tuples, and the level
+  driver turns them into mpf once per level.  Each step is the libmp call (``mpf_mul``, ``mpf_add``,
   ``mpf_sub``, ``mpf_exp``, ``mpf_cos_sin``, ...) that mpmath's operator or
   function on the same expression makes, in the same order, at the
   working precision and rounding to nearest, so every value equals the
@@ -86,7 +86,8 @@ rules are refined the same way:
 The Ramanujan integral int_1^N H(t) t^k dt is on Gauss-Legendre, over
 panels cut at the powers of 3 below N, without a kernel: its caller
 evaluates H(t) once per distinct node from a table of its own request, for
-all k.
+all k, and its integrand hsmooth(t) * t**k is written with mpf operators,
+which a raw form would not beat.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ never from numeric differentiation.
 
 Each value is checked against its exact closed form
 R_k = r_k + g_k gamma + sum_j (-1)^j C(k,j) zeta'(-j), which
-``exact.ramanujan_closed_form`` derives; ``values._evaluate`` evaluates it at
+``exact.ramanujan_closed_form`` derives by ``exact.solve_binomial``, the
+solve of the heuristic chain's system with right-hand sides
+-zeta(1-s) + c_s; ``values._evaluate`` evaluates it at
 ``zeta_prime_oracle``'s values, so it shares no code with the integral.  A
 row whose spread from it exceeds the tolerance is flagged but still returned.
 
@@ -21,7 +23,8 @@ One request covers k = 0..kmax under one scheme (N, J), which ``_scheme``
 takes from the digits.  Every k integrates over [1, N] on the same
 Gauss-Legendre panels, cut at the powers of 3 below N, so one table of H(t)
 per request serves every k: H(t) is evaluated once per distinct node,
-whatever kmax.  The partial sums sum_{n<=N} H_n n^k build H_n once for
+whatever kmax, and the integrand hsmooth(t) * t**k is written with mpf
+operators.  The partial sums sum_{n<=N} H_n n^k build H_n once for
 every k.  Each k keeps its own integral, levels and convergence test, so no
 value depends on kmax.  The table lives for one request only.
 """
@@ -33,7 +36,6 @@ from functools import cache
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
 from .exact import GAMMA, LOG_2PI, LinearForm, bernoulli, ramanujan_closed_form
 from .precision import PrecisionContext, const_gamma
@@ -73,39 +75,6 @@ def _partial_sums(kmax: int, N: int) -> list[mpf]:
     return totals
 
 
-def _ramanujan_raw(scheme: EMScheme, ctx: PrecisionContext, hsmooth, sums: list[mpf]) -> list[mpf]:
-    """sum^R H_n n^k for k = 0..kmax under one scheme.
-
-    hsmooth is the request's H(t) table and sums[k] = sum_{n<=N} H_n n^k.
-    Runs at the caller's working precision.
-    """
-    N = scheme.N
-    off = (ctx.digits + 1) // 2 - 5
-    # Gauss-Legendre panels [1, 3], [3, 9], ... up to N, each at least
-    # half its length from H's first pole, at t = -1
-    breaks = tuple(3**i for i in range(1, N.bit_length()) if 3**i < N)
-    em = _em_coefficients()
-    # H(t) t^k by the libmp calls of mpf's * and ** with an int exponent,
-    # on raw tuples (quadrature's docstring)
-    prec, rnd = mpmath.mp.prec, round_nearest
-    values = []
-    for k, total in enumerate(sums):
-
-        def f(t):
-            h = hsmooth(t)._mpf_
-            return mpmath.mp.make_mpf(mpf_mul(h, mpf_pow_int(t._mpf_, k, prec, rnd), prec, rnd))
-
-        quad = integrate(f, 1, N, ctx, tol_offset=off, breaks=breaks)
-        total -= quad.require_converged()
-
-        derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
-        total -= derivs[0] / 2
-        for j in range(1, scheme.J + 1):
-            total -= em[j] * derivs[j]
-        values.append(ctx.round(total))
-    return values
-
-
 @dataclass(frozen=True)
 class RamanujanValue:
     value: mpf
@@ -128,6 +97,11 @@ def ramanujan_sum(kmax: int, ctx: PrecisionContext) -> list[RamanujanValue]:
     if kmax > MAX_EXPONENT:
         raise ValueError(f"derivative bookkeeping supports k <= {MAX_EXPONENT}")
     scheme = _scheme(ctx.digits)
+    N = scheme.N
+    off = (ctx.digits + 1) // 2 - 5
+    # Gauss-Legendre panels [1, 3], [3, 9], ... up to N, each at least
+    # half its length from H's first pole, at t = -1
+    breaks = tuple(3**i for i in range(1, N.bit_length()) if 3**i < N)
     rows = []
     with ctx.workdps():
 
@@ -135,11 +109,18 @@ def ramanujan_sum(kmax: int, ctx: PrecisionContext) -> list[RamanujanValue]:
         def hsmooth(t):
             return _hsmooth(t, ctx)
 
-        values = _ramanujan_raw(scheme, ctx, hsmooth, _partial_sums(kmax, scheme.N))
+        em = _em_coefficients()
         # ln 2pi as -2 zeta'(0), exactly: the ln 2pi term is still w_0 zeta'(0)
         basis = {GAMMA: const_gamma(ctx), LOG_2PI: -2 * zeta_prime_oracle(0, ctx)}
         basis |= {("zeta'", j): zeta_prime_oracle(-j, ctx) for j in range(1, kmax + 1)}
-        for k, value in enumerate(values):
+        for k, value in enumerate(_partial_sums(kmax, N)):
+            quad = integrate(lambda t: hsmooth(t) * t**k, 1, N, ctx, tol_offset=off, breaks=breaks)
+            value -= quad.require_converged()
+            derivs = hsmooth_pow_derivs(N, k, 0, 2 * scheme.J - 1, ctx)
+            value -= derivs[0] / 2
+            for j in range(1, scheme.J + 1):
+                value -= em[j] * derivs[j]
+            value = ctx.round(value)
             form = ramanujan_closed_form(k)
             spread = ctx.round(abs(value - _evaluate(form, basis, ctx)))
             stable = spread < mpf(10) ** (-ctx.digits // 2)

@@ -45,7 +45,7 @@ sum still short of that after 4 dps terms raises ArithmeticError.
 in one table per mpmath prec, grown one term at a time, with the tables of
 the 16 most recently used precisions kept (``precision._COEFF_SLOTS``).
 Its readers are the Euler-sum tails (``eulersums._smooth_tail``) and the
-Ramanujan scheme (``ramanujan._ramanujan_raw``).
+Ramanujan scheme (``ramanujan.ramanujan_sum``).
 
 At negative even integers zeta_em returns the exact trivial zero.
 """
@@ -66,7 +66,7 @@ from mpmath.libmp import (
 )
 
 from .exact import bernoulli
-from .precision import PrecisionContext, _coefficients, _working
+from .precision import PrecisionContext, _coefficients, _working, const_log2pi
 from .special import _GUARD_BITS, DomainError, gamma_fn
 
 
@@ -94,26 +94,25 @@ def _em_coefficients():
 
 def zeta_em(s, ctx: PrecisionContext) -> mpf:
     """zeta(s) for real s != 1 by Euler-Maclaurin summation."""
-    with ctx.workdps():
-        sv = mpf(s)
-    if sv == 1:
-        raise DomainError("zeta has a pole at s = 1")
-    if sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
-        return mpf(0)
-    n_terms = _em_setpoint(ctx)
-    with _working(ctx.dps + _extra_dps(sv, n_terms)):
-        return _em(mpf(s), n_terms, ctx, derivative=False)
+    return _em_entry(s, ctx, derivative=False)
 
 
 def zeta_prime_em(s, ctx: PrecisionContext) -> mpf:
     """zeta'(s) by termwise analytic differentiation of the EM sum."""
+    return _em_entry(s, ctx, derivative=True)
+
+
+def _em_entry(s, ctx: PrecisionContext, derivative: bool) -> mpf:
+    # s read at ctx's precision, the pole refused, then _em at the digits its cancellation needs
     with ctx.workdps():
         sv = mpf(s)
     if sv == 1:
         raise DomainError("zeta has a pole at s = 1")
+    if not derivative and sv < 0 and sv == mpmath.floor(sv) and int(sv) % 2 == 0:
+        return mpf(0)
     n_terms = _em_setpoint(ctx)
-    with _working(ctx.dps + _extra_dps(sv, n_terms) + 5):
-        return _em(mpf(s), n_terms, ctx, derivative=True)
+    with _working(ctx.dps + _extra_dps(sv, n_terms) + (5 if derivative else 0)):
+        return _em(mpf(s), n_terms, ctx, derivative)
 
 
 def _least_prime_factors(N: int) -> list[int]:
@@ -272,7 +271,7 @@ def _zeta_prime_routed(a, ctx: PrecisionContext) -> tuple[mpf, mpf | None]:
         if av == 1:
             raise DomainError("zeta has a pole at s = 1")
         if av == 0:
-            return ctx.round(-mpmath.log(2 * mpmath.pi) / 2), None
+            return ctx.round(-const_log2pi(ctx) / 2), None
         if av < 0 and av == mpmath.floor(av) and int(av) % 2 == 0:
             k = -int(av) // 2
             odd = zeta_em(2 * k + 1, ctx)

@@ -13,14 +13,14 @@ import mpmath
 from mpmath import mpf
 
 from zetachain import hankel
-from zetachain.chain import build_relation, discrepancy_report, relation_residual, solve_chain
+from zetachain.chain import discrepancy_report, relation_residual, solve_chain
 from zetachain.eulersums import (
     bprime_from_zprime,
     fundamental_lemma_residual,
     h_euler_shifted,
     mellin_fundamental_check,
 )
-from zetachain.exact import BernoulliConvention, bernoulli, bernoulli_self_identity, binomial
+from zetachain.exact import BernoulliConvention, bernoulli, bernoulli_self_identity, binomial, zeta_neg_int_exact
 from zetachain.hankel import ContourSpec, bernoulli_interp, lemma3_residual
 from zetachain.precision import PrecisionContext, const_gamma, const_log2pi
 from zetachain.ramanujan import convergent_selftest, ramanujan_sum
@@ -140,9 +140,9 @@ def test_07_chain_exactness():
         for conv in (A, B):
             chain = solve_chain(8, conv)
             for s in range(2, 10):
-                assert relation_residual(build_relation(s), chain) == SymbolicValue.of()
+                assert relation_residual(s, chain) == SymbolicValue.of()
         # the s = 2 relation carries the exact rational 1/12 on its right side
-        assert build_relation(2).rhs == Fraction(1, 12)
+        assert -zeta_neg_int_exact(2) == Fraction(1, 12)
 
 
 def test_08_chain_vs_oracle_report():

@@ -6,7 +6,6 @@ import pytest
 from mpmath import mpf
 
 from zetachain.chain import (
-    build_relation,
     discrepancy_report,
     extract_zprime_chain,
     relation_residual,
@@ -22,21 +21,12 @@ A = SumConvention.A
 B = SumConvention.B
 
 
-def test_build_relation_examples():
-    r2 = build_relation(2)
-    assert r2.coefficients == (Fraction(1), Fraction(2))
-    assert r2.rhs == Fraction(1, 12)
-    r3 = build_relation(3)
-    assert r3.coefficients == (Fraction(1), Fraction(3), Fraction(3))
-    assert r3.rhs == 0
-    r4 = build_relation(4)
-    assert r4.coefficients == (Fraction(1), Fraction(4), Fraction(6), Fraction(4))
-    assert r4.rhs == Fraction(-1, 120)
-
-
-def test_build_relation_rejects_boundary_case():
-    with pytest.raises(ValueError):
-        build_relation(1)
+def test_relation_residual_rejects_boundary_case():
+    # s = 1 is the defective boundary relation, and s = 0 names no relation
+    chain = solve_chain(2, A)
+    for s in (1, 0, -1):
+        with pytest.raises(ValueError, match="boundary"):
+            relation_residual(s, chain)
 
 
 def test_seed_and_first_step():
@@ -54,13 +44,13 @@ def test_exactness_witness_s2():
 
 @pytest.mark.parametrize("conv", [A, B])
 def test_chain_satisfies_all_relations_exactly(conv):
-    # the integer solve against relation_residual's SymbolicValue arithmetic;
-    # at kmax = 60 the rows' common denominator has 33 digits (6 at kmax = 8)
+    # the integer solve against relation_residual's re-derivation on
+    # SymbolicValue arithmetic; at kmax = 60 the rows' common denominator has 33 digits (6 at kmax = 8)
     # and the numerators up to 49
     for kmax in (8, 60):
         chain = solve_chain(kmax, conv)
         for s in range(2, kmax + 2):
-            assert relation_residual(build_relation(s), chain) == SymbolicValue.of(), (kmax, s)
+            assert relation_residual(s, chain) == SymbolicValue.of(), (kmax, s)
 
 
 def test_zprime_chain_triples():

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -35,7 +37,7 @@ def test_verify_fast_suites_pass(capsys):
     jsonschema.validate(doc, _schema())
 
 
-@pytest.mark.parametrize("digits", [100, 200])
+@pytest.mark.parametrize("digits", [50, 100, 200])
 def test_verify_passes_every_suite_at(digits):
     # the Ramanujan self-test takes its scheme from the digits, (150, 40)
     # at 100 and (400, 60) at 200: the (50, 15) of 50 digits stops near
@@ -49,6 +51,17 @@ def test_verify_passes_every_suite_at(digits):
 def test_verify_unknown_suite(capsys):
     code, _ = run(["verify", "--suites", "nonsense"], capsys)
     assert code == 2
+
+
+def test_verify_suite_named_twice(capsys):
+    # a suite named twice would run twice and be listed twice under one timing key
+    code = cli.main(["verify", "--suites", "bernoulli,zeta,bernoulli"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "suite(s) named twice: bernoulli\n"
+    with pytest.raises(ValueError, match=r"^suite\(s\) named twice: bernoulli$"):
+        cli.run_verify(15, ["bernoulli", "bernoulli"])
 
 
 @pytest.mark.parametrize("suites", [",", " ", " , "])
@@ -210,6 +223,21 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and str(tmp_path) in captured.err, captured.err
+
+
+def test_failed_write_to_out_names_the_path(monkeypatch, tmp_path, capsys):
+    # the OSError of a failed write carries no filename: the message must name --out itself
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Full(), raising=False)
+    out = str(tmp_path / "report.json")
+    code = cli.main(["verify", "--suites", "bernoulli", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot write --out {out}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -22,7 +22,10 @@ from zetachain.exact import (
     binomial,
     harmonic,
     ramanujan_closed_form,
+    solve_binomial,
 )
+from zetachain.chain import solve_chain
+from zetachain.values import SumConvention, SymbolicValue
 
 PLUS = BernoulliConvention.PAPER_PLUS
 MINUS = BernoulliConvention.CONVENTIONAL_MINUS
@@ -253,9 +256,53 @@ def test_shift_constant_zeta_prime_weights():
         assert set(c) <= {ONE, GAMMA, LOG_2PI} | {("zeta'", i) for i in range(1, s)}
 
 
+@pytest.mark.parametrize("conv", [SumConvention.A, SumConvention.B])
+def test_ramanujan_minus_chain_solves_the_shift_constants(conv):
+    # R_j and S_j solve one system with right-hand sides -zeta(1-s) + c_s and
+    # -zeta(1-s) from s = 2 on, so their differences D_j solve it with c_s:
+    # from D_0 = R_0 - S_0 the solve must give R_k - S_k for every k <= 20
+    chain, moments = solve_chain(20, conv), _cold_moments(20)
+    shifts = [zetachain.exact._shift_constant(s, moments) for s in range(2, 22)]
+    diffs = solve_binomial([ramanujan_closed_form(0) - chain[0]], shifts)
+    assert diffs == [ramanujan_closed_form(k) - chain[k] for k in range(21)]
+
+
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+def _reference_solve(xs, rhs):
+    # the plain LinearForm recurrence, the loop the Ramanujan growth ran on
+    # its own: X_(s-1) = (b_s - sum_{j<s-1} C(s, j) X_j) / s
+    xs = list(xs)
+    for b in rhs:
+        s = len(xs) + 1
+        xs.append(sum((xs[i] * -math.comb(s, i) for i in range(s - 1)), b) * Fraction(1, s))
+    return xs
+
+
+FORM_BASIS = (ONE, GAMMA, LOG_2PI, ("zeta'", 1), ("zeta'", 2))
+forms = st.lists(small_fractions, min_size=len(FORM_BASIS), max_size=len(FORM_BASIS)).map(
+    lambda qs: LinearForm(zip(FORM_BASIS, qs))
+)
+triples = st.lists(small_fractions, min_size=3, max_size=3).map(lambda qs: SymbolicValue.of(*qs))
+
+
+@given(
+    st.lists(st.one_of(forms, triples), max_size=5),
+    st.lists(st.one_of(forms, triples, st.just(LinearForm()), st.just(SymbolicValue.of())), max_size=6),
+)
+def test_solve_binomial_is_the_plain_recurrence(xs, rhs):
+    # the integer solve equals the recurrence on LinearForm arithmetic, term
+    # for term, from any start (none included) and any right-hand sides
+    # (zero ones included); each X_(s-1) is a form of b_s's class
+    solved = list(xs)
+    assert solve_binomial(solved, rhs) is solved
+    expected = _reference_solve(xs, rhs)
+    assert solved == expected
+    assert [type(x) for x in solved[len(xs):]] == [type(b) for b in rhs]
+    assert all(type(q) is Fraction for x in solved[len(xs):] for q in x.values())
 
 
 @given(small_fractions, small_fractions, small_fractions)

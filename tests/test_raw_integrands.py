@@ -7,18 +7,14 @@ walks beside the same sums written with operators.  The two must give
 the same _mpf_ tuples, not merely close values.
 """
 
-from functools import cache
-
 import mpmath
 import pytest
 from mpmath import mpf
 
-from zetachain import eulersums, hankel, quadrature, ramanujan
+from zetachain import eulersums, hankel, quadrature
 from zetachain.hankel import ContourSpec
 from zetachain.precision import PrecisionContext
 from zetachain.quadrature import QuadratureResult
-from zetachain.ramanujan import EMScheme
-from zetachain.special import _hsmooth
 
 DIGITS = (15, 50, 100, 200)
 
@@ -162,35 +158,6 @@ def test_node_kernels_invert_what_they_stand_for(digits):
             with mpmath.workprec(4 * prec):
                 assert _near_one(inv_om * one_minus, prec), x
                 assert _near_one(ex_over * one_minus / ex, prec), x
-
-
-@pytest.mark.parametrize("digits", DIGITS)
-def test_ramanujan_integrand_matches_operators(monkeypatch, digits):
-    ctx = PrecisionContext(digits)
-    kmax = ramanujan.MAX_EXPONENT
-    with ctx.workdps():
-
-        @cache
-        def hsmooth(t):
-            return _hsmooth(t, ctx)
-
-        def check(f, kernel):
-            # the integrals run in order of k
-            k = len(seen)
-            seen.append(kernel)
-            for t in (mpf(1), mpf("1.7"), mpf(3), mpf("26.5"), mpf("49.9")):
-                _same(f(t), hsmooth(t) * t**k)
-
-        seen = []
-        sums = [mpf(0)] * (kmax + 1)
-        _probe(
-            monkeypatch,
-            ramanujan,
-            lambda: ramanujan._ramanujan_raw(EMScheme(4, 1), ctx, hsmooth, sums),
-            mpf(0),
-            check,
-        )
-        assert seen == [None] * (kmax + 1)
 
 
 def _operator_level(f, walks, decays, eps, total):
